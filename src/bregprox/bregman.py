@@ -29,6 +29,10 @@ from .functions import (
 
 logger = logging.getLogger(__name__)
 
+# generator kinds whose strong-convexity norm caveat has been logged in this
+# process: the caveat is a fact about the kind, so it is stated once
+_NORM_CAVEAT_LOGGED: set = set()
+
 
 @dataclass(frozen=True, eq=False)
 class BregmanGenerator:
@@ -149,7 +153,9 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction, eta: float,
                 f"sigma = {H.strong_convexity} < eta * L = "
                 f"{eta * f.lipschitz_grad}; composite generator not convex"
             )
-        if H.strong_convexity_norm != "l2":
+        if H.strong_convexity_norm != "l2" and \
+                H.kind not in _NORM_CAVEAT_LOGGED:
+            _NORM_CAVEAT_LOGGED.add(H.kind)
             logger.warning(
                 "strong convexity of %s generator is recorded in the %s "
                 "norm; the convexity hypothesis is checked against it as if "

@@ -38,6 +38,8 @@ from .solvers import step_pga
 
 CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
+REF_ITERS_HELP = ("cap on the projected-gradient steps of the reference "
+                  "optimum, which stops once its Frank-Wolfe gap certifies it")
 
 
 def _fmt(x: float) -> str:
@@ -204,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eta0", type=float, default=100.0)
     ps.add_argument("--alpha", type=float, default=0.5)
     ps.add_argument("--max-iters", type=int, default=5000)
-    ps.add_argument("--ref-iters", type=int, default=100_000)
+    ps.add_argument("--ref-iters", type=int, default=100_000,
+                    help=REF_ITERS_HELP)
     ps.add_argument("--variants", default=",".join(VARIANTS),
                     help="comma-separated subset of: " + ", ".join(VARIANTS))
     ps.add_argument("--out", default="simplex_out",
@@ -228,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cols", type=int, default=40)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--iters", type=int, default=500)
-    pc.add_argument("--ref-iters", type=int, default=100_000)
+    pc.add_argument("--ref-iters", type=int, default=100_000,
+                    help=REF_ITERS_HELP)
     pc.set_defaults(func=cmd_certify)
 
     pv = sub.add_parser("verify-identities",

@@ -54,6 +54,22 @@ class TestRunSimplex:
         for p in sorted(out1.iterdir()):
             assert file_hash(p) == file_hash(out2 / p.name)
 
+    def test_failing_variant_keeps_finished_results(self, tmp_path, capsys):
+        # seed 12 at default flags: mirror-linesearch raises DomainError;
+        # the three finished variants and the summary are still written
+        out = tmp_path / "out"
+        assert run(["run-simplex", "--seed", "12", "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "pga-constant.csv", "pga-linesearch.csv",
+            "mirror-constant.csv", "summary.csv",
+        ])
+        summary = (out / "summary.csv").read_text().split("\n")
+        assert summary[-2] == "mirror-linesearch,,false,,,,,"
+        assert [row.split(",")[0] for row in summary[1:-1]] == [
+            "pga-constant", "pga-linesearch", "mirror-constant",
+            "mirror-linesearch"]
+        assert "mirror-linesearch: solver failure" in capsys.readouterr().err
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from bregprox import experiments
 from bregprox import (
     ContractViolation,
     ExperimentSpec,
@@ -10,6 +13,7 @@ from bregprox import (
     evaluate_composite,
     reference_simplex_ls,
     run_experiment,
+    simplex_projection,
 )
 
 
@@ -74,19 +78,74 @@ class TestBuildLassoOnestep:
             assert evaluate_composite(p, z) >= f_star - 1e-12
 
 
+def blind_reference(A, b, eta, iters=100_000):
+    """Fixed-budget projected gradient from the barycentre, with no stopping
+    test: an independent estimate of F* to check the certified one by."""
+    G, c = A.T @ A, A.T @ b
+    x = np.full(A.shape[1], 1.0 / A.shape[1])
+    for _ in range(iters):
+        x = simplex_projection(x - eta * (G @ x - c))
+    return x, 0.5 * float(np.sum((A @ x - b) ** 2))
+
+
+def fw_gap(A, b, x):
+    g = A.T @ (A @ x - b)
+    return float(g @ x - np.min(g))
+
+
 class TestReferenceRun:
-    def test_reference_is_feasible_and_stagnant(self):
-        spec = desk_spec()
-        p = build_simplex_ls(spec)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_certified_reference_matches_long_run(self, seed):
+        res = run_experiment(desk_spec(seed=seed, variants=("pga-constant",),
+                                       max_iters=10, ref_iters=100_000))
+        x_ref, f_ref = res.reference_optimum
+        scale = 1.0 + abs(f_ref)
+        assert 0.0 <= res.reference_gap <= 1e-13 * scale
+        assert abs(np.sum(x_ref) - 1.0) <= 1e-9
+        assert np.min(x_ref) >= 0.0
+        f = res.problem.f
+        _, f_long = blind_reference(f.A, f.b, res.gamma)
+        # both values bound F* from above, so the gap bounds how far the
+        # certified one can lie above the long run's; either side allows
+        # the rounding of evaluating F (seed 3 sits one ulp below)
+        rounding = 1e-15 * scale
+        assert -rounding <= f_ref - f_long <= res.reference_gap + rounding
+
+    def test_cap_returns_uncertified_point_and_warns_once(self, caplog):
+        p = build_simplex_ls(desk_spec())
+        A, b = p.f.A, p.f.b
         gamma = 1.0 / p.f.lipschitz_grad
-        x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, gamma,
-                                              iters=30_000)
-        assert abs(np.sum(x_star) - 1.0) <= 1e-9
-        assert np.min(x_star) >= 0.0
-        # one more sweep moves the objective below measurement precision
-        x2, f2 = reference_simplex_ls(p.f.A, p.f.b, gamma, iters=100,
-                                      x0=x_star)
-        assert abs(f2 - f_star) <= 1e-12 * max(1.0, abs(f_star))
+        with caplog.at_level(logging.WARNING, logger="bregprox.experiments"):
+            x, f_x = reference_simplex_ls(A, b, gamma, iters=1)
+        x0 = np.full(A.shape[1], 1.0 / A.shape[1])
+        np.testing.assert_allclose(
+            x, simplex_projection(x0 - gamma * p.f.grad(x0)), atol=1e-15)
+        assert f_x == pytest.approx(p.f.value(x), rel=1e-15)
+        gap = fw_gap(A, b, x)
+        assert gap > 1e-13 * (1.0 + abs(f_x))
+        assert len(caplog.records) == 1
+        assert "uncertified" in caplog.messages[0]
+        assert f"{gap:.3e}" in caplog.messages[0]
+
+    def test_negative_cap_rejected(self):
+        p = build_simplex_ls(desk_spec())
+        with pytest.raises(ContractViolation):
+            reference_simplex_ls(p.f.A, p.f.b, 1.0 / p.f.lipschitz_grad,
+                                 iters=-1)
+
+    def test_certified_start_returns_at_once(self, monkeypatch):
+        p = build_simplex_ls(desk_spec())
+        A, b = p.f.A, p.f.b
+        gamma = 1.0 / p.f.lipschitz_grad
+        x_ref, f_ref = reference_simplex_ls(A, b, gamma)
+
+        def no_step(v):
+            raise AssertionError("stepped from a certified start")
+
+        monkeypatch.setattr(experiments, "simplex_projection", no_step)
+        x, f_x = reference_simplex_ls(A, b, gamma, x0=x_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        assert f_x == f_ref
 
 
 @pytest.fixture(scope="module")
