@@ -72,7 +72,6 @@ from .solvers import (
     gppa_objective,
     run_solver,
     step_bpga,
-    step_pga,
     verify_theorem2_equivalence,
 )
 

@@ -34,7 +34,7 @@ from .identities import run_identity_suites
 from .prox import make_prox_map
 from .rates import bpga_bound, classical_pga_bound
 from .bregman import squared_euclidean
-from .solvers import step_pga
+from .solvers import step_bpga
 
 CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
@@ -48,12 +48,10 @@ def _fmt(x: float) -> str:
 
 def _write_variant_csv(path: Path, trace, f_star: float, cert, gamma: float,
                        x_star, x0, timing: bool) -> None:
-    from .rates import classical_pga_bound as classical
-
     lines = [CSV_HEADER]
     for rec in trace.records:
         if rec.k >= 1:
-            b_classical = classical(gamma, x_star, x0, rec.k)
+            b_classical = classical_pga_bound(gamma, x_star, x0, rec.k)
             b_gppa = cert.bound_at(rec.k)
         else:
             b_classical = np.inf
@@ -143,9 +141,9 @@ def cmd_run_lasso(args) -> int:
     eta = args.gamma * args.eta_ratio
     x0 = rng.standard_normal(args.dim)
     pm = make_prox_map("l1", "quadratic")
-    x1 = step_pga(p, pm, x0, eta)
-    gap = p.f.value(x1) + p.g.value(x1) - f_star
     H = squared_euclidean(args.dim)
+    x1 = step_bpga(p, H, pm, x0, eta)
+    gap = p.f.value(x1) + p.g.value(x1) - f_star
     bound = bpga_bound(H, p.f, eta, x_star, x0, 1)
     print(f"F(x_1) - F* = {gap:.17g}")
     print(f"GPPA-PGA bound at k=1: {bound:.17g}")

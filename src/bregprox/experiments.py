@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .functions import (
     CompositeProblem,
     Vector,
     estimate_spectral_norm,
-    evaluate_composite,
     l1_norm,
     least_squares,
     probability_simplex,
@@ -31,7 +30,7 @@ from .functions import (
     simplex_indicator,
     euclidean_space,
 )
-from .prox import make_prox_map, simplex_projection, soft_threshold
+from .prox import make_prox_map, simplex_projection
 from .rates import (
     RateCertificate,
     certify_trace,

@@ -23,42 +23,31 @@ SIMPLEX_INTERIOR_MIN = 1e-300
 
 @dataclass(frozen=True, eq=False)
 class DomainDescriptor:
-    """Feasible set: all of R^n, the probability simplex, or the nonnegative orthant."""
+    """Feasible set: all of R^n or the probability simplex."""
 
-    kind: str  # "rn" | "simplex" | "nonneg"
+    kind: str  # "rn" | "simplex"
     ambient_dimension: int
 
     def __post_init__(self):
-        if self.kind not in ("rn", "simplex", "nonneg"):
+        if self.kind not in ("rn", "simplex"):
             raise ContractViolation(f"unknown domain kind {self.kind!r}")
         if self.ambient_dimension < 1:
             raise ContractViolation("ambient_dimension must be positive")
 
     def member(self, x: Vector) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dimension,):
-            return False
-        if self.kind == "rn":
-            return True
-        if self.kind == "nonneg":
-            return bool(np.min(x) >= SIMPLEX_MEMBER_MIN)
-        return bool(
-            np.min(x) >= SIMPLEX_MEMBER_MIN
-            and abs(np.sum(x) - 1.0) <= SIMPLEX_SUM_TOL
-        )
+        return self._contains(x, SIMPLEX_MEMBER_MIN)
 
     def interior(self, x: Vector) -> bool:
+        return self._contains(x, SIMPLEX_INTERIOR_MIN)
+
+    def _contains(self, x: Vector, floor: float) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dimension,):
             return False
         if self.kind == "rn":
             return True
-        if self.kind == "nonneg":
-            return bool(np.min(x) > 0.0)
-        return bool(
-            np.min(x) >= SIMPLEX_INTERIOR_MIN
-            and abs(np.sum(x) - 1.0) <= SIMPLEX_SUM_TOL
-        )
+        return bool(np.min(x) >= floor
+                    and abs(np.sum(x) - 1.0) <= SIMPLEX_SUM_TOL)
 
     def bounded(self) -> bool:
         return self.kind == "simplex"
@@ -78,13 +67,16 @@ class SmoothFunction:
 
     ``lipschitz_grad`` is the Lipschitz constant L of the gradient (the
     paper-side step-size hypothesis reads eta <= 1/L).  ``None`` means
-    unknown.
+    unknown.  ``distance`` is the closed form of the Bregman distance
+    D_f(x, y) = f(x) - f(y) - <x - y, grad f(y)>, which the solvers need;
+    ``None`` means none is known.
     """
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     dimension: int
     lipschitz_grad: Optional[float] = None
+    distance: Optional[Callable[[Vector, Vector], float]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -141,12 +133,14 @@ def zero_function(n: int) -> SmoothFunction:
         grad=lambda x: np.zeros(n),
         dimension=n,
         lipschitz_grad=0.0,
+        distance=lambda x, y: 0.0,
     )
 
 
 def least_squares(A: np.ndarray, b: np.ndarray,
                   lipschitz: Optional[float] = None) -> LeastSquaresFunction:
-    """f(x) = 1/2 ||A x - b||^2 with exact gradient A^T (A x - b)."""
+    """f(x) = 1/2 ||A x - b||^2 with exact gradient A^T (A x - b) and
+    D_f(x, y) = 1/2 ||A (x - y)||^2."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
@@ -156,13 +150,15 @@ def least_squares(A: np.ndarray, b: np.ndarray,
         grad=lambda x: A.T @ (A @ x - b),
         dimension=A.shape[1],
         lipschitz_grad=lipschitz,
+        distance=lambda x, y: 0.5 * float(np.sum((A @ (x - y)) ** 2)),
         A=A,
         b=b,
     )
 
 
 def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
-    """f(x) = 1/(2 gamma) ||x - b||^2; gradient Lipschitz constant is 1/gamma."""
+    """f(x) = 1/(2 gamma) ||x - b||^2; gradient Lipschitz constant is 1/gamma
+    and D_f(x, y) = ||x - y||^2 / (2 gamma)."""
     b = np.asarray(b, dtype=float)
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
@@ -171,6 +167,7 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
         grad=lambda x: (x - b) / gamma,
         dimension=b.size,
         lipschitz_grad=1.0 / gamma,
+        distance=lambda x, y: 0.5 / gamma * float(np.sum((x - y) ** 2)),
     )
 
 

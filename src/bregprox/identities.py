@@ -15,11 +15,13 @@ from typing import List
 import numpy as np
 
 from .bregman import (
+    BregmanGenerator,
     bregman_distance,
     check_linearity,
     check_three_point,
     composite_generator,
     negative_entropy,
+    reference_distance,
     squared_euclidean,
 )
 from .functions import (
@@ -81,16 +83,17 @@ def linearity_suite(samples: int, seed: int) -> List[SuiteResult]:
 
 def nonnegativity_suite(samples: int, seed: int,
                         inject_fault: bool = False) -> List[SuiteResult]:
+    """Worst of -D_h and of |D_h - definition| over random pairs: each closed
+    form must be nonnegative and equal the distance its oracles define."""
     rng = np.random.Generator(np.random.Philox(seed))
     hq = squared_euclidean(4)
     if inject_fault:
         # negative control: a gradient oracle inconsistent with the value
-        # oracle makes the induced distance go negative
-        from .bregman import BregmanGenerator
-
+        # oracle makes the definition disagree with the closed form
         hq = BregmanGenerator(
             value=hq.value,
             grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+            distance=hq.distance,
             domain=hq.domain,
             strong_convexity=hq.strong_convexity,
             kind="quadratic",
@@ -99,10 +102,11 @@ def nonnegativity_suite(samples: int, seed: int,
     worst = -np.inf
     for _ in range(samples):
         x, y = rng.standard_normal((2, 4))
-        worst = max(worst, -bregman_distance(hq, x, y))
         a = _interior_simplex(rng, 6)
         b = _interior_simplex(rng, 6)
-        worst = max(worst, -bregman_distance(he, a, b))
+        for h, p, q in ((hq, x, y), (he, a, b)):
+            d = bregman_distance(h, p, q)
+            worst = max(worst, -d, abs(d - reference_distance(h, p, q)))
     return [_result("bregman_nonnegativity", worst, 1e-12)]
 
 

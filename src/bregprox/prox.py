@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .bregman import DISTANCES
+from .errors import ContractViolation, DomainError, NumericalFailure
 from .functions import Vector
 
 GeneratorKind = str  # "quadratic" | "entropy"
@@ -36,12 +37,18 @@ def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
 def simplex_projection(z: Vector) -> Vector:
     """Euclidean projection onto {x : sum x_i = 1, x >= 0} by sort-and-threshold."""
     z = np.asarray(z, dtype=float)
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
     ks = np.arange(1, z.size + 1)
-    rho = ks[u - css / ks > 0][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(z - tau, 0.0)
+    # Entries that dwarf 1 (z = [1e17, 0, -3]) round the 1 out of the cumsum
+    # and empty the mask; the projection is shift-invariant, so retry (only
+    # then, so other inputs keep their exact result) from max(z) = 0.
+    for shift in (0.0, np.max(z)):
+        u = np.sort(z - shift)[::-1]
+        css = np.cumsum(u) - 1.0
+        above = u - css / ks > 0
+        if above.any():
+            rho = ks[above][-1]
+            return np.maximum(z - shift - css[rho - 1] / rho, 0.0)
+    raise NumericalFailure("cannot project a non-finite point onto the simplex")
 
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
@@ -55,15 +62,16 @@ def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
 def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     """Mirror step on the simplex: x_i = y_i exp(-eta v_i) / normalization.
 
-    Exponents are shifted by their maximum before exponentiating so that
-    large steps (eta far above 1/L during line search) cannot overflow.
+    Exponents are shifted by their maximum over supp(y) before
+    exponentiating so that large steps (eta far above 1/L during line
+    search) cannot overflow.  Zero components of y stay zero.
     """
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     y = np.asarray(y, dtype=float)
-    if np.min(y) <= 0.0:
-        raise DomainError("mirror step undefined for nonpositive components")
-    expo = -eta * np.asarray(v, dtype=float)
+    if np.min(y) < 0.0:
+        raise DomainError("mirror step undefined for negative components")
+    expo = np.where(y > 0.0, -eta * np.asarray(v, dtype=float), -np.inf)
     w = y * np.exp(expo - np.max(expo))
     return w / np.sum(w)
 
@@ -114,14 +122,6 @@ def _g_value(g_kind: str, x: Vector) -> float:
     return np.inf
 
 
-def _dist_H(H_kind: GeneratorKind, x: Vector, y: Vector) -> float:
-    if H_kind == "quadratic":
-        return 0.5 * float(np.sum((x - y) ** 2))
-    xp = x[x > 0.0]
-    yp = y[x > 0.0]
-    return float(np.sum(xp * np.log(xp / yp)) - np.sum(x) + np.sum(y))
-
-
 def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
                    eta: float) -> float:
     """g(x) + <x, v> + (1/eta) D_H(x, y) for the map's (g, H) pair."""
@@ -129,20 +129,18 @@ def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
     return (
         _g_value(pm.g_kind, x)
         + float(np.dot(x, v))
-        + _dist_H(pm.H_kind, x, np.asarray(y, dtype=float)) / eta
+        + DISTANCES[pm.H_kind](x, np.asarray(y, dtype=float)) / eta
     )
 
 
-def _sample_feasible(pm: ProxMap, x_plus: Vector, rng) -> Vector:
-    n = x_plus.size
-    if pm.g_kind == "simplex":
-        z = rng.dirichlet(np.ones(n))
-        if pm.H_kind == "entropy":
-            z = np.maximum(z, 1e-12)
-            z /= np.sum(z)
-        return z
-    scale = 1.0 + np.linalg.norm(x_plus)
-    return x_plus + scale * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(n)
+def sample_feasible(g_kind: str, around: Vector, rng) -> Vector:
+    """A random point where g is finite: uniform on the simplex for the
+    simplex indicator, else ``around`` plus noise at a random scale."""
+    n = around.size
+    if g_kind == "simplex":
+        return rng.dirichlet(np.ones(n))
+    scale = 1.0 + np.linalg.norm(around)
+    return around + scale * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(n)
 
 
 def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
@@ -158,6 +156,6 @@ def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
     base = prox_objective(pm, x_plus, v, y, eta)
     worst = -np.inf
     for _ in range(trials):
-        z = _sample_feasible(pm, x_plus, rng)
+        z = sample_feasible(pm.g_kind, x_plus, rng)
         worst = max(worst, base - prox_objective(pm, z, v, y, eta))
     return worst

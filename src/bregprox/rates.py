@@ -29,10 +29,9 @@ from .solvers import IterationTrace
 class RateCertificate:
     """Bound of the form bound_at(k) = constant / k against a reference optimum."""
 
-    kind: str  # "gppa" | "bpga" | "gppa_pga" | "classical_pga" | "line_search"
+    kind: str  # "gppa" | "bpga" | "gppa_pga" | "line_search"
     constant: float
     reference_optimum: Tuple[Vector, float]
-    d_at_x0: float
 
     def bound_at(self, k: int) -> float:
         if k < 1:
@@ -95,23 +94,15 @@ def constant_step_certificate(H: BregmanGenerator, f: SmoothFunction,
     h = composite_generator(H, f, eta)
     d0 = bregman_distance(h, x_star, x0)
     kind = "gppa_pga" if H.kind == "quadratic" else "bpga"
-    return RateCertificate(kind, d0, (np.asarray(x_star, dtype=float), f_star), d0)
-
-
-def classical_certificate(eta: float, x_star: Vector, x0: Vector,
-                          f_star: float) -> RateCertificate:
-    c = classical_pga_bound(eta, x_star, x0, 1)
-    return RateCertificate("classical_pga", c,
-                           (np.asarray(x_star, dtype=float), f_star), c)
+    return RateCertificate(kind, d0, (np.asarray(x_star, dtype=float), f_star))
 
 
 def line_search_certificate(H: BregmanGenerator, alpha: float, gamma: float,
                             eta0: float, x_star: Vector, x0: Vector,
                             f_star: float) -> RateCertificate:
-    d0 = bregman_distance(H, x_star, x0)
     c = line_search_bound(H, alpha, gamma, eta0, x_star, x0, 0)
     return RateCertificate("line_search", c,
-                           (np.asarray(x_star, dtype=float), f_star), d0)
+                           (np.asarray(x_star, dtype=float), f_star))
 
 
 def certify_trace(trace: IterationTrace, cert: RateCertificate) -> float:

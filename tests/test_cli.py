@@ -55,20 +55,39 @@ class TestRunSimplex:
             assert file_hash(p) == file_hash(out2 / p.name)
 
     def test_failing_variant_keeps_finished_results(self, tmp_path, capsys):
-        # seed 12 at default flags: mirror-linesearch raises DomainError;
-        # the three finished variants and the summary are still written
+        # eta0 = 1e30 takes the line searches to a vertex of the simplex
+        # (the projection must survive entries near 1e30) and exhausts their
+        # backtracking budget; the constant-step variants finish, and every
+        # variant's CSV and the summary are still written
         out = tmp_path / "out"
-        assert run(["run-simplex", "--seed", "12", "--out", str(out)]) == 1
+        assert run(["run-simplex", "--eta0", "1e30", "--out", str(out)]) == 1
         assert sorted(p.name for p in out.iterdir()) == sorted([
             "pga-constant.csv", "pga-linesearch.csv",
-            "mirror-constant.csv", "summary.csv",
+            "mirror-constant.csv", "mirror-linesearch.csv", "summary.csv",
         ])
         summary = (out / "summary.csv").read_text().split("\n")
-        assert summary[-2] == "mirror-linesearch,,false,,,,,"
-        assert [row.split(",")[0] for row in summary[1:-1]] == [
-            "pga-constant", "pga-linesearch", "mirror-constant",
-            "mirror-linesearch"]
-        assert "mirror-linesearch: solver failure" in capsys.readouterr().err
+        assert [row.split(",")[:3] for row in summary[1:-1]] == [
+            ["pga-constant", "48", "true"],
+            ["pga-linesearch", "", "false"],
+            ["mirror-constant", "3409", "true"],
+            ["mirror-linesearch", "", "false"]]
+        for variant in ("pga-linesearch", "mirror-linesearch"):
+            rows = (out / f"{variant}.csv").read_text().split("\n")
+            assert [r.split(",")[0] for r in rows[1:-1]] == ["0"]
+        err = capsys.readouterr().err
+        for variant in ("pga-linesearch", "mirror-linesearch"):
+            assert f"{variant}: solver failure: backtracking budget " \
+                   "exhausted at iteration 1" in err
+
+    def test_mirror_linesearch_reaches_boundary_optimum(self, tmp_path):
+        # seed 12: mirror-linesearch drives components below 1e-300 before
+        # it reaches the tolerance; zeros must not stop it
+        out = tmp_path / "out"
+        assert run(["run-simplex", "--seed", "12", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "pga-constant.csv", "pga-linesearch.csv",
+            "mirror-constant.csv", "mirror-linesearch.csv", "summary.csv",
+        ])
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "blocked"

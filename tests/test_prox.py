@@ -6,6 +6,7 @@ import pytest
 from bregprox import (
     ContractViolation,
     DomainError,
+    NumericalFailure,
     entropic_update,
     make_prox_map,
     project_simplex,
@@ -104,6 +105,25 @@ class TestProjectSimplex:
             assert np.min(x) >= 0.0
 
 
+class TestSimplexProjectionRange:
+    def test_entries_that_dwarf_one(self):
+        np.testing.assert_array_equal(
+            simplex_projection(np.array([1e17, 0.0, -3.0])), [1.0, 0.0, 0.0])
+
+    def test_every_finite_magnitude_lands_on_simplex(self):
+        r = rng(8)
+        for exponent in range(0, 300, 7):
+            z = r.standard_normal(10) * 10.0 ** exponent
+            x = simplex_projection(z)
+            assert abs(np.sum(x) - 1.0) <= 1e-12
+            assert np.min(x) >= 0.0
+            assert x[np.argmax(z)] == np.max(x)
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalFailure):
+            simplex_projection(np.array([np.nan, 0.0, 1.0]))
+
+
 class TestEntropicUpdate:
     def test_zero_gradient_is_identity(self):
         y = np.array([0.25, 0.75])
@@ -135,9 +155,18 @@ class TestEntropicUpdate:
                             100.0)
         assert np.all(np.isfinite(x))
 
-    def test_boundary_y_rejected(self):
+    def test_zero_components_stay_zero(self):
+        r = rng(7)
+        y = np.array([0.5, 0.0, 0.5, 0.0])
+        for _ in range(20):
+            x = entropic_update(r.standard_normal(4) * 100, y,
+                                r.uniform(0.1, 100))
+            assert x[1] == 0.0 and x[3] == 0.0
+            assert abs(np.sum(x) - 1.0) <= 1e-12
+
+    def test_negative_y_rejected(self):
         with pytest.raises(DomainError):
-            entropic_update(np.zeros(2), np.array([1.0, 0.0]), 1.0)
+            entropic_update(np.zeros(2), np.array([1.1, -0.1]), 1.0)
 
 
 class TestProxMapRegistry:

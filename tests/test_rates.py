@@ -157,7 +157,7 @@ class TestCertifyTrace:
         assert trace.records[1].objective - f_star <= 1e-10
 
     def test_bound_shape_is_constant_over_k(self):
-        cert = RateCertificate("gppa", 3.7, (np.zeros(2), 0.0), 3.7)
+        cert = RateCertificate("gppa", 3.7, (np.zeros(2), 0.0))
         ks = np.arange(1, 200)
         vals = np.array([cert.bound_at(k) * k for k in ks])
         np.testing.assert_allclose(vals, 3.7, rtol=1e-14)
@@ -165,7 +165,7 @@ class TestCertifyTrace:
         assert np.all(np.diff(bounds) <= 0)
 
     def test_missing_reference_raises(self):
-        cert = RateCertificate("gppa", 1.0, None, 1.0)
+        cert = RateCertificate("gppa", 1.0, None)
         r = rng(5)
         p = build_lasso_onestep(1.0, r.standard_normal(3))
         pm = make_prox_map("l1", "quadratic")
@@ -188,6 +188,6 @@ class TestCertifyTrace:
         h = composite_generator(H, p.f, 10.0, unchecked=True)
         from bregprox import bregman_distance
         d0 = bregman_distance(h, x_star, x0)
-        cert = RateCertificate("bpga", d0, (x_star, f_star), d0)
+        cert = RateCertificate("bpga", d0, (x_star, f_star))
         margin = certify_trace(trace, cert)
         assert np.isfinite(margin)  # reported, whatever its sign

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from bregprox import (
     CompositeProblem,
     ContractViolation,
+    ExperimentSpec,
     SolverConfig,
     SolverFailure,
     build_lasso_onestep,
@@ -22,10 +24,10 @@ from bregprox import (
     simplex_indicator,
     squared_euclidean,
     step_bpga,
-    step_pga,
     verify_theorem2_equivalence,
     zero_function,
 )
+from bregprox.experiments import build_simplex_ls
 from bregprox.prox import prox_objective
 
 
@@ -74,18 +76,6 @@ class TestSteps:
             step_bpga(p, squared_euclidean(2), pm, np.zeros(2), 1.0),
             np.zeros(2))
 
-    def test_pga_equals_bpga_with_quadratic_generator(self):
-        p = simplex_ls_problem(6, 10, seed=2)
-        pm = make_prox_map("simplex", "quadratic")
-        H = squared_euclidean(10)
-        r = rng(3)
-        for _ in range(20):
-            x = r.dirichlet(np.ones(10))
-            eta = r.uniform(0.05, 1.0)
-            a = step_pga(p, pm, x, eta)
-            b = step_bpga(p, H, pm, x, eta)
-            np.testing.assert_allclose(a, b, atol=1e-14)
-
     def test_pga_matches_direct_projection(self):
         p = simplex_ls_problem(4, 6, seed=4)
         pm = make_prox_map("simplex", "quadratic")
@@ -93,7 +83,7 @@ class TestSteps:
         x = np.full(6, 1 / 6)
         eta = 0.3
         np.testing.assert_allclose(
-            step_pga(p, pm, x, eta),
+            step_bpga(p, squared_euclidean(6), pm, x, eta),
             project_simplex(p.f.grad(x), x, eta))
 
     def test_step_above_gamma_still_computes(self, caplog):
@@ -218,6 +208,68 @@ class TestRunSolver:
         trace = run_solver(p, squared_euclidean(5), pm,
                            r.standard_normal(5), cfg)
         assert trace.final().k == 1  # one-step regime stops immediately
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_line_search_is_invariant_to_data_units(self, H_kind):
+        # A, b scaled by s and eta0 by 1/s^2 is the same problem in new
+        # units: the line search must take the same decisions
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=42))
+        H = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        pm = make_prox_map("simplex", H_kind)
+        runs = []
+        for s in (1.0, 1e2, 1e3, 1e4):
+            f = least_squares(base.f.A * s, base.f.b * s,
+                              lipschitz=base.f.lipschitz_grad * s * s)
+            p = CompositeProblem(f, base.g, base.domain)
+            cfg = SolverConfig(eta0=100.0 / s**2, max_iters=200,
+                               line_search_enabled=True)
+            trace = run_solver(p, H, pm, np.full(100, 0.01), cfg)
+            runs.append(([r.backtracks for r in trace.records],
+                         np.array([r.eta_used for r in trace.records]) * s**2))
+        for backtracks, eta_s2 in runs[1:]:
+            assert backtracks == runs[0][0]
+            np.testing.assert_allclose(eta_s2, runs[0][1], rtol=1e-12)
+
+    def test_long_mirror_line_search_keeps_its_step(self):
+        # at tolerance 0 the iterates reach exact zeros and the rounding
+        # floor; the step must stay above the alpha * gamma the line-search
+        # certificate assumes
+        p = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=42))
+        cfg = SolverConfig(eta0=100.0, alpha=0.5, max_iters=1000,
+                           line_search_enabled=True)
+        trace = run_solver(p, negative_entropy(100),
+                           make_prox_map("simplex", "entropy"),
+                           np.full(100, 0.01), cfg)
+        assert trace.final().k == 1000
+        assert np.min(trace.final().x) == 0.0
+        gamma = 1.0 / p.f.lipschitz_grad
+        assert min(r.eta_used for r in trace.records) >= 0.5 * gamma
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_one_gradient_and_value_per_accepted_iterate(self, H_kind):
+        base = simplex_ls_problem(20, 40, seed=11)
+        calls = {"grad": 0, "value": 0}
+
+        def counted(name, oracle):
+            def wrapper(x):
+                calls[name] += 1
+                return oracle(x)
+            return wrapper
+
+        f = dataclasses.replace(base.f, grad=counted("grad", base.f.grad),
+                                value=counted("value", base.f.value))
+        p = CompositeProblem(f, base.g, base.domain)
+        H = squared_euclidean(40) if H_kind == "quadratic" \
+            else negative_entropy(40)
+        cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
+                           line_search_enabled=True)
+        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                           np.full(40, 1 / 40), cfg)
+        assert sum(r.backtracks for r in trace.records) >= 10
+        assert calls == {"grad": 30, "value": 31}
 
     def test_infeasible_start_rejected(self):
         p = simplex_ls_problem(4, 6, seed=15)
