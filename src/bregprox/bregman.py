@@ -11,6 +11,9 @@ kept only as the reference the identity checks hold the closed forms to.
 The composite generator (1/eta) H - f turns a Bregman proximal gradient
 step into a generalized proximal point step; its distance is
 D_H / eta - D_f.
+
+Closed forms, oracles and checks take a vector (giving a float) or a
+(rows, n) stack (one value per row; a check gives its worst row).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .functions import (
     SmoothFunction,
     Vector,
     euclidean_space,
+    on_simplex,
+    per_row,
     probability_simplex,
 )
 
@@ -85,7 +90,7 @@ class ProximalDistanceAxioms:
 
 def half_squared_distance(x: Vector, y: Vector) -> float:
     """1/2 ||x - y||^2, the distance of the squared Euclidean generator."""
-    return 0.5 * float(np.sum((x - y) ** 2))
+    return per_row(0.5 * np.sum((x - y) ** 2, axis=-1))
 
 
 def kl_divergence(x: Vector, y: Vector) -> float:
@@ -93,14 +98,15 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     negative entropy: the log runs over supp(x) only, so the value is finite
     whenever y > 0 on supp(x), exact zeros of x included."""
     s = x > 0.0
-    xs, ys = x[s], y[s]
+    # off supp(x) the term is y_i; 1 stands in there so nothing divides by 0
+    xs, ys = np.where(s, x, 1.0), np.where(s, y, 1.0)
     d = xs - ys
     t = d / ys
     # ln(x/y) loses the digits of t when x is near y, log1p(t) those of x/y
     # when x << y; either way each term is exact to about eps |x - y|
     log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
                          np.log(xs / ys))
-    return float(np.sum(xs * log_ratio - d) + np.sum(y[~s]))
+    return per_row(np.sum(np.where(s, xs * log_ratio - d, y), axis=-1))
 
 
 # closed-form distance of each non-composite generator kind
@@ -110,7 +116,7 @@ DISTANCES = {"quadratic": half_squared_distance, "entropy": kl_divergence}
 def squared_euclidean(n: int) -> BregmanGenerator:
     """H(x) = 1/2 ||x||^2; induces D_H(x, y) = 1/2 ||x - y||^2."""
     return BregmanGenerator(
-        value=lambda x: 0.5 * float(np.dot(x, x)),
+        value=lambda x: per_row(0.5 * np.sum(np.square(x), axis=-1)),
         grad=lambda x: np.asarray(x, dtype=float).copy(),
         distance=half_squared_distance,
         domain=euclidean_space(n),
@@ -129,10 +135,12 @@ def negative_entropy(n: int) -> BregmanGenerator:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        if not dom.member(x):
+        if x.shape[-1:] != (n,):
             return np.inf
-        xp = x[x > 0.0]
-        return float(np.sum(xp * np.log(xp)))
+        s = x > 0.0
+        xlogx = np.where(s, x * np.log(np.where(s, x, 1.0)), 0.0)
+        return per_row(np.where(on_simplex(x), np.sum(xlogx, axis=-1),
+                                np.inf))
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -153,14 +161,14 @@ def negative_entropy(n: int) -> BregmanGenerator:
 
 def bregman_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
     """D_h(x, y) from the generator's closed form, for x in the closed domain
-    and y in its interior."""
+    and y in its interior; a stack is rejected if any row is not."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not h.domain.member(x):
         raise DomainError("first argument lies outside the closed domain")
     if not h.domain.interior(y):
         raise DomainError("second argument must be interior (gradient point)")
-    return float(h.distance(x, y))
+    return per_row(h.distance(x, y))
 
 
 def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
@@ -168,7 +176,8 @@ def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
     gradient oracles: the definition the closed forms are checked against."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return float(h.value(x) - h.value(y) - np.dot(x - y, h.grad(y)))
+    return per_row(h.value(x) - h.value(y)
+                   - np.sum((x - y) * h.grad(y), axis=-1))
 
 
 def composite_generator(H: BregmanGenerator, f: SmoothFunction, eta: float,
@@ -227,8 +236,9 @@ def check_three_point(h: BregmanGenerator, a: Vector, b: Vector,
         + bregman_distance(h, a, b)
         - bregman_distance(h, c, b)
     )
-    rhs = float(np.dot(np.asarray(h.grad(b)) - np.asarray(h.grad(a)), c - a))
-    return abs(lhs - rhs)
+    rhs = np.sum((np.asarray(h.grad(b)) - np.asarray(h.grad(a))) * (c - a),
+                 axis=-1)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_linearity(h1: BregmanGenerator, h2: BregmanGenerator, a: Vector,
@@ -240,7 +250,8 @@ def check_linearity(h1: BregmanGenerator, h2: BregmanGenerator, a: Vector,
     d2 = bregman_distance(h2, a, b)
     r1 = reference_distance(h1, a, b)
     r2 = reference_distance(h2, a, b)
-    return max(abs(d1 + d2 - (r1 + r2)), abs(d1 - d2 - (r1 - r2)))
+    return float(np.max(np.maximum(np.abs(d1 + d2 - (r1 + r2)),
+                                   np.abs(d1 - d2 - (r1 - r2)))))
 
 
 def _sample_member(domain: DomainDescriptor, rng) -> Vector:

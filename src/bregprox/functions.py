@@ -21,6 +21,19 @@ SIMPLEX_MEMBER_MIN = -1e-12
 SIMPLEX_INTERIOR_MIN = 1e-300
 
 
+def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
+    """Per row of x (the last axis is the vector): every entry >= floor and
+    the sum within SIMPLEX_SUM_TOL of 1."""
+    return (x.min(axis=-1) >= floor) & \
+        (abs(x.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+def per_row(r):
+    """A result with one entry per row: a Python float for a single vector,
+    the array for a stack."""
+    return r if isinstance(r, np.ndarray) and r.ndim else float(r)
+
+
 @dataclass(frozen=True, eq=False)
 class DomainDescriptor:
     """Feasible set: all of R^n or the probability simplex."""
@@ -41,13 +54,11 @@ class DomainDescriptor:
         return self._contains(x, SIMPLEX_INTERIOR_MIN)
 
     def _contains(self, x: Vector, floor: float) -> bool:
+        """x, or every row of a (rows, n) stack, lies inside."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dimension,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dimension:
             return False
-        if self.kind == "rn":
-            return True
-        return bool(np.min(x) >= floor
-                    and abs(np.sum(x) - 1.0) <= SIMPLEX_SUM_TOL)
+        return self.kind == "rn" or bool(on_simplex(x, floor).all())
 
     def bounded(self) -> bool:
         return self.kind == "simplex"

@@ -34,6 +34,11 @@ from .prox import make_prox_map, prox_objective, verify_prox_optimality
 from .solvers import gppa_objective
 
 
+# samples per stacked check in the three-point, linearity and nonnegativity
+# suites: one call per block, with memory bounded at any sample count
+BLOCK_ROWS = 1_000
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -43,25 +48,29 @@ class SuiteResult:
 
 
 def _result(name: str, worst: float, threshold: float) -> SuiteResult:
+    worst = float(worst)
     return SuiteResult(name, worst, threshold, worst <= threshold)
 
 
-def _interior_simplex(rng, n):
-    return rng.dirichlet(np.ones(n))
+def _blocks(samples: int):
+    """Row counts of the blocks that make up ``samples`` samples; the last
+    block is partial."""
+    return [min(BLOCK_ROWS, samples - start)
+            for start in range(0, samples, BLOCK_ROWS)]
 
 
 def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
     rng = np.random.Generator(np.random.Philox(seed))
     hq = squared_euclidean(3)
     he = negative_entropy(5)
+    # np.maximum, unlike max(), keeps a NaN residual
     worst_q = 0.0
     worst_e = 0.0
-    for _ in range(samples):
-        a, b, c = rng.standard_normal((3, 3))
-        worst_q = max(worst_q, check_three_point(hq, a, b, c))
-        a, b = _interior_simplex(rng, 5), _interior_simplex(rng, 5)
-        c = _interior_simplex(rng, 5)
-        worst_e = max(worst_e, check_three_point(he, a, b, c))
+    for rows in _blocks(samples):
+        a, b, c = rng.standard_normal((3, rows, 3))
+        worst_q = np.maximum(worst_q, check_three_point(hq, a, b, c))
+        a, b, c = rng.dirichlet(np.ones(5), size=(3, rows))
+        worst_e = np.maximum(worst_e, check_three_point(he, a, b, c))
     return [
         _result("three_point_quadratic", worst_q, 1e-10),
         _result("three_point_entropy", worst_e, 1e-10),
@@ -74,10 +83,9 @@ def linearity_suite(samples: int, seed: int) -> List[SuiteResult]:
     hq = squared_euclidean(n)
     he = negative_entropy(n)
     worst = 0.0
-    for _ in range(samples):
-        a = _interior_simplex(rng, n)
-        b = _interior_simplex(rng, n)
-        worst = max(worst, check_linearity(hq, he, a, b))
+    for rows in _blocks(samples):
+        a, b = rng.dirichlet(np.ones(n), size=(2, rows))
+        worst = np.maximum(worst, check_linearity(hq, he, a, b))
     return [_result("linearity_quadratic_entropy", worst, 1e-10)]
 
 
@@ -100,13 +108,13 @@ def nonnegativity_suite(samples: int, seed: int,
         )
     he = negative_entropy(6)
     worst = -np.inf
-    for _ in range(samples):
-        x, y = rng.standard_normal((2, 4))
-        a = _interior_simplex(rng, 6)
-        b = _interior_simplex(rng, 6)
+    for rows in _blocks(samples):
+        x, y = rng.standard_normal((2, rows, 4))
+        a, b = rng.dirichlet(np.ones(6), size=(2, rows))
         for h, p, q in ((hq, x, y), (he, a, b)):
             d = bregman_distance(h, p, q)
-            worst = max(worst, -d, abs(d - reference_distance(h, p, q)))
+            worst = np.max(np.maximum(-d, np.abs(
+                d - reference_distance(h, p, q))), initial=worst)
     return [_result("bregman_nonnegativity", worst, 1e-12)]
 
 
@@ -130,12 +138,12 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     H = squared_euclidean(n)
     eta = 0.5 / p.f.lipschitz_grad
     h = composite_generator(H, p.f, eta, unchecked=True)
-    x_k = _interior_simplex(rng, n)
+    x_k = rng.dirichlet(np.ones(n))
     v = np.asarray(p.f.grad(x_k))
     pm = make_prox_map("simplex", "quadratic")
     offsets = []
     for _ in range(min(samples, 1000)):
-        x = _interior_simplex(rng, n)
+        x = rng.dirichlet(np.ones(n))
         offsets.append(
             gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
         )
@@ -155,9 +163,9 @@ def prox_optimality_suite(samples: int, seed: int) -> List[SuiteResult]:
         worst = -np.inf
         for trial in range(5):
             v = rng.standard_normal(n)
-            y = _interior_simplex(rng, n) if g_kind == "simplex" \
+            y = rng.dirichlet(np.ones(n)) if g_kind == "simplex" \
                 else rng.standard_normal(n)
-            worst = max(worst, verify_prox_optimality(
+            worst = np.maximum(worst, verify_prox_optimality(
                 pm, v, y, eta=rng.uniform(0.1, 2.0),
                 trials=max(100, samples // 5), seed=seed + trial))
         results.append(_result(f"prox_optimality_{g_kind}_{H_kind}", worst, 1e-9))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import Vector
+from .functions import Vector, on_simplex, per_row
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
@@ -112,35 +112,37 @@ def make_prox_map(g_kind: str, H_kind: GeneratorKind) -> ProxMap:
 
 
 def _g_value(g_kind: str, x: Vector) -> float:
+    """g at x, or at each row of a stack."""
     if g_kind == "l1":
-        return float(np.sum(np.abs(x)))
+        return per_row(np.sum(np.abs(x), axis=-1))
     if g_kind == "zero":
-        return 0.0
-    # simplex indicator: feasibility is enforced by the sampler/solver
-    if abs(np.sum(x) - 1.0) <= 1e-9 and np.min(x) >= -1e-12:
-        return 0.0
-    return np.inf
+        return per_row(np.zeros(x.shape[:-1]))
+    return per_row(np.where(on_simplex(x), 0.0, np.inf))
 
 
 def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
                    eta: float) -> float:
-    """g(x) + <x, v> + (1/eta) D_H(x, y) for the map's (g, H) pair."""
+    """g(x) + <x, v> + (1/eta) D_H(x, y) for the map's (g, H) pair, at x or
+    at each row of a stack x."""
     x = np.asarray(x, dtype=float)
-    return (
+    return per_row(
         _g_value(pm.g_kind, x)
-        + float(np.dot(x, v))
+        + np.sum(x * np.asarray(v, dtype=float), axis=-1)
         + DISTANCES[pm.H_kind](x, np.asarray(y, dtype=float)) / eta
     )
 
 
-def sample_feasible(g_kind: str, around: Vector, rng) -> Vector:
-    """A random point where g is finite: uniform on the simplex for the
-    simplex indicator, else ``around`` plus noise at a random scale."""
+def sample_feasible(g_kind: str, around: Vector, rng, size=None) -> Vector:
+    """A random point where g is finite, or a (size, n) stack of them:
+    uniform on the simplex for the simplex indicator, else ``around`` plus
+    noise at a random scale."""
     n = around.size
     if g_kind == "simplex":
-        return rng.dirichlet(np.ones(n))
+        return rng.dirichlet(np.ones(n), size=size)
+    rows = () if size is None else (size,)
     scale = 1.0 + np.linalg.norm(around)
-    return around + scale * 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(n)
+    spread = 10.0 ** rng.uniform(-6, 0, size=rows + (1,))
+    return around + scale * spread * rng.standard_normal(rows + (n,))
 
 
 def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
@@ -154,8 +156,5 @@ def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
     rng = np.random.Generator(np.random.Philox(seed))
     x_plus = pm.solve(v, y, eta)
     base = prox_objective(pm, x_plus, v, y, eta)
-    worst = -np.inf
-    for _ in range(trials):
-        z = sample_feasible(pm.g_kind, x_plus, rng)
-        worst = max(worst, base - prox_objective(pm, z, v, y, eta))
-    return worst
+    z = sample_feasible(pm.g_kind, x_plus, rng, size=trials)
+    return float(np.max(base - prox_objective(pm, z, v, y, eta)))

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bregprox import bregman
 from bregprox import (
@@ -18,11 +19,74 @@ from bregprox import (
     verify_proximal_distance_axioms,
     zero_function,
 )
+from bregprox.bregman import half_squared_distance, kl_divergence, \
+    reference_distance
 from bregprox.functions import check_gradient, SmoothFunction
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def assert_rows_match(fn, *stacks):
+    """fn on (rows, n) stacks equals fn row by row, bit for bit; a scalar
+    result comes back as a Python float for a single row."""
+    whole = np.asarray(fn(*stacks))
+    rows = [fn(*(s[i] for s in stacks)) for i in range(len(stacks[0]))]
+    if whole.ndim == 1:
+        assert all(type(r) is float for r in rows)
+    assert whole.tobytes() == np.array(rows).tobytes()
+
+
+def simplex_rows(r, rows, n, zeros=False):
+    """Rows on the simplex; with ``zeros``, about a third of the entries
+    of each row (never its first) set exactly to zero."""
+    x = r.dirichlet(np.ones(n), size=rows)
+    if zeros:
+        mask = r.random((rows, n)) < 0.3
+        mask[:, 0] = False
+        x = np.where(mask, 0.0, x)
+        x /= np.sum(x, axis=-1, keepdims=True)
+    return x
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
+           n=st.integers(1, 40))
+    def test_stacked_call_equals_rows(self, seed, rows, n):
+        r = rng(seed)
+        x, y = r.standard_normal((2, rows, n))
+        p = simplex_rows(r, rows, n, zeros=True)
+        q = simplex_rows(r, rows, n)
+        hq, he = squared_euclidean(n), negative_entropy(n)
+        assert_rows_match(half_squared_distance, x, y)
+        assert_rows_match(kl_divergence, p, q)
+        assert_rows_match(hq.value, x)
+        assert_rows_match(hq.grad, x)
+        assert_rows_match(he.value, p)
+        assert_rows_match(he.grad, q)
+        for h, a, b in ((hq, x, y), (he, p, q)):
+            assert_rows_match(lambda a, b: bregman_distance(h, a, b), a, b)
+            assert_rows_match(lambda a, b: reference_distance(h, a, b), a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
+           n=st.integers(2, 12))
+    def test_one_row_off_the_simplex_rejects_the_stack(self, seed, rows, n):
+        r = rng(seed)
+        he = negative_entropy(n)
+        p, q = simplex_rows(r, rows, n, zeros=True), simplex_rows(r, rows, n)
+        bregman_distance(he, p, q)
+        k = r.integers(rows)
+        off = p.copy()
+        off[k] *= 1.01
+        with pytest.raises(DomainError):
+            bregman_distance(he, off, q)
+        boundary = q.copy()
+        boundary[k] = p[k] if np.min(p[k]) == 0.0 else np.eye(n)[0]
+        with pytest.raises(DomainError):
+            bregman_distance(he, p, boundary)
 
 
 class TestBregmanDistance:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bregprox import (
     ContractViolation,
@@ -14,7 +15,7 @@ from bregprox import (
     soft_threshold,
     verify_prox_optimality,
 )
-from bregprox.prox import prox_objective
+from bregprox.prox import _REGISTRY, prox_objective, sample_feasible
 
 
 def rng(seed=0):
@@ -219,3 +220,29 @@ class TestProxMapRegistry:
             on = np.abs(x_plus) > 0
             assert np.all(np.abs(s[on] - np.sign(x_plus[on])) <= 1e-8)
             assert np.all(np.abs(s[~on]) <= 1.0 + 1e-8)
+
+
+class TestStacks:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
+           n=st.integers(1, 40))
+    def test_stacked_objective_equals_rows(self, seed, rows, n):
+        r = rng(seed)
+        for g_kind, H_kind in _REGISTRY:
+            pm = make_prox_map(g_kind, H_kind)
+            v = r.standard_normal(n)
+            y = r.dirichlet(np.ones(n)) if g_kind == "simplex" \
+                else r.standard_normal(n)
+            z = sample_feasible(g_kind, y, r, size=rows)
+            assert z.shape == (rows, n)
+            if g_kind == "simplex":
+                # exact zeros, and one row off the simplex (g = +inf)
+                z = np.where(r.random((rows, n)) < 0.3, 0.0, z)
+                z[:, 0] += 1e-3
+                z /= np.sum(z, axis=-1, keepdims=True)
+                z[r.integers(rows)] *= 1.5
+            eta = r.uniform(0.1, 2.0)
+            whole = prox_objective(pm, z, v, y, eta)
+            each = [prox_objective(pm, row, v, y, eta) for row in z]
+            assert all(type(e) is float for e in each)
+            assert whole.tobytes() == np.array(each).tobytes()
