@@ -71,7 +71,6 @@ from .solvers import (
     SolverConfig,
     gppa_objective,
     run_solver,
-    step_bpga,
     verify_theorem2_equivalence,
 )
 

@@ -34,7 +34,7 @@ from .identities import run_identity_suites
 from .prox import make_prox_map
 from .rates import bpga_bound, classical_pga_bound
 from .bregman import squared_euclidean
-from .solvers import step_bpga
+from .solvers import SolverConfig, run_solver
 
 CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
@@ -142,8 +142,8 @@ def cmd_run_lasso(args) -> int:
     x0 = rng.standard_normal(args.dim)
     pm = make_prox_map("l1", "quadratic")
     H = squared_euclidean(args.dim)
-    x1 = step_bpga(p, H, pm, x0, eta)
-    gap = p.f.value(x1) + p.g.value(x1) - f_star
+    trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=1))
+    gap = trace.final().objective - f_star
     bound = bpga_bound(H, p.f, eta, x_star, x0, 1)
     print(f"F(x_1) - F* = {gap:.17g}")
     print(f"GPPA-PGA bound at k=1: {bound:.17g}")

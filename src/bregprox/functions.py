@@ -3,6 +3,9 @@
 Smooth terms are plain (value, gradient) oracle pairs with an optional
 Lipschitz constant of the gradient.  Nonsmooth terms may return ``+inf``,
 which is an in-band value (indicator functions), never an error.
+
+Values and distances take a vector (giving a float) or a (rows, n) stack
+(one value per row); gradients take a vector.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ SIMPLEX_SUM_TOL = 1e-9
 SIMPLEX_MEMBER_MIN = -1e-12
 SIMPLEX_INTERIOR_MIN = 1e-300
 
+# rows per stacked call of the randomized checks: one call per block, with
+# memory bounded at any sample count
+BLOCK_ROWS = 1_000
+
 
 def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     """Per row of x (the last axis is the vector): every entry >= floor and
@@ -32,6 +39,22 @@ def per_row(r):
     """A result with one entry per row: a Python float for a single vector,
     the array for a stack."""
     return r if isinstance(r, np.ndarray) and r.ndim else float(r)
+
+
+def blocks(samples: int):
+    """Row counts of the blocks that make up ``samples`` samples; the last
+    block is partial."""
+    return [min(BLOCK_ROWS, samples - start)
+            for start in range(0, samples, BLOCK_ROWS)]
+
+
+# the value of each nonsmooth kind at x, or at each row of a stack: the one
+# coding that NonsmoothTerm values and prox objectives share
+NONSMOOTH_VALUES = {
+    "l1": lambda x: per_row(np.sum(np.abs(x), axis=-1)),
+    "simplex": lambda x: per_row(np.where(on_simplex(x), 0.0, np.inf)),
+    "zero": lambda x: per_row(np.zeros(np.shape(x)[:-1])),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +104,10 @@ class SmoothFunction:
     unknown.  ``distance`` is the closed form of the Bregman distance
     D_f(x, y) = f(x) - f(y) - <x - y, grad f(y)>, which the solvers need;
     ``None`` means none is known.
+
+    ``value`` and ``distance`` take x as a vector, giving a float, or as a
+    (rows, n) stack, giving one value per row (y a vector or a stack of the
+    same rows); ``grad`` takes a vector.
     """
 
     value: Callable[[Vector], float]
@@ -107,13 +134,17 @@ class LeastSquaresFunction(SmoothFunction):
 
 @dataclass(frozen=True, eq=False)
 class NonsmoothTerm:
-    """Proper closed convex term; the value oracle may return +inf."""
+    """Proper closed convex term; the value oracle may return +inf.
+
+    ``value`` takes a vector, giving a float, or a (rows, n) stack, giving
+    one value per row.
+    """
 
     value: Callable[[Vector], float]
     kind: str  # "l1" | "simplex" | "zero"
 
     def __post_init__(self):
-        if self.kind not in ("l1", "simplex", "zero"):
+        if self.kind not in NONSMOOTH_VALUES:
             raise ContractViolation(f"unknown nonsmooth kind {self.kind!r}")
 
 
@@ -140,28 +171,32 @@ class CompositeProblem:
 
 def zero_function(n: int) -> SmoothFunction:
     return SmoothFunction(
-        value=lambda x: 0.0,
+        value=lambda x: per_row(np.zeros(np.shape(x)[:-1])),
         grad=lambda x: np.zeros(n),
         dimension=n,
         lipschitz_grad=0.0,
-        distance=lambda x, y: 0.0,
+        distance=lambda x, y: per_row(np.zeros(np.shape(x)[:-1])),
     )
 
 
 def least_squares(A: np.ndarray, b: np.ndarray,
                   lipschitz: Optional[float] = None) -> LeastSquaresFunction:
     """f(x) = 1/2 ||A x - b||^2 with exact gradient A^T (A x - b) and
-    D_f(x, y) = 1/2 ||A (x - y)||^2."""
+    D_f(x, y) = 1/2 ||A (x - y)||^2.
+
+    A stack x is applied as (A x^T)^T, so a vector still computes A x."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ContractViolation("A must be 2-D with b matching its row count")
     return LeastSquaresFunction(
-        value=lambda x: 0.5 * float(np.sum((A @ x - b) ** 2)),
+        value=lambda x: per_row(0.5 * np.sum(((A @ x.T).T - b) ** 2,
+                                             axis=-1)),
         grad=lambda x: A.T @ (A @ x - b),
         dimension=A.shape[1],
         lipschitz_grad=lipschitz,
-        distance=lambda x, y: 0.5 * float(np.sum((A @ (x - y)) ** 2)),
+        distance=lambda x, y: per_row(
+            0.5 * np.sum((A @ (x - y).T).T ** 2, axis=-1)),
         A=A,
         b=b,
     )
@@ -174,42 +209,47 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
     if gamma <= 0:
         raise ContractViolation("gamma must be positive")
     return SmoothFunction(
-        value=lambda x: 0.5 / gamma * float(np.sum((x - b) ** 2)),
+        value=lambda x: per_row(0.5 / gamma * np.sum((x - b) ** 2, axis=-1)),
         grad=lambda x: (x - b) / gamma,
         dimension=b.size,
         lipschitz_grad=1.0 / gamma,
-        distance=lambda x, y: 0.5 / gamma * float(np.sum((x - y) ** 2)),
+        distance=lambda x, y: per_row(
+            0.5 / gamma * np.sum((x - y) ** 2, axis=-1)),
     )
 
 
 def l1_norm() -> NonsmoothTerm:
-    return NonsmoothTerm(value=lambda x: float(np.sum(np.abs(x))), kind="l1")
+    return NonsmoothTerm(value=NONSMOOTH_VALUES["l1"], kind="l1")
 
 
 def simplex_indicator(n: int) -> NonsmoothTerm:
-    dom = probability_simplex(n)
+    """Indicator of the probability simplex in R^n; +inf at a point of
+    another dimension."""
+    if n < 1:
+        raise ContractViolation("dimension must be positive")
 
     def value(x):
-        return 0.0 if dom.member(x) else np.inf
+        x = np.asarray(x, dtype=float)
+        return NONSMOOTH_VALUES["simplex"](x) if x.shape[-1:] == (n,) \
+            else np.inf
 
     return NonsmoothTerm(value=value, kind="simplex")
 
 
 def zero_term() -> NonsmoothTerm:
-    return NonsmoothTerm(value=lambda x: 0.0, kind="zero")
+    return NonsmoothTerm(value=NONSMOOTH_VALUES["zero"], kind="zero")
 
 
 def evaluate_composite(p: CompositeProblem, x: Vector) -> float:
-    """F(x) = f(x) + g(x); +inf when g(x) = +inf."""
+    """F(x) = f(x) + g(x), +inf where g(x) = +inf, at x or at each row of a
+    (rows, n) stack x."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.f.dimension,):
+    if x.ndim not in (1, 2) or x.shape[-1] != p.f.dimension:
         raise ContractViolation(
-            f"point has shape {x.shape}, expected ({p.f.dimension},)"
+            f"point has shape {x.shape}, expected ({p.f.dimension},) or "
+            f"(rows, {p.f.dimension})"
         )
-    gx = p.g.value(x)
-    if gx == np.inf:
-        return np.inf
-    return float(p.f.value(x)) + float(gx)
+    return per_row(p.f.value(x) + p.g.value(x))
 
 
 def check_gradient(f: SmoothFunction, x: Vector, h: float = 1e-6) -> float:

@@ -26,17 +26,13 @@ from .bregman import (
 )
 from .functions import (
     CompositeProblem,
+    blocks,
     least_squares,
     probability_simplex,
     simplex_indicator,
 )
 from .prox import make_prox_map, prox_objective, verify_prox_optimality
 from .solvers import gppa_objective
-
-
-# samples per stacked check in the three-point, linearity and nonnegativity
-# suites: one call per block, with memory bounded at any sample count
-BLOCK_ROWS = 1_000
 
 
 @dataclass(frozen=True)
@@ -52,13 +48,6 @@ def _result(name: str, worst: float, threshold: float) -> SuiteResult:
     return SuiteResult(name, worst, threshold, worst <= threshold)
 
 
-def _blocks(samples: int):
-    """Row counts of the blocks that make up ``samples`` samples; the last
-    block is partial."""
-    return [min(BLOCK_ROWS, samples - start)
-            for start in range(0, samples, BLOCK_ROWS)]
-
-
 def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
     rng = np.random.Generator(np.random.Philox(seed))
     hq = squared_euclidean(3)
@@ -66,7 +55,7 @@ def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
     # np.maximum, unlike max(), keeps a NaN residual
     worst_q = 0.0
     worst_e = 0.0
-    for rows in _blocks(samples):
+    for rows in blocks(samples):
         a, b, c = rng.standard_normal((3, rows, 3))
         worst_q = np.maximum(worst_q, check_three_point(hq, a, b, c))
         a, b, c = rng.dirichlet(np.ones(5), size=(3, rows))
@@ -83,7 +72,7 @@ def linearity_suite(samples: int, seed: int) -> List[SuiteResult]:
     hq = squared_euclidean(n)
     he = negative_entropy(n)
     worst = 0.0
-    for rows in _blocks(samples):
+    for rows in blocks(samples):
         a, b = rng.dirichlet(np.ones(n), size=(2, rows))
         worst = np.maximum(worst, check_linearity(hq, he, a, b))
     return [_result("linearity_quadratic_entropy", worst, 1e-10)]
@@ -108,7 +97,7 @@ def nonnegativity_suite(samples: int, seed: int,
         )
     he = negative_entropy(6)
     worst = -np.inf
-    for rows in _blocks(samples):
+    for rows in blocks(samples):
         x, y = rng.standard_normal((2, rows, 4))
         a, b = rng.dirichlet(np.ones(6), size=(2, rows))
         for h, p, q in ((hq, x, y), (he, a, b)):
@@ -131,7 +120,7 @@ def _offset_problem(seed: int) -> CompositeProblem:
 
 def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     """Spread of [F(x) + D_h(x, x_k)] minus the proximal gradient objective
-    over random x; the difference must be constant in x."""
+    over a stack of random x; the difference must be constant in x."""
     rng = np.random.Generator(np.random.Philox(seed + 1))
     p = _offset_problem(seed)
     n = p.f.dimension
@@ -141,12 +130,8 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     x_k = rng.dirichlet(np.ones(n))
     v = np.asarray(p.f.grad(x_k))
     pm = make_prox_map("simplex", "quadratic")
-    offsets = []
-    for _ in range(min(samples, 1000)):
-        x = rng.dirichlet(np.ones(n))
-        offsets.append(
-            gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
-        )
+    x = rng.dirichlet(np.ones(n), size=min(samples, 1000))
+    offsets = gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
     spread = float(np.std(offsets))
     return [_result("theorem_offset_spread", spread, 1e-10)]
 

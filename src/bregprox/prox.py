@@ -18,7 +18,7 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import Vector, on_simplex, per_row
+from .functions import NONSMOOTH_VALUES, Vector, blocks, per_row
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
@@ -111,22 +111,13 @@ def make_prox_map(g_kind: str, H_kind: GeneratorKind) -> ProxMap:
     return ProxMap(g_kind=g_kind, H_kind=H_kind, solve=solve)
 
 
-def _g_value(g_kind: str, x: Vector) -> float:
-    """g at x, or at each row of a stack."""
-    if g_kind == "l1":
-        return per_row(np.sum(np.abs(x), axis=-1))
-    if g_kind == "zero":
-        return per_row(np.zeros(x.shape[:-1]))
-    return per_row(np.where(on_simplex(x), 0.0, np.inf))
-
-
 def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
                    eta: float) -> float:
     """g(x) + <x, v> + (1/eta) D_H(x, y) for the map's (g, H) pair, at x or
     at each row of a stack x."""
     x = np.asarray(x, dtype=float)
     return per_row(
-        _g_value(pm.g_kind, x)
+        NONSMOOTH_VALUES[pm.g_kind](x)
         + np.sum(x * np.asarray(v, dtype=float), axis=-1)
         + DISTANCES[pm.H_kind](x, np.asarray(y, dtype=float)) / eta
     )
@@ -147,7 +138,8 @@ def sample_feasible(g_kind: str, around: Vector, rng, size=None) -> Vector:
 
 def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
                            trials: int = 1000, seed: int = 0) -> float:
-    """Worst objective excess of the prox output over random feasible points.
+    """Worst objective excess of the prox output over random feasible points,
+    drawn and evaluated in blocks of at most ``BLOCK_ROWS`` rows.
 
     Nonpositive (up to rounding) iff the output is a global minimizer.
     """
@@ -156,5 +148,9 @@ def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
     rng = np.random.Generator(np.random.Philox(seed))
     x_plus = pm.solve(v, y, eta)
     base = prox_objective(pm, x_plus, v, y, eta)
-    z = sample_feasible(pm.g_kind, x_plus, rng, size=trials)
-    return float(np.max(base - prox_objective(pm, z, v, y, eta)))
+    worst = -np.inf
+    for rows in blocks(trials):
+        z = sample_feasible(pm.g_kind, x_plus, rng, size=rows)
+        worst = np.max(base - prox_objective(pm, z, v, y, eta),
+                       initial=worst)
+    return float(worst)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance, composite_generator
 from .errors import ContractViolation, SolverFailure
-from .functions import CompositeProblem, Vector, evaluate_composite
+from .functions import CompositeProblem, Vector, blocks, evaluate_composite
 from .prox import ProxMap, sample_feasible
 
 logger = logging.getLogger(__name__)
@@ -78,18 +78,10 @@ class IterationTrace:
         return self.records[-1]
 
 
-def step_bpga(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
-              x_k: Vector, eta: float) -> Vector:
-    """One Bregman proximal gradient step at step size eta."""
-    if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
-        raise ContractViolation("prox map does not match (g, H)")
-    return pm.solve(np.asarray(p.f.grad(x_k), dtype=float),
-                    np.asarray(x_k, dtype=float), eta)
-
-
 def gppa_objective(p: CompositeProblem, h: BregmanGenerator, x: Vector,
                    x_k: Vector) -> float:
-    """F(x) + D_h(x, x_k), the proximal-point objective at anchor x_k."""
+    """F(x) + D_h(x, x_k), the proximal-point objective at anchor x_k, at x
+    or at each row of a (rows, n) stack x."""
     return evaluate_composite(p, x) + bregman_distance(h, x, x_k)
 
 
@@ -164,19 +156,21 @@ def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,
                                 seed: int = 0) -> float:
     """Worst proximal-point optimality violation of the BPGA iterates.
 
-    Each BPGA iterate is compared against random feasible points under the
-    objective F(x) + D_h(x, x_k) with h = (1/eta) H - f; a nonpositive
-    result (up to rounding) certifies that the two iterations coincide.
+    Each of the first ``iters`` constant-step iterates of ``run_solver`` is
+    compared against ``samples`` random feasible points, in blocks of at
+    most ``BLOCK_ROWS`` rows, under the objective F(x) + D_h(x, x_k) with
+    h = (1/eta) H - f; a nonpositive result (up to rounding) certifies that
+    the two iterations coincide.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     h = composite_generator(H, p.f, eta)
-    x = np.asarray(x0, dtype=float)
+    records = run_solver(p, H, pm, x0,
+                         SolverConfig(eta0=eta, max_iters=iters)).records
     worst = -np.inf
-    for _ in range(iters):
-        cand = step_bpga(p, H, pm, x, eta)
-        base = gppa_objective(p, h, cand, x)
-        for _ in range(samples):
-            z = sample_feasible(p.g.kind, cand, rng)
-            worst = max(worst, base - gppa_objective(p, h, z, x))
-        x = cand
-    return worst
+    for anchor, step in zip(records, records[1:]):
+        base = gppa_objective(p, h, step.x, anchor.x)
+        for rows in blocks(samples):
+            z = sample_feasible(p.g.kind, step.x, rng, size=rows)
+            worst = np.max(base - gppa_objective(p, h, z, anchor.x),
+                           initial=worst)
+    return float(worst)

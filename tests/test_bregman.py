@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -12,12 +13,15 @@ from bregprox import (
     check_linearity,
     check_three_point,
     composite_generator,
+    l1_norm,
     least_squares,
     negative_entropy,
     shifted_quadratic,
+    simplex_indicator,
     squared_euclidean,
     verify_proximal_distance_axioms,
     zero_function,
+    zero_term,
 )
 from bregprox.bregman import half_squared_distance, kl_divergence, \
     reference_distance
@@ -36,6 +40,16 @@ def assert_rows_match(fn, *stacks):
     if whole.ndim == 1:
         assert all(type(r) is float for r in rows)
     assert whole.tobytes() == np.array(rows).tobytes()
+
+
+def assert_rows_close(fn, scale, *stacks):
+    """As assert_rows_match, but within 1e-14 of ``scale``, the size the
+    result would have if no terms cancelled: A applied to a stack (a matrix
+    product) rounds unlike A applied to each row (matrix-vector)."""
+    whole = np.asarray(fn(*stacks))
+    rows = [fn(*(s[i] for s in stacks)) for i in range(len(stacks[0]))]
+    assert all(type(r) is float for r in rows)
+    assert np.all(np.abs(whole - rows) <= 1e-14 * scale)
 
 
 def simplex_rows(r, rows, n, zeros=False):
@@ -69,6 +83,19 @@ class TestStacks:
         for h, a, b in ((hq, x, y), (he, p, q)):
             assert_rows_match(lambda a, b: bregman_distance(h, a, b), a, b)
             assert_rows_match(lambda a, b: reference_distance(h, a, b), a, b)
+        for f in (shifted_quadratic(r.standard_normal(n), r.uniform(0.1, 2)),
+                  zero_function(n)):
+            assert_rows_match(f.value, x)
+            assert_rows_match(f.distance, x, y)
+        m = int(r.integers(1, 2 * n + 1))
+        A, b = r.standard_normal((m, n)), r.standard_normal(m)
+        ls, size = least_squares(A, b), least_squares(abs(A), -abs(b))
+        assert_rows_close(ls.value, size.value(abs(x)), x)
+        assert_rows_close(ls.distance, size.distance(abs(x - y), 0 * y), x, y)
+        # rows on the simplex (g = 0) mixed with rows off it (g = +inf)
+        mixed = np.where(r.random((rows, 1)) < 0.5, p, x)
+        for g in (l1_norm(), simplex_indicator(n), zero_term()):
+            assert_rows_match(g.value, mixed)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
@@ -314,6 +341,23 @@ class TestProximalDistanceAxioms:
         assert res.nonnegativity_holds
         assert not res.identity_of_indiscernibles_holds
         assert not res.bounded_level_set_holds
+
+    @pytest.mark.parametrize("planted,axiom", [
+        (-1e-9, "nonnegativity_holds"),
+        (0.0, "identity_of_indiscernibles_holds"),
+    ])
+    def test_one_faulty_row_fails_its_axiom(self, planted, axiom):
+        """Each axiom holds only if it holds on every row of its stack."""
+        def distance(x, y):
+            d = np.array(half_squared_distance(x, y), ndmin=1)
+            if d.size > 137:
+                d[137] = planted
+            return d if d.size > 1 else float(d[0])
+
+        h = dataclasses.replace(squared_euclidean(3), distance=distance)
+        res = verify_proximal_distance_axioms(h, samples=300, seed=0)
+        assert not getattr(res, axiom)
+        assert res.convex_in_first_arg_holds and res.bounded_level_set_holds
 
     def test_healthy_composite_passes(self):
         gamma = 1.0

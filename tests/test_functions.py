@@ -68,6 +68,23 @@ class TestEvaluateComposite:
         p = CompositeProblem(half_sq_norm(2), l1_norm(), euclidean_space(2))
         with pytest.raises(ContractViolation):
             evaluate_composite(p, np.zeros(3))
+        with pytest.raises(ContractViolation):
+            evaluate_composite(p, np.zeros((4, 3)))
+        with pytest.raises(ContractViolation):
+            evaluate_composite(p, np.zeros((2, 2, 2)))
+
+
+class TestSimplexIndicator:
+    def test_one_value_per_row(self):
+        got = simplex_indicator(2).value([[0.5, 0.5], [0.9, 0.3]])
+        assert got.tolist() == [0.0, np.inf]
+
+    def test_other_dimension_is_off_the_simplex(self):
+        assert simplex_indicator(3).value(np.array([0.5, 0.5])) == np.inf
+
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(ContractViolation):
+            simplex_indicator(0)
 
 
 class TestCheckGradient:

@@ -70,3 +70,20 @@ def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
     assert not results["prox_optimality_simplex_entropy"].passed
     assert results["prox_optimality_l1_quadratic"].passed
     assert results["prox_optimality_simplex_quadratic"].passed
+
+
+def test_prox_optimality_evaluates_bounded_stacks(monkeypatch):
+    """At 100k samples each check draws 20k points; no call may see more
+    than a block of them."""
+    seen = []
+
+    def recorded(pm, x, v, y, eta):
+        seen.append(len(np.atleast_2d(x)))
+        return prox_objective(pm, x, v, y, eta)
+
+    prox_objective = prox.prox_objective
+    monkeypatch.setattr(prox, "prox_objective", recorded)
+    results = identities.prox_optimality_suite(100_000, 0)
+    assert all(r.passed for r in results)
+    assert max(seen) <= 1_000
+    assert sum(seen) == 3 * 5 * (20_000 + 1)

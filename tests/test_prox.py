@@ -5,15 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bregprox import (
+    CompositeProblem,
     ContractViolation,
     DomainError,
     NumericalFailure,
+    composite_generator,
     entropic_update,
+    euclidean_space,
+    evaluate_composite,
+    gppa_objective,
+    l1_norm,
     make_prox_map,
+    negative_entropy,
     project_simplex,
+    shifted_quadratic,
+    simplex_indicator,
     simplex_projection,
     soft_threshold,
+    squared_euclidean,
     verify_prox_optimality,
+    zero_term,
 )
 from bregprox.prox import _REGISTRY, prox_objective, sample_feasible
 
@@ -246,3 +257,21 @@ class TestStacks:
             each = [prox_objective(pm, row, v, y, eta) for row in z]
             assert all(type(e) is float for e in each)
             assert whole.tobytes() == np.array(each).tobytes()
+
+            # F and the proximal-point objective on the same stack
+            g = {"l1": l1_norm(), "simplex": simplex_indicator(n),
+                 "zero": zero_term()}[g_kind]
+            p = CompositeProblem(
+                shifted_quadratic(r.standard_normal(n), r.uniform(0.1, 2.0)),
+                g, euclidean_space(n))
+            H = squared_euclidean(n) if H_kind == "quadratic" \
+                else negative_entropy(n)
+            h = composite_generator(H, p.f, eta, unchecked=True)
+            if g_kind == "simplex":
+                # D_h of an entropy H needs every row on the simplex
+                z /= np.sum(z, axis=-1, keepdims=True)
+            for fn in (lambda x: evaluate_composite(p, x),
+                       lambda x: gppa_objective(p, h, x, y)):
+                each = [fn(row) for row in z]
+                assert all(type(e) is float for e in each)
+                assert fn(z).tobytes() == np.array(each).tobytes()

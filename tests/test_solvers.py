@@ -23,10 +23,10 @@ from bregprox import (
     run_solver,
     simplex_indicator,
     squared_euclidean,
-    step_bpga,
     verify_theorem2_equivalence,
     zero_function,
 )
+from bregprox import solvers
 from bregprox.experiments import build_simplex_ls
 from bregprox.prox import prox_objective
 
@@ -50,21 +50,27 @@ def simplex_ls_problem(m, n, seed):
     )
 
 
+def one_step(p, H, pm, x, eta):
+    """x_1 of a one-iteration constant-step run from x."""
+    trace = run_solver(p, H, pm, x, SolverConfig(eta0=eta, max_iters=1))
+    return trace.final().x
+
+
 class TestSteps:
     def test_ppa_reduces_to_soft_threshold(self):
         # f = 0 turns the proximal gradient step into a pure proximal step
         p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
         pm = make_prox_map("l1", "quadratic")
-        got = step_bpga(p, squared_euclidean(2), pm,
-                        np.array([3.0, -0.5]), 1.0)
+        got = one_step(p, squared_euclidean(2), pm,
+                       np.array([3.0, -0.5]), 1.0)
         np.testing.assert_allclose(got, [2.0, 0.0])
 
     def test_one_step_regime_is_anchor_independent(self):
         p = build_lasso_onestep(0.7, np.array([2.0, -3.0, 0.3]))
         pm = make_prox_map("l1", "quadratic")
         r = rng(1)
-        outs = [step_bpga(p, squared_euclidean(3), pm,
-                          r.standard_normal(3), 0.7) for _ in range(5)]
+        outs = [one_step(p, squared_euclidean(3), pm,
+                         r.standard_normal(3), 0.7) for _ in range(5)]
         for o in outs[1:]:
             np.testing.assert_allclose(o, outs[0], atol=1e-12)
         np.testing.assert_allclose(outs[0], p.optimum_oracle[0], atol=1e-12)
@@ -73,7 +79,7 @@ class TestSteps:
         p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
         pm = make_prox_map("l1", "quadratic")
         np.testing.assert_allclose(
-            step_bpga(p, squared_euclidean(2), pm, np.zeros(2), 1.0),
+            one_step(p, squared_euclidean(2), pm, np.zeros(2), 1.0),
             np.zeros(2))
 
     def test_pga_matches_direct_projection(self):
@@ -83,8 +89,14 @@ class TestSteps:
         x = np.full(6, 1 / 6)
         eta = 0.3
         np.testing.assert_allclose(
-            step_bpga(p, squared_euclidean(6), pm, x, eta),
+            one_step(p, squared_euclidean(6), pm, x, eta),
             project_simplex(p.f.grad(x), x, eta))
+
+    def test_mismatched_prox_map_rejected(self):
+        p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
+        with pytest.raises(ContractViolation):
+            one_step(p, squared_euclidean(2),
+                     make_prox_map("zero", "quadratic"), np.zeros(2), 1.0)
 
     def test_step_above_gamma_still_computes(self, caplog):
         p = simplex_ls_problem(4, 6, seed=5)
@@ -309,3 +321,20 @@ class TestTheorem2Equivalence:
             p, squared_euclidean(4), pm, np.array([2.0, -1.0, 0.5, 0.0]),
             eta=1.0, iters=5, samples=300, seed=2)
         assert worst <= 1e-9
+
+    def test_evaluates_bounded_stacks(self, monkeypatch):
+        seen = []
+
+        def recorded(p, h, x, x_k):
+            seen.append(len(np.atleast_2d(x)))
+            return gppa_objective(p, h, x, x_k)
+
+        monkeypatch.setattr(solvers, "gppa_objective", recorded)
+        p = simplex_ls_problem(8, 10, seed=17)
+        worst = verify_theorem2_equivalence(
+            p, negative_entropy(10), make_prox_map("simplex", "entropy"),
+            np.full(10, 0.1), eta=1.0 / p.f.lipschitz_grad, iters=3,
+            samples=2_500, seed=1)
+        assert worst <= 1e-9
+        assert max(seen) <= 1_000
+        assert sum(seen) == 3 * (2_500 + 1)
