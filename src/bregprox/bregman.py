@@ -103,10 +103,18 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     d = xs - ys
     t = d / ys
     # ln(x/y) loses the digits of t when x is near y, log1p(t) those of x/y
-    # when x << y; either way each term is exact to about eps |x - y|
+    # when x << y; either way x ln(x/y) - (x - y) is exact to about
+    # eps |x - y|, which near a tie is a relative error of about eps / |t|
     log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
                          np.log(xs / ys))
-    return per_row(np.sum(np.where(s, xs * log_ratio - d, y), axis=-1))
+    term = xs * log_ratio - d
+    # so for |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its series,
+    # whose first omitted term is below 1e-16 relative
+    near = np.abs(t) < 1e-3
+    tn = t[near]
+    term[near] = ys[near] * tn * tn * (0.5 + tn * (-1 / 6 + tn * (
+        1 / 12 + tn * (-1 / 20 + tn / 30))))
+    return per_row(np.where(s, term, y).sum(axis=-1))
 
 
 # closed-form distance of each non-composite generator kind

@@ -22,6 +22,9 @@ from .functions import NONSMOOTH_VALUES, Vector, blocks, per_row
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
+# the smallest normal float; mirror iterates hold no entry below it but 0
+SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer of ||x||_1 + <x, v> + 1/(2 eta) ||x - y||^2.
@@ -64,16 +67,22 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
 
     Exponents are shifted by their maximum over supp(y) before
     exponentiating so that large steps (eta far above 1/L during line
-    search) cannot overflow.  Zero components of y stay zero.
+    search) cannot overflow.  Zero components of y stay zero, and
+    components below the smallest normal float become zero.
     """
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     y = np.asarray(y, dtype=float)
-    if np.min(y) < 0.0:
+    if y.min() < 0.0:
         raise DomainError("mirror step undefined for negative components")
     expo = np.where(y > 0.0, -eta * np.asarray(v, dtype=float), -np.inf)
-    w = y * np.exp(expo - np.max(expo))
-    return w / np.sum(w)
+    w = y * np.exp(expo - expo.max())
+    x = w / w.sum()
+    # subnormal entries weigh nothing in any sum, but as operands they make
+    # every later matvec several times slower; they become exact zeros,
+    # which stay zero
+    x[x < SMALLEST_NORMAL] = 0.0
+    return x
 
 
 def gradient_step(v: Vector, y: Vector, eta: float) -> Vector:

@@ -27,9 +27,9 @@ logger = logging.getLogger(__name__)
 # D_f).  A slack relative to the distances reads the same in any units of
 # the data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
 # squared norms carry a relative rounding error near n eps, under 1e-12 for
-# n up to a few thousand.  A KL term is exact only to about eps |x_i - y_i|,
-# so once steps shrink to the rounding floor a near tie can be refused; that
-# costs one backtrack, a few times per 10k such iterations at 50x100.
+# n up to a few thousand.  A KL term is exact to about 2 eps / |t| relative,
+# t = x_i / y_i - 1, and to series precision for |t| < 1e-3 (see
+# kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
 
 
@@ -93,8 +93,11 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     candidate is accepted only if D_{h_k}(x_{k+1}, x_k) >= 0 with
     h_k = (1/eta_k) H - f; otherwise eta_k shrinks by alpha and the step is
     recomputed from the same x_k.  The accepted eta carries over to the
-    next iteration.  Each accepted iterate costs one gradient and one value
-    of f, however many candidates the line search tries.
+    next iteration.  The smooth term is reached through its stepper: by
+    default each accepted iterate costs one gradient and one value of f,
+    however many candidates the line search tries, and each candidate one
+    distance; least squares carries its residual instead, so a step makes
+    one pass over A for the gradient and one per candidate.
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -118,13 +121,14 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     start = time.perf_counter()
     records = [IterationRecord(0, x, obj0, cfg.eta0, 0, 0.0)]
     eta = cfg.eta0
+    smooth = p.f.stepper(x)
     for k in range(1, cfg.max_iters + 1):
-        v = np.asarray(p.f.grad(x), dtype=float)
+        v = smooth.grad()
         backtracks = 0
         while True:
             cand = pm.solve(v, x, eta)
             d_H = H.distance(cand, x) / eta
-            d_f = p.f.distance(cand, x)
+            d_f = smooth.distance(cand)
             d = d_H - d_f
             if not cfg.line_search_enabled or d >= -ACCEPT_TOL * (d_H + d_f):
                 break
@@ -137,7 +141,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 )
             eta *= cfg.alpha
         x = cand
-        obj = evaluate_composite(p, x)
+        obj = float(smooth.accept() + p.g.value(x))
         records.append(IterationRecord(
             k, x, obj, eta, backtracks, d,
             elapsed_ms=(time.perf_counter() - start) * 1e3))

@@ -135,6 +135,24 @@ class TestBregmanDistance:
         assert bregman_distance(h, x, y) == pytest.approx(kl, abs=1e-14)
         assert kl == pytest.approx(0.5 * np.log(2) + 0.5 * np.log(2 / 3))
 
+    @pytest.mark.parametrize("scale", [9e-4, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_kl_is_exact_at_near_ties(self, scale):
+        # x = y (1 + t) with |t| near ``scale``: x ln(x/y) - (x - y) cancels
+        # to y t^2 / 2, so a value exact only to eps |x - y| per term would
+        # be off by about eps / |t| relative
+        mpmath = pytest.importorskip("mpmath")
+        r = rng(21)
+        for _ in range(20):
+            y = r.dirichlet(np.ones(50))
+            x = y * (1.0 + scale * r.uniform(-1.0, 1.0, size=50))
+            with mpmath.workdps(60):
+                want = sum(mpmath.mpf(a) * mpmath.log(mpmath.mpf(a)
+                                                      / mpmath.mpf(c))
+                           - mpmath.mpf(a) + mpmath.mpf(c)
+                           for a, c in zip(x, y))
+                err = abs((kl_divergence(x, y) - want) / want)
+            assert err <= 1e-14
+
     def test_quadratic_exact_half_sq_everywhere(self):
         h = squared_euclidean(6)
         r = rng(4)

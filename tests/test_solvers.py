@@ -21,6 +21,7 @@ from bregprox import (
     negative_entropy,
     probability_simplex,
     run_solver,
+    shifted_quadratic,
     simplex_indicator,
     squared_euclidean,
     verify_theorem2_equivalence,
@@ -257,22 +258,67 @@ class TestRunSolver:
                            np.full(100, 0.01), cfg)
         assert trace.final().k == 1000
         assert np.min(trace.final().x) == 0.0
+        # entries below the smallest normal float are flushed to zero, so
+        # no iterate carries a subnormal operand into the next matvec
+        xs = np.array([r.x for r in trace.records])
+        assert not np.any((xs > 0.0) & (xs < np.finfo(float).tiny))
         gamma = 1.0 / p.f.lipschitz_grad
         assert min(r.eta_used for r in trace.records) >= 0.5 * gamma
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_one_gradient_and_value_per_accepted_iterate(self, H_kind):
-        base = simplex_ls_problem(20, 40, seed=11)
-        calls = {"grad": 0, "value": 0}
+        # a smooth term without a stepper of its own goes through its
+        # oracles: one gradient and one value per accepted iterate, one
+        # distance per candidate
+        base = shifted_quadratic(rng(11).standard_normal(40), 0.01)
+        calls = {"grad": 0, "value": 0, "distance": 0}
 
         def counted(name, oracle):
-            def wrapper(x):
+            def wrapper(*args):
                 calls[name] += 1
-                return oracle(x)
+                return oracle(*args)
             return wrapper
 
-        f = dataclasses.replace(base.f, grad=counted("grad", base.f.grad),
-                                value=counted("value", base.f.value))
+        f = dataclasses.replace(
+            base, grad=counted("grad", base.grad),
+            value=counted("value", base.value),
+            distance=counted("distance", base.distance))
+        p = CompositeProblem(f, simplex_indicator(40), probability_simplex(40))
+        H = squared_euclidean(40) if H_kind == "quadratic" \
+            else negative_entropy(40)
+        cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
+                           line_search_enabled=True)
+        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                           np.full(40, 1 / 40), cfg)
+        backtracks = sum(r.backtracks for r in trace.records)
+        assert backtracks >= 10
+        assert calls == {"grad": 30, "value": 31,
+                         "distance": 30 + backtracks}
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_least_squares_step_makes_two_passes_over_A(self, H_kind):
+        # F(x0) and the starting residual take one pass each; then a step
+        # costs A^T r and one A d per candidate, the residual moving by A d
+        base = simplex_ls_problem(20, 40, seed=11)
+        passes = []
+
+        class CountedMatrix(np.ndarray):
+            def __matmul__(self, other):
+                passes.append(1)
+                return np.asarray(self) @ other
+
+        def counted(oracle, cost):
+            def wrapper(*args):
+                passes.extend([1] * cost)
+                return oracle(*args)
+            return wrapper
+
+        # the oracles count what they cost (a gradient is two passes), the
+        # matrix every pass made with it directly
+        f = dataclasses.replace(
+            base.f, A=base.f.A.view(CountedMatrix),
+            grad=counted(base.f.grad, 2), value=counted(base.f.value, 1),
+            distance=counted(base.f.distance, 1))
         p = CompositeProblem(f, base.g, base.domain)
         H = squared_euclidean(40) if H_kind == "quadratic" \
             else negative_entropy(40)
@@ -280,8 +326,27 @@ class TestRunSolver:
                            line_search_enabled=True)
         trace = run_solver(p, H, make_prox_map("simplex", H_kind),
                            np.full(40, 1 / 40), cfg)
-        assert sum(r.backtracks for r in trace.records) >= 10
-        assert calls == {"grad": 30, "value": 31}
+        backtracks = sum(r.backtracks for r in trace.records)
+        assert backtracks >= 10
+        assert len(passes) == 2 + 2 * 30 + backtracks
+
+    @pytest.mark.parametrize("seed", [42, 3])
+    def test_carried_objective_stays_exact(self, seed):
+        # the least-squares residual is updated, never recomputed; over
+        # 5,000 steps its objective stays at a fresh evaluation's
+        p = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=seed))
+        gamma = 1.0 / p.f.lipschitz_grad
+        for H in (squared_euclidean(100), negative_entropy(100)):
+            pm = make_prox_map("simplex", H.kind)
+            for cfg in (SolverConfig(eta0=gamma, max_iters=5000),
+                        SolverConfig(eta0=100.0, max_iters=5000,
+                                     line_search_enabled=True)):
+                trace = run_solver(p, H, pm, np.full(100, 0.01), cfg)
+                fresh = evaluate_composite(
+                    p, np.array([r.x for r in trace.records]))
+                np.testing.assert_allclose(trace.objectives(), fresh,
+                                           rtol=1e-13, atol=0)
 
     def test_infeasible_start_rejected(self):
         p = simplex_ls_problem(4, 6, seed=15)
