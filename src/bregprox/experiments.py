@@ -212,16 +212,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     certs: Dict[str, CertificateCheck] = {}
     iters_to_tol: Dict[str, Optional[int]] = {}
     failures: Dict[str, str] = {}
+    # every configuration is checked before the first solve: a bad setting
+    # fails before any solver work, not after variants have finished
+    configs = {}
     for variant in spec.variants:
         H, line_search = _variant_setup(variant, spec.n)
-        pm = make_prox_map("simplex", H.kind)
-        cfg = SolverConfig(
+        configs[variant] = H, line_search, SolverConfig(
             eta0=spec.eta0 if line_search else gamma,
             alpha=spec.alpha,
             max_iters=spec.max_iters,
             line_search_enabled=line_search,
             tolerance=tol,
         )
+    for variant, (H, line_search, cfg) in configs.items():
+        pm = make_prox_map("simplex", H.kind)
         try:
             trace = run_solver(problem, H, pm, x0, cfg)
         except BregProxError as exc:

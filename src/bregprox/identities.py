@@ -24,6 +24,7 @@ from .bregman import (
     reference_distance,
     squared_euclidean,
 )
+from .errors import ContractViolation
 from .functions import (
     CompositeProblem,
     blocks,
@@ -159,6 +160,8 @@ def prox_optimality_suite(samples: int, seed: int) -> List[SuiteResult]:
 
 def run_identity_suites(samples: int = 10_000, seed: int = 0,
                         inject_fault: bool = False) -> List[SuiteResult]:
+    if samples < 1:
+        raise ContractViolation(f"samples must be positive, got {samples}")
     results: List[SuiteResult] = []
     results += three_point_suite(samples, seed)
     results += linearity_suite(samples, seed)

@@ -32,6 +32,14 @@ logger = logging.getLogger(__name__)
 # kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
 
+# With a constant step nothing in the iteration reads d_hk, so run_solver
+# computes it after the steps: the D_H(x_k, x_{k-1}) of a block of accepted
+# steps come from one stacked closed-form call, which gives the bits of one
+# call per step.  A block holds at most FLUSH_ENTRIES iterate entries (64 kB
+# per stack), so its memory does not grow with n: 81 rows at n = 100, 8 at
+# n = 1000.
+FLUSH_ENTRIES = 8192
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -43,8 +51,8 @@ class SolverConfig:
     tolerance: float = 0.0  # early stop on gap, needs an optimum oracle
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ContractViolation("eta0 must be positive")
+        if not 0.0 < self.eta0 < np.inf:  # a NaN fails this too
+            raise ContractViolation("eta0 must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ContractViolation("alpha must lie in (0, 1)")
         if self.max_iters < 1 or self.max_backtracks_per_iter < 1:
@@ -97,7 +105,9 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     default each accepted iterate costs one gradient and one value of f,
     however many candidates the line search tries, and each candidate one
     distance; least squares carries its residual instead, so a step makes
-    one pass over A for the gradient and one per candidate.
+    one pass over A for the gradient and one per candidate.  A constant
+    step evaluates no D_H in the loop: its records are built in blocks,
+    each with one stacked D_H call (see FLUSH_ENTRIES).
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -120,6 +130,22 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
 
     start = time.perf_counter()
     records = [IterationRecord(0, x, obj0, cfg.eta0, 0, 0.0)]
+    # accepted steps as the fields of their records, with d_hk in place, or
+    # with D_f under a constant step until flush() completes d_hk
+    pending = []
+    block_rows = max(1, FLUSH_ENTRIES // x.size)
+
+    def flush():
+        if not pending:
+            return
+        ks, xs, objs, etas, bts, ds, ms = zip(*pending)
+        if not cfg.line_search_enabled:
+            prev = np.stack((records[-1].x,) + xs[:-1])
+            ds = H.distance(np.stack(xs), prev) / cfg.eta0 - np.array(ds)
+        records.extend(map(IterationRecord, ks, xs, objs, etas, bts,
+                           map(float, ds), ms))
+        pending.clear()
+
     eta = cfg.eta0
     smooth = p.f.stepper(x)
     for k in range(1, cfg.max_iters + 1):
@@ -127,13 +153,16 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         backtracks = 0
         while True:
             cand = pm.solve(v, x, eta)
+            d = d_f = smooth.distance(cand)
+            if not cfg.line_search_enabled:
+                break
             d_H = H.distance(cand, x) / eta
-            d_f = smooth.distance(cand)
             d = d_H - d_f
-            if not cfg.line_search_enabled or d >= -ACCEPT_TOL * (d_H + d_f):
+            if d >= -ACCEPT_TOL * (d_H + d_f):
                 break
             backtracks += 1
             if backtracks > cfg.max_backtracks_per_iter:
+                flush()
                 raise SolverFailure(
                     f"backtracking budget exhausted at iteration {k}",
                     partial_trace=IterationTrace(
@@ -142,15 +171,17 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             eta *= cfg.alpha
         x = cand
         obj = float(smooth.accept() + p.g.value(x))
-        records.append(IterationRecord(
-            k, x, obj, eta, backtracks, d,
-            elapsed_ms=(time.perf_counter() - start) * 1e3))
+        pending.append((k, x, obj, eta, backtracks, d,
+                        (time.perf_counter() - start) * 1e3))
+        if len(pending) == block_rows:
+            flush()
         if (
             cfg.tolerance > 0
             and p.optimum_oracle is not None
             and obj - p.optimum_oracle[1] <= cfg.tolerance
         ):
             break
+    flush()
     return IterationTrace(records, cfg, p.problem_id, H.kind)
 
 

@@ -79,6 +79,19 @@ class TestRunSimplex:
             assert f"{variant}: solver failure: backtracking budget " \
                    "exhausted at iteration 1" in err
 
+    @pytest.mark.parametrize("eta0", ["nan", "inf"])
+    def test_non_finite_eta0_fails_before_any_solve(self, tmp_path, capsys,
+                                                    eta0):
+        # a NaN step used to pass the positivity check: the constant
+        # variants ran, the line searches failed, and the summary read
+        # "cert_margin=inf [ok]"; now the flag fails before any work
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX + ["--eta0", eta0, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eta0 must be positive and finite\n"
+        assert not out.exists()
+
     def test_mirror_linesearch_reaches_boundary_optimum(self, tmp_path):
         # seed 12: mirror-linesearch drives components below 1e-300 before
         # it reaches the tolerance; zeros must not stop it
@@ -129,6 +142,15 @@ class TestVerifyIdentities:
         assert run(["verify-identities", "--samples", "300",
                     "--inject-fault"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_is_an_error(self, capsys, samples):
+        # -5 used to die in rng.dirichlet, 0 to print vacuous passes
+        assert run(["verify-identities", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: samples must be positive, got {samples}\n"
 
 
 class TestUsage:

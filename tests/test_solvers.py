@@ -348,6 +348,74 @@ class TestRunSolver:
                 np.testing.assert_allclose(trace.objectives(), fresh,
                                            rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_constant_step_d_hk_comes_in_blocks(self, H_kind):
+        # constant-step d_hk are computed after the steps, with one stacked
+        # D_H call per block; each must keep the bits of its own step's
+        # distances
+        p = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=42))
+        base = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        calls = []
+
+        def counting(x, y):
+            calls.append(len(np.atleast_2d(x)))
+            return base.distance(x, y)
+
+        H = dataclasses.replace(base, distance=counting)
+        eta = 1.0 / p.f.lipschitz_grad
+        rows = solvers.FLUSH_ENTRIES // 100
+        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                           np.full(100, 0.01),
+                           SolverConfig(eta0=eta, max_iters=3 * rows + 7))
+        assert calls == [rows, rows, rows, 7]
+        for prev, rec in zip(trace.records, trace.records[1:]):
+            assert rec.d_hk_value == (base.distance(rec.x, prev.x) / eta
+                                      - p.f.distance(rec.x, prev.x))
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_exhausted_line_search_keeps_every_accepted_record(self, H_kind):
+        # D_f is reported huge from the 101st candidate on, so iteration
+        # 101 backtracks to the end of its budget; the partial trace must
+        # still hold the 100 accepted steps, more than one block of them
+        n = 100
+        base = shifted_quadratic(rng(18).standard_normal(n), 0.01)
+        candidates = []
+
+        def failing(x, y):
+            candidates.append(1)
+            return base.distance(x, y) if len(candidates) <= 100 else 1e300
+
+        H = squared_euclidean(n) if H_kind == "quadratic" \
+            else negative_entropy(n)
+        pm = make_prox_map("simplex", H_kind)
+        runs = []
+        for f in (base, dataclasses.replace(base, distance=failing)):
+            p = CompositeProblem(f, simplex_indicator(n),
+                                 probability_simplex(n))
+            cfg = SolverConfig(eta0=0.005, max_iters=200,
+                               max_backtracks_per_iter=3,
+                               line_search_enabled=True)
+            try:
+                runs.append(run_solver(p, H, pm, np.full(n, 1 / n), cfg))
+            except SolverFailure as exc:
+                assert "exhausted at iteration 101" in str(exc)
+                runs.append(exc.partial_trace)
+        full, partial = runs
+        assert 100 > solvers.FLUSH_ENTRIES // n
+        assert [r.k for r in partial.records] == list(range(101))
+        for got, want in zip(partial.records, full.records):
+            assert (got.objective, got.eta_used, got.backtracks,
+                    got.d_hk_value) == (want.objective, want.eta_used,
+                                        want.backtracks, want.d_hk_value)
+            np.testing.assert_array_equal(got.x, want.x)
+
+    @pytest.mark.parametrize("eta0", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_nonpositive_step_rejected(self, eta0):
+        with pytest.raises(ContractViolation):
+            SolverConfig(eta0=eta0)
+
     def test_infeasible_start_rejected(self):
         p = simplex_ls_problem(4, 6, seed=15)
         pm = make_prox_map("simplex", "quadratic")
