@@ -57,14 +57,7 @@ from .prox import (
     soft_threshold,
     verify_prox_optimality,
 )
-from .rates import (
-    RateCertificate,
-    bpga_bound,
-    certify_trace,
-    classical_pga_bound,
-    gppa_bound,
-    line_search_bound,
-)
+from .rates import RateCertificate, certify_trace, classical_pga_bound
 from .solvers import (
     IterationRecord,
     IterationTrace,

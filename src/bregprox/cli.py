@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .identities import run_identity_suites
 from .prox import make_prox_map
-from .rates import bpga_bound, classical_pga_bound
+from .rates import certify_trace, classical_pga_bound
 from .bregman import squared_euclidean
 from .solvers import SolverConfig, run_solver
 
@@ -87,10 +87,10 @@ def cmd_run_simplex(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for variant, trace in result.traces.items():
-            check = result.certificates[variant]
             _write_variant_csv(
-                out / f"{variant}.csv", trace, f_star, check.certificate,
-                result.gamma, x_star, result.x0, args.timing)
+                out / f"{variant}.csv", trace, f_star,
+                result.certificates[variant], result.gamma, x_star,
+                result.x0, args.timing)
         summary = ["variant,iters_to_tol,reached,tolerance,final_gap,"
                    "cert_kind,cert_margin,hypothesis_satisfied"]
         for variant in variants:
@@ -98,7 +98,7 @@ def cmd_run_simplex(args) -> int:
                 summary.append(f"{variant},,false,,,,,")
                 continue
             trace = result.traces[variant]
-            check = result.certificates[variant]
+            cert = result.certificates[variant]
             k_tol = result.iters_to_tol[variant]
             summary.append(",".join([
                 variant,
@@ -106,9 +106,9 @@ def cmd_run_simplex(args) -> int:
                 "true" if k_tol is not None else "false",
                 _fmt(result.tolerance),
                 _fmt(trace.final().objective - f_star),
-                check.certificate.kind,
-                _fmt(check.margin),
-                "true" if check.hypothesis_satisfied else "false",
+                "gppa",
+                _fmt(cert.margin),
+                "true" if cert.hypothesis_satisfied else "false",
             ]))
         (out / "summary.csv").write_text("\n".join(summary) + "\n",
                                          newline="\n")
@@ -117,11 +117,11 @@ def cmd_run_simplex(args) -> int:
         return 3
 
     status = 0
-    for variant, check in result.certificates.items():
-        ok = check.margin >= -1e-9 or not check.hypothesis_satisfied
+    for variant, cert in result.certificates.items():
+        ok = cert.margin >= -1e-9 or not cert.hypothesis_satisfied
         print(f"{variant}: iters_to_tol="
               f"{result.iters_to_tol[variant]} cert_margin="
-              f"{check.margin:.3e} [{'ok' if ok else 'FAIL'}]")
+              f"{cert.margin:.3e} [{'ok' if ok else 'FAIL'}]")
         if not ok:
             status = 1
     for variant, msg in result.failures.items():
@@ -141,7 +141,7 @@ def cmd_run_lasso(args) -> int:
     H = squared_euclidean(args.dim)
     trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=1))
     gap = trace.final().objective - f_star
-    bound = bpga_bound(H, p.f, eta, x_star, x0, 1)
+    bound = certify_trace(p, H, trace).bound_at(1)
     print(f"F(x_1) - F* = {gap:.17g}")
     print(f"GPPA-PGA bound at k=1: {bound:.17g}")
     print(f"classical PGA bound at k=1: "
@@ -163,11 +163,11 @@ def cmd_certify(args) -> int:
     )
     result = run_experiment(spec)
     status = 0
-    for variant, check in result.certificates.items():
-        ok = check.margin >= -1e-9
-        print(f"{variant}: margin={check.margin:.3e} "
+    for variant, cert in result.certificates.items():
+        ok = cert.margin >= -1e-9
+        print(f"{variant}: margin={cert.margin:.3e} "
               f"[{'ok' if ok else 'FAIL'}]")
-        if not ok and check.hypothesis_satisfied:
+        if not ok and cert.hypothesis_satisfied:
             status = 1
     return status
 

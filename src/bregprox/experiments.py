@@ -11,14 +11,18 @@ traces are bit-reproducible on a given platform.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .bregman import BregmanGenerator, negative_entropy, squared_euclidean
-from .errors import BregProxError, ContractViolation, SolverFailure
+from .errors import (
+    BregProxError,
+    ConfigurationError,
+    ContractViolation,
+    SolverFailure,
+)
 from .functions import (
     CompositeProblem,
     Vector,
@@ -31,15 +35,8 @@ from .functions import (
     euclidean_space,
 )
 from .prox import make_prox_map, simplex_projection
-from .rates import (
-    RateCertificate,
-    certify_trace,
-    constant_step_certificate,
-    line_search_certificate,
-)
+from .rates import RateCertificate, certify_trace
 from .solvers import IterationTrace, SolverConfig, run_solver
-
-logger = logging.getLogger(__name__)
 
 VARIANTS = (
     "pga-constant",
@@ -69,13 +66,8 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ContractViolation(f"unknown variant {v!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class CertificateCheck:
-    certificate: RateCertificate
-    margin: float
-    hypothesis_satisfied: bool
+            if self.variants.count(v) > 1:
+                raise ContractViolation(f"variant {v!r} is repeated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +80,7 @@ class ExperimentResult:
     x0: Vector
     tolerance: float
     traces: Dict[str, IterationTrace]
-    certificates: Dict[str, CertificateCheck]
+    certificates: Dict[str, RateCertificate]
     iters_to_tol: Dict[str, Optional[int]]
     failures: Dict[str, str]
 
@@ -116,9 +108,8 @@ def build_simplex_ls(spec: ExperimentSpec) -> CompositeProblem:
 
 def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
     """f = 1/(2 gamma) ||x - b||^2 plus the l1 norm, with the closed-form
-    optimum (componentwise shrink of b by gamma) attached."""
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
+    optimum (componentwise shrink of b by gamma) attached; shifted_quadratic
+    rejects a gamma that is not positive and finite."""
     b = np.asarray(b, dtype=float)
     f = shifted_quadratic(b, gamma)
     x_star = np.sign(b) * np.maximum(np.abs(b) - gamma, 0.0)
@@ -157,9 +148,10 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, eta: float,
     Runs constant-step projected gradient from ``x0`` (default: the
     barycentre) and returns ``(x, F(x))`` at the first iterate, ``x0``
     included, whose gap is at most ``REFERENCE_GAP_RTOL * (1 + |F(x)|)``.
-    ``iters`` caps the number of projection steps; a run that hits the cap
-    uncertified returns its last iterate and logs one warning with the gap
-    it reached.  Works on the precomputed Gram matrix so each step is cheap.
+    ``iters`` caps the number of projection steps (``--ref-iters``); a run
+    that hits the cap uncertified raises ``ConfigurationError`` with the gap
+    it reached, since nothing may be measured against an uncertified F*.
+    Works on the precomputed Gram matrix so each step is cheap.
     """
     if iters < 0:
         raise ContractViolation(f"iters must be non-negative, got {iters}")
@@ -173,16 +165,15 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, eta: float,
         g = G @ x - c
         gap = frank_wolfe_gap(g, x)
         f_x = 0.5 * float(np.sum((A @ x - b) ** 2))
-        certified = gap <= REFERENCE_GAP_RTOL * (1.0 + abs(f_x))
-        if certified or k == iters:
-            break
+        threshold = REFERENCE_GAP_RTOL * (1.0 + abs(f_x))
+        if gap <= threshold:
+            return x, f_x
+        if k == iters:
+            raise ConfigurationError(
+                f"reference optimum uncertified after {iters} steps: "
+                f"Frank-Wolfe gap {gap:.3e} exceeds {threshold:.3e}; raise "
+                f"the step cap (--ref-iters)")
         x = simplex_projection(x - eta * g)
-    if not certified:
-        logger.warning(
-            "reference run hit its cap of %d steps uncertified: "
-            "Frank-Wolfe gap %.3e", iters, gap,
-        )
-    return x, f_x
 
 
 def _variant_setup(variant: str, n: int) -> Tuple[BregmanGenerator, bool]:
@@ -209,7 +200,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     tol = 1e-6 * (1.0 + abs(f_star))
 
     traces: Dict[str, IterationTrace] = {}
-    certs: Dict[str, CertificateCheck] = {}
+    certs: Dict[str, RateCertificate] = {}
     iters_to_tol: Dict[str, Optional[int]] = {}
     failures: Dict[str, str] = {}
     # every configuration is checked before the first solve: a bad setting
@@ -217,14 +208,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     configs = {}
     for variant in spec.variants:
         H, line_search = _variant_setup(variant, spec.n)
-        configs[variant] = H, line_search, SolverConfig(
+        configs[variant] = H, SolverConfig(
             eta0=spec.eta0 if line_search else gamma,
             alpha=spec.alpha,
             max_iters=spec.max_iters,
             line_search_enabled=line_search,
             tolerance=tol,
         )
-    for variant, (H, line_search, cfg) in configs.items():
+    for variant, (H, cfg) in configs.items():
         pm = make_prox_map("simplex", H.kind)
         try:
             trace = run_solver(problem, H, pm, x0, cfg)
@@ -235,15 +226,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 continue
             trace = exc.partial_trace
         traces[variant] = trace
-        if line_search:
-            cert = line_search_certificate(
-                H, spec.alpha, gamma, spec.eta0, x_star, x0, f_star)
-            hypothesis_ok = spec.eta0 >= gamma
-        else:
-            cert = constant_step_certificate(H, f, gamma, x_star, x0, f_star)
-            hypothesis_ok = True
-        certs[variant] = CertificateCheck(
-            cert, certify_trace(trace, cert), hypothesis_ok)
+        certs[variant] = certify_trace(problem, H, trace)
         reached = [r.k for r in trace.records
                    if r.k >= 1 and r.objective - f_star <= tol]
         iters_to_tol[variant] = reached[0] if reached else None

@@ -262,8 +262,8 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
     """f(x) = 1/(2 gamma) ||x - b||^2; gradient Lipschitz constant is 1/gamma
     and D_f(x, y) = ||x - y||^2 / (2 gamma)."""
     b = np.asarray(b, dtype=float)
-    if gamma <= 0:
-        raise ContractViolation("gamma must be positive")
+    if not 0.0 < gamma < np.inf:  # a NaN fails this too
+        raise ContractViolation("gamma must be positive and finite")
     return SmoothFunction(
         value=lambda x: per_row(0.5 / gamma * np.sum((x - b) ** 2, axis=-1)),
         grad=lambda x: (x - b) / gamma,

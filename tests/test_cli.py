@@ -92,6 +92,29 @@ class TestRunSimplex:
         assert captured.err == "error: eta0 must be positive and finite\n"
         assert not out.exists()
 
+    def test_uncertified_reference_is_an_error(self, tmp_path, capsys):
+        # --ref-iters 0 used to take the barycentre as x*, print [ok] for
+        # every variant and write negative final gaps
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX[:-2] + ["--ref-iters", "0",
+                                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: reference optimum uncertified after 0 steps: "
+            "Frank-Wolfe gap ")
+        assert captured.err.endswith("raise the step cap (--ref-iters)\n")
+        assert not out.exists()
+
+    def test_repeated_variant_is_an_error(self, tmp_path, capsys):
+        # used to write two identical pga-constant summary rows
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX + ["--variants", "pga-constant,pga-constant",
+                                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: variant 'pga-constant' is repeated\n"
+        assert not out.exists()
+
     def test_mirror_linesearch_reaches_boundary_optimum(self, tmp_path):
         # seed 12: mirror-linesearch drives components below 1e-300 before
         # it reaches the tolerance; zeros must not stop it
@@ -120,6 +143,14 @@ class TestRunLasso:
 
     def test_smaller_step_still_certified(self):
         assert run(["run-lasso", "--eta-ratio", "0.5"]) == 0
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_is_an_error(self, capsys, gamma):
+        # a NaN used to pass the check and fail later, naming eta0
+        assert run(["run-lasso", "--gamma", gamma]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gamma must be positive and finite\n"
 
 
 class TestCertify:

@@ -1,10 +1,10 @@
-import logging
-
 import numpy as np
 import pytest
 
 from bregprox import experiments
+from bregprox.experiments import VARIANTS
 from bregprox import (
+    ConfigurationError,
     ContractViolation,
     ExperimentSpec,
     build_lasso_onestep,
@@ -51,6 +51,12 @@ class TestBuildSimplexLs:
     def test_zero_size_rejected(self):
         with pytest.raises(ContractViolation):
             ExperimentSpec(name="bad", m=0, n=5, seed=0)
+
+    def test_repeated_variant_rejected(self):
+        # used to write two identical summary rows
+        with pytest.raises(ContractViolation, match="repeated"):
+            desk_spec(variants=("pga-constant", "mirror-constant",
+                                "pga-constant"))
 
 
 class TestBuildLassoOnestep:
@@ -111,21 +117,31 @@ class TestReferenceRun:
         rounding = 1e-15 * scale
         assert -rounding <= f_ref - f_long <= res.reference_gap + rounding
 
-    def test_cap_returns_uncertified_point_and_warns_once(self, caplog):
+    def test_cap_reached_uncertified_is_an_error(self):
+        # the error names the gap of the one projected step the cap allows
         p = build_simplex_ls(desk_spec())
         A, b = p.f.A, p.f.b
         gamma = 1.0 / p.f.lipschitz_grad
-        with caplog.at_level(logging.WARNING, logger="bregprox.experiments"):
-            x, f_x = reference_simplex_ls(A, b, gamma, iters=1)
+        with pytest.raises(ConfigurationError) as exc_info:
+            reference_simplex_ls(A, b, gamma, iters=1)
         x0 = np.full(A.shape[1], 1.0 / A.shape[1])
-        np.testing.assert_allclose(
-            x, simplex_projection(x0 - gamma * p.f.grad(x0)), atol=1e-15)
-        assert f_x == pytest.approx(p.f.value(x), rel=1e-15)
+        x = simplex_projection(x0 - gamma * p.f.grad(x0))
         gap = fw_gap(A, b, x)
-        assert gap > 1e-13 * (1.0 + abs(f_x))
-        assert len(caplog.records) == 1
-        assert "uncertified" in caplog.messages[0]
-        assert f"{gap:.3e}" in caplog.messages[0]
+        assert gap > 1e-13 * (1.0 + abs(p.f.value(x)))
+        message = str(exc_info.value)
+        assert "uncertified after 1 steps" in message
+        assert f"{gap:.3e}" in message
+        assert "--ref-iters" in message
+
+    def test_uncertified_reference_fails_before_any_solve(self, monkeypatch):
+        # --ref-iters 0 used to take the barycentre as x* (gap 0.33) and
+        # report negative final gaps as reached
+        def no_solve(*args):
+            raise AssertionError("solved against an uncertified reference")
+
+        monkeypatch.setattr(experiments, "run_solver", no_solve)
+        with pytest.raises(ConfigurationError, match="--ref-iters"):
+            run_experiment(desk_spec(ref_iters=0))
 
     def test_negative_cap_rejected(self):
         p = build_simplex_ls(desk_spec())
@@ -172,6 +188,17 @@ class TestRunExperiment:
         for v in ("pga-constant", "mirror-constant"):
             assert result.certificates[v].margin >= -1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7, 42])
+    def test_every_variant_certified_on_desk_seeds(self, seed):
+        # the step-weighted certificate at the CLI's 50x100 defaults: each
+        # variant's hypothesis holds and its bound is never crossed
+        res = run_experiment(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=seed))
+        assert set(res.certificates) == set(VARIANTS)
+        for cert in res.certificates.values():
+            assert cert.hypothesis_satisfied
+            assert cert.margin >= 0.0
+
     def test_mirror_iterates_stay_interior(self, result):
         for v in ("mirror-constant", "mirror-linesearch"):
             for rec in result.traces[v].records:
@@ -198,16 +225,16 @@ class TestRunExperiment:
 
     def test_one_step_lasso_from_random_starts(self):
         rng = np.random.Generator(np.random.Philox(6))
-        from bregprox import (SolverConfig, make_prox_map, run_solver,
-                              squared_euclidean, bpga_bound)
+        from bregprox import (SolverConfig, certify_trace, make_prox_map,
+                              run_solver, squared_euclidean)
         gamma = 0.8
         p = build_lasso_onestep(gamma, rng.standard_normal(10))
         pm = make_prox_map("l1", "quadratic")
         H = squared_euclidean(10)
-        x_star, f_star = p.optimum_oracle
+        f_star = p.optimum_oracle[1]
         for _ in range(10):
             x0 = rng.standard_normal(10) * 3
             trace = run_solver(p, H, pm, x0,
                                SolverConfig(eta0=gamma, max_iters=1))
             assert trace.records[1].objective - f_star <= 1e-10
-            assert abs(bpga_bound(H, p.f, gamma, x_star, x0, 1)) <= 1e-12
+            assert abs(certify_trace(p, H, trace).bound_at(1)) <= 1e-12

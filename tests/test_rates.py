@@ -2,67 +2,121 @@ import numpy as np
 import pytest
 
 from bregprox import (
+    CompositeProblem,
     ConfigurationError,
+    ExperimentSpec,
+    IterationTrace,
     SolverConfig,
-    bpga_bound,
+    bregman_distance,
     build_lasso_onestep,
+    build_simplex_ls,
     certify_trace,
     classical_pga_bound,
     composite_generator,
-    gppa_bound,
+    euclidean_space,
     least_squares,
-    line_search_bound,
     make_prox_map,
     negative_entropy,
+    reference_simplex_ls,
     run_solver,
     squared_euclidean,
     zero_function,
+    zero_term,
 )
-from bregprox.rates import RateCertificate, constant_step_certificate
+from bregprox.rates import RateCertificate
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def constant_step_run(f, eta, x_star, x0, k):
+    """Certificate of k constant steps of size eta on f over R^n (quadratic
+    generator, no nonsmooth term), measured against x_star."""
+    n = x0.size
+    p = CompositeProblem(f, zero_term(), euclidean_space(n),
+                         optimum_oracle=(x_star, float(f.value(x_star))))
+    H = squared_euclidean(n)
+    trace = run_solver(p, H, make_prox_map("zero", "quadratic"), x0,
+                       SolverConfig(eta0=eta, max_iters=k))
+    return certify_trace(p, H, trace)
+
+
+@pytest.fixture(scope="module")
+def simplex_instance():
+    """20x40 simplex least squares with its certified reference optimum."""
+    p = build_simplex_ls(ExperimentSpec(name="rates", m=20, n=40, seed=42))
+    gamma = 1.0 / p.f.lipschitz_grad
+    x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, gamma)
+    p = CompositeProblem(p.f, p.g, p.domain, optimum_oracle=(x_star, f_star))
+    return p, gamma
+
+
+def line_search_run(simplex_instance, H, eta0, alpha=0.5, x0=None,
+                    max_iters=300):
+    p, _ = simplex_instance
+    n = p.f.dimension
+    x0 = np.full(n, 1.0 / n) if x0 is None else x0
+    cfg = SolverConfig(eta0=eta0, alpha=alpha, max_iters=max_iters,
+                       line_search_enabled=True)
+    trace = run_solver(p, H, make_prox_map("simplex", H.kind), x0, cfg)
+    return trace, certify_trace(p, H, trace)
+
+
 class TestGppaBound:
+    """The step-weighted bound c / S_k, S_k = sum_{i <= k} eta_i / eta_1."""
+
     def test_unit_weights_give_d_over_m(self):
-        h = squared_euclidean(2)
+        # with f = 0 a constant step is the proximal point method, and the
+        # bound is D_H(x*, x0) / (eta m)
         x_star, x0 = np.array([1.0, 0.0]), np.zeros(2)
-        got = gppa_bound(h, x_star, x0, [1.0] * 10, 5)
-        assert got == pytest.approx(0.1)
+        cert = constant_step_run(zero_function(2), 2.0, x_star, x0, 10)
+        np.testing.assert_array_equal(cert.weight_sums, np.arange(1, 11))
+        assert cert.bound_at(5) == pytest.approx(0.5 / (2.0 * 5))
 
     def test_zero_at_optimal_start(self):
-        h = squared_euclidean(3)
         x = np.ones(3)
+        cert = constant_step_run(zero_function(3), 1.0, x, x, 10)
         for m in (1, 5, 10):
-            assert gppa_bound(h, x, x, [1.0] * 10, m) == 0.0
+            assert cert.bound_at(m) == 0.0
 
-    def test_general_weights(self):
-        h = squared_euclidean(2)
-        x_star, x0 = np.array([2.0, 0.0]), np.zeros(2)
-        got = gppa_bound(h, x_star, x0, [0.5, 1.5, 2.0], 3)
-        assert got == pytest.approx(2.0 / 4.0)
+    def test_general_weights(self, simplex_instance):
+        # the mirror line search here halves its step at iteration 15; each
+        # step weighs eta_i / eta_1 in the sum
+        p, _ = simplex_instance
+        H = negative_entropy(40)
+        trace, cert = line_search_run(simplex_instance, H, 100.0)
+        etas = np.array([r.eta_used for r in trace.records[1:]])
+        assert len(np.unique(etas)) > 1
+        x_star, _ = p.optimum_oracle
+        x0 = trace.records[0].x
+        c = (bregman_distance(H, x_star, x0) / etas[0]
+             - p.f.distance(x_star, x0))
+        for k in (1, 2, 10, len(etas)):
+            assert cert.bound_at(k) == pytest.approx(
+                c * etas[0] / np.sum(etas[:k]), rel=1e-12)
 
 
 class TestBpgaBound:
+    """The bound of a constant-step (Bregman proximal gradient) run."""
+
     def test_zero_smooth_term_matches_gppa(self):
         r = rng(1)
-        H = squared_euclidean(4)
-        f = zero_function(4)
         x_star, x0 = r.standard_normal((2, 4))
+        H = squared_euclidean(4)
         for eta in (0.5, 1.0, 2.0):
-            h = composite_generator(H, f, eta)
+            cert = constant_step_run(zero_function(4), eta, x_star, x0, 7)
             for k in (1, 3, 7):
-                assert bpga_bound(H, f, eta, x_star, x0, k) == pytest.approx(
-                    gppa_bound(h, x_star, x0, [1.0] * k, k), abs=1e-15)
+                assert cert.bound_at(k) == pytest.approx(
+                    bregman_distance(H, x_star, x0) / (eta * k), abs=1e-15)
 
     def test_one_step_lasso_bound_is_zero(self):
         p = build_lasso_onestep(0.6, np.array([3.0, -0.5, 1.0]))
-        x_star = p.optimum_oracle[0]
         x0 = np.array([5.0, 5.0, 5.0])
         H = squared_euclidean(3)
-        assert abs(bpga_bound(H, p.f, 0.6, x_star, x0, 1)) <= 1e-12
+        trace = run_solver(p, H, make_prox_map("l1", "quadratic"), x0,
+                           SolverConfig(eta0=0.6, max_iters=1))
+        assert abs(certify_trace(p, H, trace).bound_at(1)) <= 1e-12
 
     def test_matches_hand_expanded_quadratics(self):
         r = rng(2)
@@ -72,12 +126,29 @@ class TestBpgaBound:
         f = least_squares(A, b, lipschitz=L)
         eta = 0.5 / L
         x_star, x0 = r.standard_normal((2, 10))
-        H = squared_euclidean(10)
         d_f = f.value(x_star) - f.value(x0) - float(
             np.dot(x_star - x0, f.grad(x0)))
         want = (0.5 / eta * float(np.sum((x_star - x0) ** 2)) - d_f) / 10
-        assert bpga_bound(H, f, eta, x_star, x0, 10) == pytest.approx(
-            want, abs=1e-12)
+        cert = constant_step_run(f, eta, x_star, x0, 10)
+        assert cert.bound_at(10) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "entropy"])
+    def test_bound_is_composite_distance_over_k(self, simplex_instance,
+                                                kind):
+        # bit for bit the bound of the composite generator (1/eta) H - f
+        p, gamma = simplex_instance
+        H = squared_euclidean(40) if kind == "quadratic" \
+            else negative_entropy(40)
+        x0 = np.full(40, 1.0 / 40)
+        trace = run_solver(p, H, make_prox_map("simplex", kind), x0,
+                           SolverConfig(eta0=gamma, max_iters=300))
+        cert = certify_trace(p, H, trace)
+        d0 = bregman_distance(composite_generator(H, p.f, gamma),
+                              p.optimum_oracle[0], x0)
+        for k in range(1, 301):
+            assert cert.bound_at(k) == d0 / k
+        assert cert.hypothesis_satisfied
+        assert cert.margin >= 0.0
 
 
 class TestClassicalBound:
@@ -94,10 +165,11 @@ class TestClassicalBound:
         x_star = p.optimum_oracle[0]
         x0 = np.zeros(2)
         H = squared_euclidean(2)
+        trace = run_solver(p, H, make_prox_map("l1", "quadratic"), x0,
+                           SolverConfig(eta0=1.0, max_iters=5))
+        cert = certify_trace(p, H, trace)
         for k in (1, 2, 5):
-            tight = bpga_bound(H, p.f, 1.0, x_star, x0, k)
-            loose = classical_pga_bound(1.0, x_star, x0, k)
-            assert tight < loose
+            assert cert.bound_at(k) < classical_pga_bound(1.0, x_star, x0, k)
 
     def test_tightness_ordering_random(self):
         r = rng(3)
@@ -107,39 +179,64 @@ class TestClassicalBound:
             f = least_squares(A, r.standard_normal(8), lipschitz=L)
             eta = r.uniform(0.1, 1.0) / L
             x_star, x0 = r.standard_normal((2, 6))
-            H = squared_euclidean(6)
+            cert = constant_step_run(f, eta, x_star, x0, 50)
             for k in (1, 10, 50):
-                assert (bpga_bound(H, f, eta, x_star, x0, k)
+                assert (cert.bound_at(k)
                         <= classical_pga_bound(eta, x_star, x0, k) + 1e-12)
 
 
+def eta_min_bound(H, alpha, gamma, eta0, x_star, x0, k):
+    """The line-search bound this certificate replaced,
+    D_H(x*, x0) / (min(eta0, alpha gamma) k): the step never falls below
+    alpha gamma once it starts at or above gamma, and never moves when it
+    starts lower."""
+    return bregman_distance(H, x_star, x0) / (min(eta0, alpha * gamma) * k)
+
+
 class TestLineSearchBound:
-    def test_zero_at_optimum(self):
-        H = squared_euclidean(2)
-        x = np.ones(2)
-        assert line_search_bound(H, 0.5, 1.0, 100.0, x, x, 3) == 0.0
+    """The bound of a backtracking line-search run."""
 
-    def test_quadratic_example(self):
-        H = squared_euclidean(2)
-        got = line_search_bound(H, 0.5, 1.0, 100.0, np.array([1.0, 0.0]),
-                                np.zeros(2), 0)
-        assert got == pytest.approx(1.0)
+    def test_zero_at_optimum(self, simplex_instance):
+        p, _ = simplex_instance
+        x_star = p.optimum_oracle[0]
+        # the start must be interior for the entropy; x* is not, so the
+        # quadratic generator starts there
+        _, cert = line_search_run(simplex_instance, squared_euclidean(40),
+                                  100.0, x0=x_star, max_iters=3)
+        for k in (1, 2, 3):
+            assert cert.bound_at(k) == 0.0
 
-    def test_entropy_example(self):
-        H = negative_entropy(2)
-        x_star = np.array([0.5, 0.5])
-        x0 = np.array([0.25, 0.75])
-        kl = float(np.sum(x_star * np.log(x_star / x0)))
-        got = line_search_bound(H, 0.5, 2.0, 100.0, x_star, x0, 9)
-        assert got == pytest.approx(kl / 10.0)
+    def test_quadratic_example(self, simplex_instance):
+        self._no_looser_than_eta_min(simplex_instance, squared_euclidean(40))
 
-    def test_small_eta0_never_backtracks(self):
-        # starting below alpha * gamma, the step never changes: the sound
-        # constant is eta0, not alpha * gamma
-        H = squared_euclidean(2)
-        x_star, x0 = np.array([1.0, 0.0]), np.zeros(2)
-        got = line_search_bound(H, 0.5, 1.0, 0.1, x_star, x0, 0)
-        assert got == pytest.approx(0.5 / 0.1)
+    def test_entropy_example(self, simplex_instance):
+        self._no_looser_than_eta_min(simplex_instance, negative_entropy(40))
+
+    @staticmethod
+    def _no_looser_than_eta_min(simplex_instance, H):
+        p, gamma = simplex_instance
+        x_star = p.optimum_oracle[0]
+        for alpha, eta0 in ((0.5, 100.0), (0.3, 100.0), (0.5, 0.5 * gamma)):
+            trace, cert = line_search_run(simplex_instance, H, eta0, alpha)
+            x0 = trace.records[0].x
+            for rec in trace.records[1:]:
+                assert cert.bound_at(rec.k) <= eta_min_bound(
+                    H, alpha, gamma, eta0, x_star, x0, rec.k)
+            assert cert.hypothesis_satisfied
+            assert cert.margin >= 0.0
+
+    def test_small_eta0_never_backtracks(self, simplex_instance):
+        # starting below gamma the step never changes: the weights are all
+        # 1 and the constant is D_H / eta0 - D_f, not one of alpha gamma
+        p, gamma = simplex_instance
+        H = squared_euclidean(40)
+        trace, cert = line_search_run(simplex_instance, H, 0.5 * gamma,
+                                      max_iters=50)
+        assert all(r.backtracks == 0 for r in trace.records)
+        np.testing.assert_array_equal(cert.weight_sums, np.arange(1, 51))
+        x_star, x0 = p.optimum_oracle[0], trace.records[0].x
+        assert cert.constant == (bregman_distance(H, x_star, x0)
+                                 / (0.5 * gamma) - p.f.distance(x_star, x0))
 
 
 class TestCertifyTrace:
@@ -151,43 +248,53 @@ class TestCertifyTrace:
         cfg = SolverConfig(eta0=0.8, max_iters=5)
         H = squared_euclidean(6)
         trace = run_solver(p, H, pm, x0, cfg)
-        x_star, f_star = p.optimum_oracle
-        cert = constant_step_certificate(H, p.f, 0.8, x_star, x0, f_star)
-        assert certify_trace(trace, cert) >= -1e-9
+        f_star = p.optimum_oracle[1]
+        assert certify_trace(p, H, trace).margin >= -1e-9
         assert trace.records[1].objective - f_star <= 1e-10
 
     def test_bound_shape_is_constant_over_k(self):
-        cert = RateCertificate("gppa", 3.7, (np.zeros(2), 0.0))
         ks = np.arange(1, 200)
+        cert = RateCertificate(3.7, ks.astype(float), np.inf, True)
         vals = np.array([cert.bound_at(k) * k for k in ks])
         np.testing.assert_allclose(vals, 3.7, rtol=1e-14)
         bounds = np.array([cert.bound_at(k) for k in ks])
         assert np.all(np.diff(bounds) <= 0)
 
     def test_missing_reference_raises(self):
-        cert = RateCertificate("gppa", 1.0, None)
         r = rng(5)
         p = build_lasso_onestep(1.0, r.standard_normal(3))
-        pm = make_prox_map("l1", "quadratic")
-        trace = run_solver(p, squared_euclidean(3), pm, r.standard_normal(3),
+        H = squared_euclidean(3)
+        trace = run_solver(p, H, make_prox_map("l1", "quadratic"),
+                           r.standard_normal(3),
                            SolverConfig(eta0=1.0, max_iters=2))
+        unreferenced = CompositeProblem(p.f, p.g, p.domain)
         with pytest.raises(ConfigurationError):
-            certify_trace(trace, cert)
+            certify_trace(unreferenced, H, trace)
 
     def test_violated_hypothesis_may_fail_and_is_reported(self):
-        # eta = 10 gamma constant step: the certificate is evaluated, not
-        # asserted; a negative margin is a legitimate outcome here
+        # eta = 10 gamma constant step: D_{h_k} < 0 is recorded, and the
+        # certificate reports its hypothesis as false; the margin is
+        # evaluated, not asserted, since a negative one is legitimate here
         r = rng(6)
         p = build_lasso_onestep(1.0, r.standard_normal(4))
         pm = make_prox_map("l1", "quadratic")
         x0 = r.standard_normal(4) * 5
-        cfg = SolverConfig(eta0=10.0, max_iters=20)
         H = squared_euclidean(4)
-        trace = run_solver(p, H, pm, x0, cfg)
-        x_star, f_star = p.optimum_oracle
-        h = composite_generator(H, p.f, 10.0, unchecked=True)
-        from bregprox import bregman_distance
-        d0 = bregman_distance(h, x_star, x0)
-        cert = RateCertificate("bpga", d0, (x_star, f_star))
-        margin = certify_trace(trace, cert)
-        assert np.isfinite(margin)  # reported, whatever its sign
+        trace = run_solver(p, H, pm, x0, SolverConfig(eta0=10.0, max_iters=20))
+        assert min(r.d_hk_value for r in trace.records[1:]) < 0.0
+        cert = certify_trace(p, H, trace)
+        assert not cert.hypothesis_satisfied
+        assert np.isfinite(cert.margin)  # reported, whatever its sign
+
+    def test_trace_without_accepted_step_has_infinite_margin(
+            self, simplex_instance):
+        p, gamma = simplex_instance
+        H = negative_entropy(40)
+        trace = run_solver(p, H, make_prox_map("simplex", "entropy"),
+                           np.full(40, 1.0 / 40),
+                           SolverConfig(eta0=gamma, max_iters=1))
+        partial = IterationTrace(trace.records[:1], trace.config,
+                                 trace.problem_id, trace.generator_kind)
+        cert = certify_trace(p, H, partial)
+        assert cert.margin == np.inf
+        assert cert.weight_sums.size == 0
