@@ -18,7 +18,6 @@ Closed forms, oracles and checks take a vector (giving a float) or a
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,24 +34,17 @@ from .functions import (
     probability_simplex,
 )
 
-logger = logging.getLogger(__name__)
-
-# generator kinds whose strong-convexity norm caveat has been logged in this
-# process: the caveat is a fact about the kind, so it is stated once
-_NORM_CAVEAT_LOGGED: set = set()
-
 
 @dataclass(frozen=True, eq=False)
 class BregmanGenerator:
     """Convex generator: value on the closed domain, gradient on its interior,
     and the closed form of the distance D_h it induces.
 
-    ``strong_convexity`` is the modulus sigma (0 means unknown/none) and
-    ``strong_convexity_norm`` names the norm it is stated in.  Negative
-    entropy is recorded with sigma = 1 in the l1 norm on the simplex
-    (Pinsker); on the simplex the same modulus also holds in l2 since the
-    Hessian diag(1/x_i) dominates the identity there, but the record keeps
-    the l1 caveat explicit.
+    ``strong_convexity`` is the modulus sigma (0 means unknown/none) in the
+    l2 norm, the norm of the hypothesis sigma >= eta L with L the smooth
+    term's gradient-Lipschitz constant.  Negative entropy has sigma = 1 in
+    l2 on the simplex, where its Hessian diag(1/x_i) dominates the identity
+    because every x_i <= 1.
     """
 
     value: Callable[[Vector], float]
@@ -61,7 +53,6 @@ class BregmanGenerator:
     domain: DomainDescriptor
     strong_convexity: float
     kind: str  # "quadratic" | "entropy" | "composite"
-    strong_convexity_norm: str = "l2"
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "entropy", "composite"):
@@ -137,7 +128,10 @@ def negative_entropy(n: int) -> BregmanGenerator:
     """H(x) = sum x_i ln x_i on the simplex, with 0 ln 0 = 0.
 
     The value oracle is finite on the whole closed simplex; the gradient
-    (1 + ln x_i) exists only at strictly positive points.
+    (1 + ln x_i) exists only at strictly positive points.  sigma = 1 holds
+    in l2: on the simplex every x_i <= 1, so the Hessian diag(1/x_i)
+    dominates the identity.  Pinsker's modulus 1 in l1 gives the same,
+    since ||v||_1 >= ||v||_2.
     """
     dom = probability_simplex(n)
 
@@ -163,7 +157,6 @@ def negative_entropy(n: int) -> BregmanGenerator:
         domain=dom,
         strong_convexity=1.0,
         kind="entropy",
-        strong_convexity_norm="l1",
     )
 
 
@@ -211,15 +204,6 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction, eta: float,
             raise HypothesisViolation(
                 f"sigma = {H.strong_convexity} < eta * L = "
                 f"{eta * f.lipschitz_grad}; composite generator not convex"
-            )
-        if H.strong_convexity_norm != "l2" and \
-                H.kind not in _NORM_CAVEAT_LOGGED:
-            _NORM_CAVEAT_LOGGED.add(H.kind)
-            logger.warning(
-                "strong convexity of %s generator is recorded in the %s "
-                "norm; the convexity hypothesis is checked against it as if "
-                "it held in l2",
-                H.kind, H.strong_convexity_norm,
             )
     return BregmanGenerator(
         value=lambda x, H=H, f=f, eta=eta: H.value(x) / eta - f.value(x),

@@ -28,6 +28,7 @@ from .errors import ContractViolation
 from .functions import (
     CompositeProblem,
     blocks,
+    estimate_spectral_norm,
     least_squares,
     probability_simplex,
     simplex_indicator,
@@ -112,7 +113,7 @@ def _offset_problem(seed: int) -> CompositeProblem:
     rng = np.random.Generator(np.random.Philox(seed))
     A = rng.standard_normal((8, 6))
     b = rng.standard_normal(8)
-    f = least_squares(A, b, lipschitz=float(np.linalg.eigvalsh(A.T @ A)[-1]))
+    f = least_squares(A, b, lipschitz=estimate_spectral_norm(A))
     return CompositeProblem(
         f=f, g=simplex_indicator(6), domain=probability_simplex(6),
         problem_id="offset_check",

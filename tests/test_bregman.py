@@ -1,11 +1,9 @@
 import dataclasses
-import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bregprox import bregman
 from bregprox import (
     DomainError,
     HypothesisViolation,
@@ -263,7 +261,7 @@ class TestCompositeGenerator:
         A = r.standard_normal((6, 5))
         L = float(np.linalg.eigvalsh(A.T @ A)[-1])
         f = least_squares(A, r.standard_normal(6), lipschitz=L)
-        eta = 1.0 / L  # eta = gamma, recorded sigma = 1 covers it
+        eta = 1.0 / L  # eta = gamma; sigma = 1 in l2 covers it
         h = composite_generator(negative_entropy(5), f, eta)
         for _ in range(1000):
             x, y = r.dirichlet(np.ones(5)), r.dirichlet(np.ones(5))
@@ -276,17 +274,6 @@ class TestCompositeGenerator:
             composite_generator(squared_euclidean(2), f, eta=2.0)
         # unchecked construction is allowed for negative testing
         composite_generator(squared_euclidean(2), f, eta=2.0, unchecked=True)
-
-    def test_norm_caveat_logged_once_per_kind(self, caplog, monkeypatch):
-        monkeypatch.setattr(bregman, "_NORM_CAVEAT_LOGGED", set())
-        f = shifted_quadratic(np.zeros(3), 1.0)  # L = 1, eta = 1 is allowed
-        with caplog.at_level(logging.WARNING, logger="bregprox.bregman"):
-            for _ in range(3):
-                composite_generator(negative_entropy(3), f, 1.0)
-                composite_generator(squared_euclidean(3), f, 1.0)
-        caveats = [m for m in caplog.messages if "norm" in m]
-        assert len(caveats) == 1
-        assert "entropy generator" in caveats[0]
 
 
 class TestThreePoint:

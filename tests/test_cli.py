@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 
 import pytest
 
+from bregprox import experiments
 from bregprox.cli import CSV_HEADER, main
 
 
@@ -144,6 +146,14 @@ class TestRunLasso:
     def test_smaller_step_still_certified(self):
         assert run(["run-lasso", "--eta-ratio", "0.5"]) == 0
 
+    @pytest.mark.parametrize("ratio", ["1.5", "2"])
+    def test_step_above_gamma_prints_no_bound(self, capsys, ratio):
+        # --eta-ratio 2 used to print "GPPA-PGA bound at k=1: -13.31...",
+        # a negative bound whose hypothesis D_h1 >= 0 had failed
+        assert run(["run-lasso", "--eta-ratio", ratio]) == 1
+        assert capsys.readouterr().out.split("\n")[1] == \
+            "GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails"
+
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma_is_an_error(self, capsys, gamma):
         # a NaN used to pass the check and fail later, naming eta0
@@ -157,6 +167,21 @@ class TestCertify:
     def test_small_instance(self):
         assert run(["certify", "--rows", "10", "--cols", "20",
                     "--iters", "100", "--ref-iters", "5000"]) == 0
+
+    @pytest.mark.parametrize("hypothesis", [True, False])
+    def test_printed_verdict_sets_exit_code(self, monkeypatch, capsys,
+                                            hypothesis):
+        # a negative margin fails only when its hypothesis held; certify
+        # used to print [FAIL] without it and still exit 0
+        certify = experiments.certify_trace
+        monkeypatch.setattr(
+            experiments, "certify_trace", lambda *a: dataclasses.replace(
+                certify(*a), margin=-1.0, hypothesis_satisfied=hypothesis))
+        status = run(["certify", "--rows", "10", "--cols", "20",
+                      "--iters", "100", "--ref-iters", "5000"])
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == (2 if hypothesis else 0)
+        assert status == (1 if hypothesis else 0)
 
 
 class TestVerifyIdentities:

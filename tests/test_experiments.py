@@ -46,7 +46,15 @@ class TestBuildSimplexLs:
         spec = desk_spec(m=10, n=20)
         p = build_simplex_ls(spec)
         oracle = float(np.linalg.eigvalsh(p.f.A.T @ p.f.A)[-1])
-        assert p.f.lipschitz_grad == pytest.approx(oracle, rel=1e-8)
+        assert p.f.lipschitz_grad == pytest.approx(oracle, rel=1e-12)
+
+    def test_lipschitz_exact_at_paper_scale(self):
+        # a power iteration stopped on stagnating Rayleigh quotients read
+        # 2.5e-7 low here, so eta = 1/L overshot 1/lambda_max
+        p = build_simplex_ls(ExperimentSpec(name="paper", m=500, n=1000,
+                                            seed=3))
+        oracle = float(np.linalg.eigvalsh(p.f.A.T @ p.f.A)[-1])
+        assert p.f.lipschitz_grad == pytest.approx(oracle, rel=1e-12)
 
     def test_zero_size_rejected(self):
         with pytest.raises(ContractViolation):
