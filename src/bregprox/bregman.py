@@ -32,6 +32,7 @@ from .functions import (
     on_simplex,
     per_row,
     probability_simplex,
+    sample_feasible,
 )
 
 
@@ -246,14 +247,6 @@ def check_linearity(h1: BregmanGenerator, h2: BregmanGenerator, a: Vector,
                                    np.abs(d1 - d2 - (r1 - r2)))))
 
 
-def _draw(domain: DomainDescriptor, rng, shape: tuple) -> Vector:
-    """Interior points of the domain, an array of shape ``shape + (n,)``."""
-    n = domain.ambient_dimension
-    if domain.kind == "simplex":
-        return rng.dirichlet(np.ones(n), size=shape)
-    return rng.standard_normal(shape + (n,))
-
-
 def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
                                     seed: int = 0) -> ProximalDistanceAxioms:
     """Randomized check of the proximal-distance axioms for D_h, each axiom
@@ -267,7 +260,7 @@ def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
         raise ContractViolation("samples must be >= 100")
     rng = np.random.Generator(np.random.Philox(seed))
     n = h.domain.ambient_dimension
-    points = _draw(h.domain, rng, (4, samples))
+    points = sample_feasible(h.domain.kind, n, rng, (4, samples))
     if h.domain.kind == "simplex" and n > 1:
         # exercise the boundary of the closed simplex: one entry of about a
         # fifth of the first arguments set to zero
@@ -297,7 +290,7 @@ def _bounded_level_sets(h: BregmanGenerator, rng) -> bool:
     if h.domain.bounded():
         return True
     n = h.domain.ambient_dimension
-    y = _draw(h.domain, rng, ())
+    y = sample_feasible(h.domain.kind, n, rng)
     if h.kind == "quadratic":
         # analytic cap: {x : 1/2 ||x - y||^2 <= alpha} has radius sqrt(2 alpha)
         x = y + rng.standard_normal((100, n))

@@ -227,9 +227,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             trace = exc.partial_trace
         traces[variant] = trace
         certs[variant] = certify_trace(problem, H, trace)
-        reached = [r.k for r in trace.records
-                   if r.k >= 1 and r.objective - f_star <= tol]
-        iters_to_tol[variant] = reached[0] if reached else None
+        reached = np.flatnonzero(trace.objective[1:] - f_star <= tol)
+        iters_to_tol[variant] = int(reached[0]) + 1 if reached.size else None
 
     return ExperimentResult(
         spec=spec,

@@ -31,8 +31,8 @@ BLOCK_ROWS = 1_000
 def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     """Per row of x (the last axis is the vector): every entry >= floor and
     the sum within SIMPLEX_SUM_TOL of 1."""
-    return (x.min(axis=-1) >= floor) & \
-        (abs(x.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
+    return (np.minimum.reduce(x, axis=-1) >= floor) & \
+        (abs(np.add.reduce(x, axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
 
 
 def per_row(r):
@@ -46,6 +46,19 @@ def blocks(samples: int):
     block is partial."""
     return [min(BLOCK_ROWS, samples - start)
             for start in range(0, samples, BLOCK_ROWS)]
+
+
+def sample_feasible(kind: str, n: int, rng, shape: tuple = (),
+                    around: Optional[Vector] = None) -> Vector:
+    """Points of shape ``shape + (n,)``: uniform on the simplex for ``kind``
+    "simplex", else ``around`` plus noise at a random scale, or N(0, I)."""
+    if kind == "simplex":
+        return rng.dirichlet(np.ones(n), size=shape)
+    if around is None:
+        return rng.standard_normal(shape + (n,))
+    scale = 1.0 + np.linalg.norm(around)
+    spread = 10.0 ** rng.uniform(-6, 0, size=shape + (1,))
+    return around + scale * spread * rng.standard_normal(shape + (n,))
 
 
 # the value of each nonsmooth kind at x, or at each row of a stack: the one
@@ -181,11 +194,11 @@ class ResidualStepper:
 
     def distance(self, cand: Vector) -> float:
         self.cand, self.Ad = cand, self.A @ (cand - self.x)
-        return float(0.5 * (self.Ad ** 2).sum())
+        return float(0.5 * np.add.reduce(np.square(self.Ad)))
 
     def accept(self) -> float:
         self.x, self.r = self.cand, self.r + self.Ad
-        return float(0.5 * (self.r ** 2).sum())
+        return float(0.5 * np.add.reduce(np.square(self.r)))
 
 
 @dataclass(frozen=True, eq=False)

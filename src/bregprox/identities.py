@@ -31,6 +31,7 @@ from .functions import (
     estimate_spectral_norm,
     least_squares,
     probability_simplex,
+    sample_feasible,
     simplex_indicator,
 )
 from .prox import make_prox_map, prox_objective, verify_prox_optimality
@@ -150,8 +151,7 @@ def prox_optimality_suite(samples: int, seed: int) -> List[SuiteResult]:
         worst = -np.inf
         for trial in range(5):
             v = rng.standard_normal(n)
-            y = rng.dirichlet(np.ones(n)) if g_kind == "simplex" \
-                else rng.standard_normal(n)
+            y = sample_feasible(g_kind, n, rng)
             worst = np.maximum(worst, verify_prox_optimality(
                 pm, v, y, eta=rng.uniform(0.1, 2.0),
                 trials=max(100, samples // 5), seed=seed + trial))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import NONSMOOTH_VALUES, Vector, blocks, per_row
+from .functions import (NONSMOOTH_VALUES, Vector, blocks, per_row,
+                        sample_feasible)
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
@@ -73,11 +74,15 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     y = np.asarray(y, dtype=float)
-    if y.min() < 0.0:
+    y_min = y.min()
+    if y_min < 0.0:
         raise DomainError("mirror step undefined for negative components")
-    expo = np.where(y > 0.0, -eta * np.asarray(v, dtype=float), -np.inf)
-    w = y * np.exp(expo - expo.max())
-    x = w / w.sum()
+    x = -eta * np.asarray(v, dtype=float)
+    if not y_min > 0.0:
+        x = np.where(y > 0.0, x, -np.inf)
+    x -= x.max()
+    np.multiply(np.exp(x, out=x), y, out=x)  # y exp(x - max x), in place
+    x /= x.sum()
     # subnormal entries weigh nothing in any sum, but as operands they make
     # every later matvec several times slower; they become exact zeros,
     # which stay zero
@@ -132,19 +137,6 @@ def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
     )
 
 
-def sample_feasible(g_kind: str, around: Vector, rng, size=None) -> Vector:
-    """A random point where g is finite, or a (size, n) stack of them:
-    uniform on the simplex for the simplex indicator, else ``around`` plus
-    noise at a random scale."""
-    n = around.size
-    if g_kind == "simplex":
-        return rng.dirichlet(np.ones(n), size=size)
-    rows = () if size is None else (size,)
-    scale = 1.0 + np.linalg.norm(around)
-    spread = 10.0 ** rng.uniform(-6, 0, size=rows + (1,))
-    return around + scale * spread * rng.standard_normal(rows + (n,))
-
-
 def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
                            trials: int = 1000, seed: int = 0) -> float:
     """Worst objective excess of the prox output over random feasible points,
@@ -159,7 +151,7 @@ def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
     base = prox_objective(pm, x_plus, v, y, eta)
     worst = -np.inf
     for rows in blocks(trials):
-        z = sample_feasible(pm.g_kind, x_plus, rng, size=rows)
+        z = sample_feasible(pm.g_kind, x_plus.size, rng, (rows,), x_plus)
         worst = np.max(base - prox_objective(pm, z, v, y, eta),
                        initial=worst)
     return float(worst)

@@ -70,22 +70,20 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
     if p.optimum_oracle is None:
         raise ConfigurationError("certificate needs a reference optimum")
     x_star, f_star = p.optimum_oracle
-    x0, steps = trace.records[0].x, trace.records[1:]
-    eta = np.array([r.eta_used for r in steps])
+    x0, eta = trace.xs[0], trace.eta[1:]
     # a trace with no accepted step bounds nothing; eta0 stands in for eta_1
-    eta_1 = eta[0] if steps else trace.config.eta0
+    eta_1 = eta[0] if eta.size else trace.config.eta0
     constant = bregman_distance(H, x_star, x0) / eta_1 \
         - p.f.distance(x_star, x0)
     # under a constant step every weight is exactly 1.0, so S_k is exactly k
     weight_sums = np.cumsum(eta / eta_1)
-    gaps = np.array([r.objective for r in steps]) - f_star
-    d_hk = np.array([r.d_hk_value for r in steps])
+    gaps = trace.objective[1:] - f_star
     return RateCertificate(
         constant=constant,
         weight_sums=weight_sums,
         margin=float(np.min(constant / weight_sums - gaps, initial=np.inf)),
         hypothesis_satisfied=trace.config.line_search_enabled
-        or bool(np.all(d_hk >= 0.0)),
+        or bool(np.all(trace.d_hk >= 0.0)),  # d_hk is 0 at row 0
     )
 
 

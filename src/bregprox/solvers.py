@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List
 
@@ -18,8 +19,9 @@ import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance, composite_generator
 from .errors import ContractViolation, SolverFailure
-from .functions import CompositeProblem, Vector, blocks, evaluate_composite
-from .prox import ProxMap, sample_feasible
+from .functions import (CompositeProblem, Vector, blocks,
+                        evaluate_composite, sample_feasible)
+from .prox import ProxMap
 
 logger = logging.getLogger(__name__)
 
@@ -32,12 +34,11 @@ logger = logging.getLogger(__name__)
 # kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
 
-# With a constant step nothing in the iteration reads d_hk, so run_solver
-# computes it after the steps: the D_H(x_k, x_{k-1}) of a block of accepted
-# steps come from one stacked closed-form call, which gives the bits of one
-# call per step.  A block holds at most FLUSH_ENTRIES iterate entries (64 kB
-# per stack), so its memory does not grow with n: 81 rows at n = 100, 8 at
-# n = 1000.
+# Nothing in the iteration reads g(x_k), nor d_hk under a constant step, so
+# run_solver completes both after the steps, with one stacked call per block
+# of steps, which gives the bits of one call per step.  A block holds at most
+# FLUSH_ENTRIES iterate entries (64 kB), so its memory does not grow with n:
+# 81 rows at n = 100, 8 at n = 1000.
 FLUSH_ENTRIES = 8192
 
 
@@ -61,29 +62,47 @@ class SolverConfig:
             raise ContractViolation("tolerance must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class IterationRecord:
-    k: int
-    x: Vector
-    objective: float
-    eta_used: float
-    backtracks: int
-    d_hk_value: float  # D_{h_k}(x_{k+1}, x_k) at acceptance; 0 for k = 0
-    elapsed_ms: float = 0.0  # wall time since the run started
+# one row of an IterationTrace, as its records and final() give it
+IterationRecord = namedtuple("IterationRecord", "k x objective eta_used "
+                             "backtracks d_hk_value elapsed_ms")
 
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
-    records: List[IterationRecord]
+    """The accepted steps of one run as read-only columns, row k for step k
+    (row 0 is x0, with eta0, no backtrack and d_hk = 0): the iterates ``xs``,
+    F(x_k), the step that gave x_k, the candidates it rejected first,
+    D_{h_k}(x_k, x_{k-1}) at acceptance and the wall time since the start."""
+
+    xs: np.ndarray
+    objective: np.ndarray
+    eta: np.ndarray
+    backtracks: np.ndarray
+    d_hk: np.ndarray
+    elapsed_ms: np.ndarray
     config: SolverConfig
-    problem_id: str
-    generator_kind: str
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self):
+        return (self.xs, self.objective, self.eta, self.backtracks, self.d_hk,
+                self.elapsed_ms)
 
     def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.records])
+        return self.objective
 
     def final(self) -> IterationRecord:
-        return self.records[-1]
+        k = len(self.objective) - 1
+        return IterationRecord(k, self.xs[k],
+                               *(c[k].item() for c in self._columns()[1:]))
+
+    @property
+    def records(self) -> List[IterationRecord]:
+        """One record per row, built on each access."""
+        return list(map(IterationRecord, range(len(self.objective)), self.xs,
+                        *(c.tolist() for c in self._columns()[1:])))
 
 
 def gppa_objective(p: CompositeProblem, h: BregmanGenerator, x: Vector,
@@ -105,9 +124,10 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     default each accepted iterate costs one gradient and one value of f,
     however many candidates the line search tries, and each candidate one
     distance; least squares carries its residual instead, so a step makes
-    one pass over A for the gradient and one per candidate.  A constant
-    step evaluates no D_H in the loop: its records are built in blocks,
-    each with one stacked D_H call (see FLUSH_ENTRIES).
+    one pass over A for the gradient and one per candidate.  The loop keeps
+    f, not F = f + g, and under a constant step D_f, not d_hk; both are
+    completed after it in blocks, one stacked g and D_H call each (see
+    FLUSH_ENTRIES).
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -127,24 +147,27 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 "constant step eta = %g exceeds gamma = %g; rate "
                 "certificates may not hold", cfg.eta0, gamma,
             )
+    early_stop = cfg.tolerance > 0 and p.optimum_oracle is not None
 
     start = time.perf_counter()
-    records = [IterationRecord(0, x, obj0, cfg.eta0, 0, 0.0)]
-    # accepted steps as the fields of their records, with d_hk in place, or
-    # with D_f under a constant step until flush() completes d_hk
-    pending = []
-    block_rows = max(1, FLUSH_ENTRIES // x.size)
+    n, block_rows = x.size, max(1, FLUSH_ENTRIES // x.size)
+    # the rows double in place by realloc, which copies no page of a large
+    # buffer, and build() trims them; no view of xs exists until then
+    xs = np.array([x])
+    # f, eta, backtracks, D_f or d_hk, and ms of each step
+    steps = [(obj0, cfg.eta0, 0, 0.0, 0.0)]
 
-    def flush():
-        if not pending:
-            return
-        ks, xs, objs, etas, bts, ds, ms = zip(*pending)
-        if not cfg.line_search_enabled:
-            prev = np.stack((records[-1].x,) + xs[:-1])
-            ds = H.distance(np.stack(xs), prev) / cfg.eta0 - np.array(ds)
-        records.extend(map(IterationRecord, ks, xs, objs, etas, bts,
-                           map(float, ds), ms))
-        pending.clear()
+    def build() -> IterationTrace:
+        xs.resize((len(steps), n), refcheck=False)
+        objective, etas, bts, d_hk, ms = map(np.array, zip(*steps))
+        for lo in range(1, len(steps), block_rows):
+            hi = min(lo + block_rows, len(steps))
+            # f + 0.0 keeps f's bits, and a stacked g equals its row calls
+            objective[lo:hi] += p.g.value(xs[lo:hi])
+            if not cfg.line_search_enabled:
+                d_hk[lo:hi] = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) \
+                    / cfg.eta0 - d_hk[lo:hi]
+        return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg)
 
     eta = cfg.eta0
     smooth = p.f.stepper(x)
@@ -162,27 +185,24 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 break
             backtracks += 1
             if backtracks > cfg.max_backtracks_per_iter:
-                flush()
                 raise SolverFailure(
                     f"backtracking budget exhausted at iteration {k}",
-                    partial_trace=IterationTrace(
-                        records, cfg, p.problem_id, H.kind),
+                    partial_trace=build(),
                 )
             eta *= cfg.alpha
         x = cand
-        obj = float(smooth.accept() + p.g.value(x))
-        pending.append((k, x, obj, eta, backtracks, d,
-                        (time.perf_counter() - start) * 1e3))
-        if len(pending) == block_rows:
-            flush()
-        if (
-            cfg.tolerance > 0
-            and p.optimum_oracle is not None
-            and obj - p.optimum_oracle[1] <= cfg.tolerance
-        ):
+        f_k = smooth.accept()
+        if k == len(xs):
+            xs.resize((min(2 * k, cfg.max_iters + 1), n), refcheck=False)
+        xs[k] = x
+        steps.append((f_k, eta, backtracks, d,
+                      (time.perf_counter() - start) * 1e3))
+        # every nonsmooth kind is >= 0, so F = f + g meets the tolerance only
+        # where f does; g is evaluated there alone
+        if early_stop and f_k - p.optimum_oracle[1] <= cfg.tolerance \
+                and f_k + p.g.value(x) - p.optimum_oracle[1] <= cfg.tolerance:
             break
-    flush()
-    return IterationTrace(records, cfg, p.problem_id, H.kind)
+    return build()
 
 
 def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,
@@ -199,13 +219,12 @@ def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,
     """
     rng = np.random.Generator(np.random.Philox(seed))
     h = composite_generator(H, p.f, eta)
-    records = run_solver(p, H, pm, x0,
-                         SolverConfig(eta0=eta, max_iters=iters)).records
+    xs = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=iters)).xs
     worst = -np.inf
-    for anchor, step in zip(records, records[1:]):
-        base = gppa_objective(p, h, step.x, anchor.x)
+    for anchor, x in zip(xs, xs[1:]):
+        base = gppa_objective(p, h, x, anchor)
         for rows in blocks(samples):
-            z = sample_feasible(p.g.kind, step.x, rng, size=rows)
-            worst = np.max(base - gppa_objective(p, h, z, anchor.x),
+            z = sample_feasible(p.g.kind, x.size, rng, (rows,), x)
+            worst = np.max(base - gppa_objective(p, h, z, anchor),
                            initial=worst)
     return float(worst)

@@ -1,10 +1,18 @@
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from bregprox import experiments
-from bregprox.cli import CSV_HEADER, main
+from bregprox import (
+    SolverConfig,
+    certify_trace,
+    experiments,
+    make_prox_map,
+    run_solver,
+    squared_euclidean,
+)
+from bregprox.cli import CSV_CHUNK_ROWS, CSV_HEADER, _write_variant_csv, main
 
 
 def run(argv):
@@ -131,6 +139,67 @@ class TestRunSimplex:
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         assert run(SMALL_SIMPLEX + ["--out", str(target)]) == 3
+
+
+def row_by_row_csv(trace, f_star, cert, gamma, x_star, x0, timing):
+    """The CSV bytes of the writer that formatted one record at a time with
+    f-strings, kept as the reference for the column writer."""
+    diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
+    dd, two_gamma = float(np.dot(diff, diff)), 2.0 * gamma
+    lines = [CSV_HEADER]
+    for rec in trace.records:
+        if rec.k >= 1:
+            b_classical = dd / (two_gamma * rec.k)
+            b_gppa = cert.bound_at(rec.k)
+        else:
+            b_classical = b_gppa = np.inf
+        ms = rec.elapsed_ms if timing else 0.0
+        lines.append(
+            f"{rec.k},{rec.objective:.17g},{rec.objective - f_star:.17g},"
+            f"{rec.eta_used:.17g},{rec.backtracks},{rec.d_hk_value:.17g},"
+            f"{b_classical:.17g},{b_gppa:.17g},{ms:.17g}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestVariantCsv:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(trace, certificate, result) for every desk variant, for the
+        partial traces that eta0 = 1e30 leaves, and for a constant step
+        above 1/L, whose d_hk are negative."""
+        spec = experiments.ExperimentSpec(name="desk", m=50, n=100, seed=42)
+        full = experiments.run_experiment(spec)
+        failing = experiments.run_experiment(
+            dataclasses.replace(spec, eta0=1e30))
+        # both line searches exhaust their budget and leave partial traces
+        assert sorted(failing.failures) == sorted(
+            v for v in failing.traces if v.endswith("linesearch"))
+        cases = [(trace, result.certificates[v], result)
+                 for result in (full, failing)
+                 for v, trace in result.traces.items()]
+        H = squared_euclidean(100)
+        trace = run_solver(full.problem, H,
+                           make_prox_map("simplex", "quadratic"), full.x0,
+                           SolverConfig(eta0=4 * full.gamma, max_iters=50))
+        return cases + [(trace, certify_trace(full.problem, H, trace), full)]
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_column_writer_matches_row_writer(self, cases, tmp_path,
+                                              timing):
+        for i, (trace, cert, result) in enumerate(cases):
+            x_star, f_star = result.reference_optimum
+            args = (trace, f_star, cert, result.gamma, x_star, result.x0,
+                    timing)
+            path = tmp_path / f"{i}.csv"
+            _write_variant_csv(path, *args)
+            assert path.read_bytes() == row_by_row_csv(*args)
+        traces = [trace for trace, _, _ in cases]
+        # the cases cover more than one chunk, negative d_hk and the inf
+        # bounds of row 0
+        assert max(len(t.objective) for t in traces) > 2 * CSV_CHUNK_ROWS
+        assert min(t.d_hk.min() for t in traces) < 0.0
+        row0 = (tmp_path / "0.csv").read_text().split("\n")[1].split(",")
+        assert row0[6:8] == ["inf", "inf"]
 
 
 class TestRunLasso:

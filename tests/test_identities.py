@@ -56,10 +56,10 @@ def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
         minimizer["x"] = x
         return 0.99 * x + 0.01 / x.size
 
-    def plant(g_kind, around, rng, size=None):
-        z = sample_feasible(g_kind, around, rng, size=size)
+    def plant(kind, n, rng, shape=(), around=None):
+        z = sample_feasible(kind, n, rng, shape, around=around)
         if "x" in minimizer:
-            z[size // 2] = minimizer.pop("x")
+            z[shape[0] // 2] = minimizer.pop("x")
         return z
 
     sample_feasible = prox.sample_feasible

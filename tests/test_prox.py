@@ -26,7 +26,8 @@ from bregprox import (
     verify_prox_optimality,
     zero_term,
 )
-from bregprox.prox import _REGISTRY, prox_objective, sample_feasible
+from bregprox.functions import sample_feasible
+from bregprox.prox import _REGISTRY, prox_objective
 
 
 def rng(seed=0):
@@ -244,7 +245,7 @@ class TestStacks:
             v = r.standard_normal(n)
             y = r.dirichlet(np.ones(n)) if g_kind == "simplex" \
                 else r.standard_normal(n)
-            z = sample_feasible(g_kind, y, r, size=rows)
+            z = sample_feasible(g_kind, n, r, (rows,), around=y)
             assert z.shape == (rows, n)
             if g_kind == "simplex":
                 # exact zeros, and one row off the simplex (g = +inf)

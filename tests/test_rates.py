@@ -293,8 +293,10 @@ class TestCertifyTrace:
         trace = run_solver(p, H, make_prox_map("simplex", "entropy"),
                            np.full(40, 1.0 / 40),
                            SolverConfig(eta0=gamma, max_iters=1))
-        partial = IterationTrace(trace.records[:1], trace.config,
-                                 trace.problem_id, trace.generator_kind)
+        partial = IterationTrace(
+            *(c[:1] for c in (trace.xs, trace.objective, trace.eta,
+                              trace.backtracks, trace.d_hk, trace.elapsed_ms)),
+            trace.config)
         cert = certify_trace(p, H, partial)
         assert cert.margin == np.inf
         assert cert.weight_sums.size == 0

@@ -21,6 +21,8 @@ from bregprox import (
     make_prox_map,
     negative_entropy,
     probability_simplex,
+    project_simplex,
+    run_experiment,
     run_solver,
     shifted_quadratic,
     simplex_indicator,
@@ -30,6 +32,7 @@ from bregprox import (
 )
 from bregprox import solvers
 from bregprox.experiments import build_simplex_ls
+from bregprox.functions import NONSMOOTH_VALUES
 from bregprox.prox import prox_objective
 
 
@@ -485,3 +488,113 @@ class TestTheorem2Equivalence:
         assert worst <= 1e-9
         assert max(seen) <= 1_000
         assert sum(seen) == 3 * (2_500 + 1)
+
+
+class TestColumnarTrace:
+    @pytest.fixture(scope="class")
+    def small(self):
+        spec = ExperimentSpec(name="small", m=15, n=30, seed=42,
+                              max_iters=300, ref_iters=5000)
+        return run_experiment(spec)
+
+    def test_perfbench_reads_rows_that_match_the_columns(self, small):
+        # the trace surface perfbench/workloads.py and perfbench/tracer.py
+        # read; a trace change that breaks it must fail here first
+        for trace in small.traces.values():
+            records = trace.records
+            assert len(records) == len(trace.objective) == len(trace.xs)
+            xs = np.array([r.x for r in trace.records])
+            np.testing.assert_array_equal(xs, trace.xs)
+            assert [r.k for r in records] == list(range(len(records)))
+            assert [r.backtracks for r in trace.records] \
+                == trace.backtracks.tolist()
+            assert all(type(r.backtracks) is int for r in records)
+            assert [r.eta_used for r in records] == trace.eta.tolist()
+            assert [r.d_hk_value for r in records] == trace.d_hk.tolist()
+            assert trace.objectives() is trace.objective
+            np.testing.assert_array_equal(
+                trace.objectives(), [r.objective for r in records])
+            final = trace.final()
+            assert final.k == len(records) - 1
+            np.testing.assert_array_equal(final.x, trace.xs[-1])
+            assert type(final.objective) is float
+            assert final.objective == trace.objective[-1]
+            for column in (trace.xs, trace.objective, trace.eta,
+                           trace.backtracks, trace.d_hk, trace.elapsed_ms):
+                assert not column.flags.writeable
+        assert sum(trace.backtracks.sum()
+                   for trace in small.traces.values()) > 0
+
+    def test_nonsmooth_values_are_nonnegative(self):
+        # run_solver's early stop tests f alone before it evaluates g, which
+        # is sound only because no nonsmooth kind is negative
+        r = rng(21)
+        for n in (1, 3, 40):
+            rows = np.concatenate([
+                r.standard_normal((200, n)) * 10.0 ** r.uniform(-8, 8, (200, 1)),
+                r.dirichlet(np.ones(n), size=200),
+                np.zeros((1, n)),
+            ])
+            for kind, value in NONSMOOTH_VALUES.items():
+                values = np.asarray(value(rows))
+                assert values.shape == (401,)
+                assert np.all(values >= 0.0), kind
+                assert all(value(x) >= 0.0 for x in rows[::50])
+
+    def test_off_simplex_step_that_meets_f_tolerance_does_not_stop(
+            self, small):
+        # at the step where pga-constant first meets the tolerance, the prox
+        # map returns a point just off the simplex; f there still meets the
+        # tolerance, but F = f + g is +inf, so the run must record inf and
+        # go on
+        p, tol = small.problem, small.tolerance
+        f_star = p.optimum_oracle[1]
+        k_tol = small.iters_to_tol["pga-constant"]
+        calls = [0]
+
+        def off_once(v, y, eta):
+            x = project_simplex(v, y, eta)
+            calls[0] += 1
+            if calls[0] == k_tol:
+                x[np.argmax(x)] += 1e-8
+            return x
+
+        pm = dataclasses.replace(make_prox_map("simplex", "quadratic"),
+                                 solve=off_once)
+        cfg = SolverConfig(eta0=small.gamma, max_iters=300, tolerance=tol)
+        trace = run_solver(p, squared_euclidean(30), pm, small.x0, cfg)
+        assert p.f.value(trace.xs[k_tol]) - f_star <= tol
+        assert trace.objective[k_tol] == np.inf
+        assert trace.final().k > k_tol
+        assert np.all(np.isfinite(np.delete(trace.objective, k_tol)))
+        assert trace.objective[-1] - f_star <= tol
+
+    @pytest.mark.parametrize("tolerance, steps", [(1e-12, 5000), (1.0, 1)])
+    def test_g_is_evaluated_once_per_block(self, tolerance, steps):
+        # with F* = 0 under objectives of about 0.2, tolerance 1e-12 is never
+        # met: all 5,000 steps take the f-only test, and g is evaluated at x0
+        # and once per block alone; tolerance 1.0 is met by f at the first
+        # step, so the loop evaluates g there once, F meets it too, and the
+        # run stops
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=42))
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return base.g.value(x)
+
+        x0 = np.full(100, 0.01)
+        p = CompositeProblem(
+            base.f, dataclasses.replace(base.g, value=counting), base.domain,
+            optimum_oracle=(x0, 0.0))
+        cfg = SolverConfig(eta0=1.0 / base.f.lipschitz_grad, max_iters=5000,
+                           tolerance=tolerance)
+        trace = run_solver(p, negative_entropy(100),
+                           make_prox_map("simplex", "entropy"), x0, cfg)
+        block_rows = solvers.FLUSH_ENTRIES // 100
+        blocks = [(min(block_rows, steps - lo), 100)
+                  for lo in range(0, steps, block_rows)]
+        assert len(trace.objective) - 1 == steps
+        assert calls == [(100,)] + [(100,)] * (steps == 1) + blocks
+        assert len(blocks) == -(-steps // block_rows)
