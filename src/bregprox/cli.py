@@ -40,8 +40,9 @@ CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
 CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
 CSV_CHUNK_ROWS = 1024
-REF_ITERS_HELP = ("cap on the projected-gradient steps of the reference "
-                  "optimum, which stops once its Frank-Wolfe gap certifies it")
+REF_ITERS_HELP = ("cap on the major cycles of Wolfe's method for the "
+                  "reference optimum, which stops once its Frank-Wolfe gap "
+                  "certifies it")
 
 
 def _fmt(x: float) -> str:
@@ -261,7 +262,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except BregProxError as exc:
+    except (BregProxError, MemoryError) as exc:
+        # a size numpy cannot allocate is an input error, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

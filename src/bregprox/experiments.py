@@ -34,7 +34,7 @@ from .functions import (
     simplex_indicator,
     euclidean_space,
 )
-from .prox import make_prox_map, simplex_projection
+from .prox import make_prox_map
 from .rates import RateCertificate, certify_trace
 from .solvers import IterationTrace, SolverConfig, run_solver
 
@@ -139,41 +139,86 @@ def frank_wolfe_gap(grad: Vector, x: Vector) -> float:
     return float(grad @ x - np.min(grad))
 
 
-def reference_simplex_ls(A: np.ndarray, b: np.ndarray, eta: float,
-                         iters: int = 100_000,
-                         x0: Optional[Vector] = None) -> Tuple[Vector, float]:
+def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
+                         iters: int = 100_000) -> Tuple[Vector, float]:
     """Reference optimum of 1/2 ||A x - b||^2 over the simplex, certified by
     its Frank-Wolfe gap.
 
-    Runs constant-step projected gradient from ``x0`` (default: the
-    barycentre) and returns ``(x, F(x))`` at the first iterate, ``x0``
-    included, whose gap is at most ``REFERENCE_GAP_RTOL * (1 + |F(x)|)``.
-    ``iters`` caps the number of projection steps (``--ref-iters``); a run
-    that hits the cap uncertified raises ``ConfigurationError`` with the gap
-    it reached, since nothing may be measured against an uncertified F*.
-    Works on the precomputed Gram matrix so each step is cheap.
+    On the simplex ``A x - b = P x`` with ``P = A - b 1^T``, so the optimum
+    is the point nearest 0 in the convex hull of the columns ``p_i`` of
+    ``P``: Wolfe's minimum-norm-point method (P. Wolfe, "Finding the nearest
+    point in a polytope", Math. Programming 11, 1976).  It keeps a corral
+    ``S`` of affinely independent columns, starting from the one nearest 0,
+    and the weights ``x_S`` of the current point.  A major cycle adds the
+    Frank-Wolfe vertex ``argmin_i (A^T r)_i``.  Each minor cycle then moves
+    to the point of the affine hull of ``p_S`` nearest 0 or, when a weight
+    there is not positive, as far towards it as the weights stay
+    nonnegative, and drops the point whose weight reaches 0.  No ``n x n``
+    matrix is formed; a minor cycle solves one least-squares problem with
+    ``|S| - 1`` columns.
+
+    Returns ``(x, F(x))`` at the first major cycle, the start included,
+    whose gap is at most ``REFERENCE_GAP_RTOL * (1 + |F(x)|)``.  ``iters``
+    caps the number of major cycles (``--ref-iters``).  A run that hits the
+    cap uncertified, or whose Frank-Wolfe vertex has entered the corral
+    before (rounding has then stopped the method), raises
+    ``ConfigurationError`` with the gap it reached, since nothing may be
+    measured against an uncertified F*.
     """
     if iters < 0:
         raise ContractViolation(f"iters must be non-negative, got {iters}")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = A.shape[1]
-    G = A.T @ A
-    c = A.T @ b
-    x = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float)
-    for k in range(iters + 1):
-        g = G @ x - c
+    P = A - b[:, None]
+    S = [int(np.argmin(np.einsum("ij,ij->j", P, P)))]
+    w = np.ones(1)
+    entered = -1
+    for cycle in range(iters + 1):
+        x = np.zeros(A.shape[1])
+        x[S] = w
+        r = A @ x - b
+        g = A.T @ r
         gap = frank_wolfe_gap(g, x)
-        f_x = 0.5 * float(np.sum((A @ x - b) ** 2))
+        f_x = 0.5 * float(np.sum(r ** 2))
         threshold = REFERENCE_GAP_RTOL * (1.0 + abs(f_x))
         if gap <= threshold:
             return x, f_x
-        if k == iters:
+        j = int(np.argmin(g))
+        # Wolfe's entering point stays in the corral and so never enters
+        # twice; if it does, rounding has made the corral affinely dependent
+        if cycle == iters or j in S or j == entered:
             raise ConfigurationError(
-                f"reference optimum uncertified after {iters} steps: "
-                f"Frank-Wolfe gap {gap:.3e} exceeds {threshold:.3e}; raise "
-                f"the step cap (--ref-iters)")
-        x = simplex_projection(x - eta * g)
+                f"reference optimum uncertified after {cycle} major cycles: "
+                f"Frank-Wolfe gap {gap:.3e} exceeds {threshold:.3e}; " + (
+                    "raise the cycle cap (--ref-iters)" if cycle == iters
+                    else f"its Frank-Wolfe vertex {j} has entered the "
+                         f"corral before"))
+        S.append(j)
+        w = np.append(w, 0.0)
+        entered = j
+        while True:
+            # the affine minimizer v = e_0 + (0, z) of ||P_S v|| over
+            # sum(v) = 1, by least squares on the columns themselves.  The
+            # corral's Gram block would square their conditioning and take
+            # two columns 6.6e-7 apart (2x199, seed 754105628) as one point.
+            # The rank cutoff gives a corral that rounding made affinely
+            # dependent its minimum-norm weights, not a blow-up.
+            p0 = P[:, S[0]]
+            z = np.linalg.lstsq(P[:, S[1:]] - p0[:, None], -p0,
+                                rcond=None)[0]
+            v = np.concatenate(([1.0 - np.sum(z)], z))
+            if np.min(v) > 0.0:
+                w = v
+                break
+            # step towards v until the first weight reaches 0, and drop it;
+            # a weight that is 0 at both ends takes a step of 0
+            out = np.flatnonzero(v <= 0.0)
+            ratio = w[out] / np.maximum(w[out] - v[out], np.finfo(float).tiny)
+            w = w + ratio.min() * (v - w)
+            w[out[np.argmin(ratio)]] = 0.0
+            keep = w > 0.0
+            S = [i for i, kept in zip(S, keep) if kept]
+            w = w[keep]
 
 
 def _variant_setup(variant: str, n: int) -> Tuple[BregmanGenerator, bool]:
@@ -188,9 +233,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     base = build_simplex_ls(spec)
     f = base.f
     gamma = 1.0 / f.lipschitz_grad
-    x_star, f_star = reference_simplex_ls(f.A, f.b, gamma, iters=spec.ref_iters)
+    x_star, f_star = reference_simplex_ls(f.A, f.b, iters=spec.ref_iters)
     # recomputed from the problem's own gradient oracle, as a check on x*
-    # that does not rest on the reference run's Gram-matrix arithmetic
+    # that does not rest on the reference run's corral arithmetic
     reference_gap = frank_wolfe_gap(f.grad(x_star), x_star)
     problem = CompositeProblem(
         f=f, g=base.g, domain=base.domain,

@@ -116,7 +116,7 @@ def test_criterion_2_tightness_ordering():
 
 
 def test_criterion_3_certificate_validity():
-    # the certified reference needs a few hundred steps per instance; ten
+    # the certified reference needs a few major cycles per instance; ten
     # blind 100k-step runs would take well over this budget
     watch = Stopwatch(10.0)
     H = squared_euclidean(40)
@@ -126,8 +126,7 @@ def test_criterion_3_certificate_validity():
         spec = ExperimentSpec(name="cert", m=20, n=40, seed=seed)
         p = build_simplex_ls(spec)
         gamma = 1.0 / p.f.lipschitz_grad
-        x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, gamma,
-                                              iters=100_000)
+        x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, iters=100_000)
         p = CompositeProblem(p.f, p.g, p.domain,
                              optimum_oracle=(x_star, f_star))
         trace = run_solver(p, H, pm, x0,

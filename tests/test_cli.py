@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bregprox import (
     squared_euclidean,
 )
 from bregprox.cli import CSV_CHUNK_ROWS, CSV_HEADER, _write_variant_csv, main
+from bregprox.experiments import VARIANTS
 
 
 def run(argv):
@@ -111,9 +113,30 @@ class TestRunSimplex:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: reference optimum uncertified after 0 steps: "
+            "error: reference optimum uncertified after 0 major cycles: "
             "Frank-Wolfe gap ")
-        assert captured.err.endswith("raise the step cap (--ref-iters)\n")
+        assert captured.err.endswith("raise the cycle cap (--ref-iters)\n")
+        assert not out.exists()
+
+    def test_wide_instance_certifies_its_reference(self, tmp_path, capsys):
+        # m << n: projected gradient reached a gap of about 1e-5 in 100k
+        # steps and exited 1 after 5-8 s
+        start = time.perf_counter()
+        assert run(["run-simplex", "--rows", "2", "--cols", "50",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().out.count("[ok]") == len(VARIANTS)
+
+    def test_impossible_size_is_one_error_line(self, tmp_path, capsys):
+        # numpy refuses the 71 PiB request at once, so nothing is allocated;
+        # it used to end in an uncaught numpy._ArrayMemoryError
+        out = tmp_path / "out"
+        assert run(["run-simplex", "--rows", "100000000", "--cols",
+                    "100000000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_repeated_variant_is_an_error(self, tmp_path, capsys):
@@ -236,6 +259,13 @@ class TestCertify:
     def test_small_instance(self):
         assert run(["certify", "--rows", "10", "--cols", "20",
                     "--iters", "100", "--ref-iters", "5000"]) == 0
+
+    def test_wide_instance_certifies_its_reference(self, capsys):
+        # exited 1 with "reference optimum uncertified after 100000 steps"
+        start = time.perf_counter()
+        assert run(["certify", "--rows", "2", "--cols", "60"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().out.count("[ok]") == 2
 
     @pytest.mark.parametrize("hypothesis", [True, False])
     def test_printed_verdict_sets_exit_code(self, monkeypatch, capsys,

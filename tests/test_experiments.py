@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bregprox import experiments
 from bregprox.experiments import VARIANTS
@@ -126,18 +127,25 @@ class TestReferenceRun:
         assert -rounding <= f_ref - f_long <= res.reference_gap + rounding
 
     def test_cap_reached_uncertified_is_an_error(self):
-        # the error names the gap of the one projected step the cap allows
+        # the error names the gap of the one major cycle the cap allows: from
+        # the column of P = A - b 1^T nearest 0 to the nearest point of its
+        # segment to the Frank-Wolfe vertex
         p = build_simplex_ls(desk_spec())
         A, b = p.f.A, p.f.b
-        gamma = 1.0 / p.f.lipschitz_grad
         with pytest.raises(ConfigurationError) as exc_info:
-            reference_simplex_ls(A, b, gamma, iters=1)
-        x0 = np.full(A.shape[1], 1.0 / A.shape[1])
-        x = simplex_projection(x0 - gamma * p.f.grad(x0))
+            reference_simplex_ls(A, b, iters=1)
+        P = A - b[:, None]
+        start = np.argmin(np.sum(P * P, axis=0))
+        x = np.zeros(A.shape[1])
+        x[start] = 1.0
+        vertex = np.argmin(p.f.grad(x))
+        d = P[:, vertex] - P[:, start]
+        t = np.clip(-(P[:, start] @ d) / (d @ d), 0.0, 1.0)
+        x[start], x[vertex] = 1.0 - t, t
         gap = fw_gap(A, b, x)
         assert gap > 1e-13 * (1.0 + abs(p.f.value(x)))
         message = str(exc_info.value)
-        assert "uncertified after 1 steps" in message
+        assert "uncertified after 1 major cycles" in message
         assert f"{gap:.3e}" in message
         assert "--ref-iters" in message
 
@@ -154,22 +162,58 @@ class TestReferenceRun:
     def test_negative_cap_rejected(self):
         p = build_simplex_ls(desk_spec())
         with pytest.raises(ContractViolation):
-            reference_simplex_ls(p.f.A, p.f.b, 1.0 / p.f.lipschitz_grad,
-                                 iters=-1)
+            reference_simplex_ls(p.f.A, p.f.b, iters=-1)
 
-    def test_certified_start_returns_at_once(self, monkeypatch):
+    def test_optimal_start_returns_at_once(self, monkeypatch):
+        # b equal to a column makes that column's vertex optimal (F = 0) and
+        # the nearest start: it is certified with no major cycle at all
         p = build_simplex_ls(desk_spec())
-        A, b = p.f.A, p.f.b
-        gamma = 1.0 / p.f.lipschitz_grad
-        x_ref, f_ref = reference_simplex_ls(A, b, gamma)
+        A = p.f.A
 
-        def no_step(v):
-            raise AssertionError("stepped from a certified start")
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("ran a minor cycle from an optimal start")
 
-        monkeypatch.setattr(experiments, "simplex_projection", no_step)
-        x, f_x = reference_simplex_ls(A, b, gamma, x0=x_ref)
-        np.testing.assert_array_equal(x, x_ref)
-        assert f_x == f_ref
+        monkeypatch.setattr(np.linalg, "lstsq", no_cycle)
+        x, f_x = reference_simplex_ls(A, A[:, 7].copy(), iters=0)
+        np.testing.assert_array_equal(x, np.eye(A.shape[1])[7])
+        assert f_x == 0.0
+
+    def test_stalled_corral_is_an_error(self, monkeypatch):
+        # a Frank-Wolfe vertex that enters the corral twice means rounding
+        # stopped the method; it fails at once, not at the cycle cap.
+        # Affine minimizers that weigh every entering vertex below 0 drop
+        # it in its first minor cycle, so it enters again.
+        p = build_simplex_ls(desk_spec())
+
+        def first_point(D, rhs, rcond=None):
+            return np.full(D.shape[1], -1.0), None, None, None
+
+        monkeypatch.setattr(np.linalg, "lstsq", first_point)
+        with pytest.raises(ConfigurationError) as exc_info:
+            reference_simplex_ls(p.f.A, p.f.b)
+        message = str(exc_info.value)
+        assert message.startswith(
+            "reference optimum uncertified after 1 major cycles: "
+            "Frank-Wolfe gap ")
+        assert message.endswith("has entered the corral before")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 6), n=st.integers(1, 300),
+           seed=st.integers(0, 2**31 - 1))
+    @example(m=50, n=100, seed=42)
+    @example(m=2, n=199, seed=754105628)
+    def test_certified_on_the_simplex_with_small_support(self, m, n, seed):
+        # m << n stalled projected gradient (2x50: uncertified after 100k
+        # steps); 2x199 seed 754105628 has two columns 6.6e-7 apart, which
+        # the corral's Gram block could not tell apart
+        p = build_simplex_ls(ExperimentSpec(name="sweep", m=m, n=n,
+                                            seed=seed))
+        x, f_x = reference_simplex_ls(p.f.A, p.f.b)
+        assert f_x == p.f.value(x)
+        assert fw_gap(p.f.A, p.f.b, x) <= 1e-13 * (1.0 + abs(f_x))
+        assert np.min(x) >= 0.0
+        assert abs(np.sum(x) - 1.0) <= 1e-12
+        assert np.count_nonzero(x) <= m + 1
 
 
 @pytest.fixture(scope="module")

@@ -47,7 +47,7 @@ def simplex_instance():
     """20x40 simplex least squares with its certified reference optimum."""
     p = build_simplex_ls(ExperimentSpec(name="rates", m=20, n=40, seed=42))
     gamma = 1.0 / p.f.lipschitz_grad
-    x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, gamma)
+    x_star, f_star = reference_simplex_ls(p.f.A, p.f.b)
     p = CompositeProblem(p.f, p.g, p.domain, optimum_oracle=(x_star, f_star))
     return p, gamma
 
