@@ -90,23 +90,40 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     negative entropy: the log runs over supp(x) only, so the value is finite
     whenever y > 0 on supp(x), exact zeros of x included."""
     s = x > 0.0
-    # off supp(x) the term is y_i; 1 stands in there so nothing divides by 0
-    xs, ys = np.where(s, x, 1.0), np.where(s, y, 1.0)
+    if np.count_nonzero(s) == s.size:
+        s, xs, ys = None, x, y
+    else:
+        # off supp(x) the term is y_i; x = 2, y = 1 stand in there, so
+        # nothing divides by 0 and t = 1 takes neither the series nor ln(x/y)
+        xs, ys = np.where(s, x, 2.0), np.where(s, y, 1.0)
     d = xs - ys
     t = d / ys
-    # ln(x/y) loses the digits of t when x is near y, log1p(t) those of x/y
-    # when x << y; either way x ln(x/y) - (x - y) is exact to about
-    # eps |x - y|, which near a tie is a relative error of about eps / |t|
-    log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
-                         np.log(xs / ys))
-    term = xs * log_ratio - d
-    # so for |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its series,
+    # for |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its series,
     # whose first omitted term is below 1e-16 relative
     near = np.abs(t) < 1e-3
-    tn = t[near]
-    term[near] = ys[near] * tn * tn * (0.5 + tn * (-1 / 6 + tn * (
-        1 / 12 + tn * (-1 / 20 + tn / 30))))
-    return per_row(np.where(s, term, y).sum(axis=-1))
+    n_near = np.count_nonzero(near)
+    if n_near == near.size:
+        term = ys * t * t * _kl_series(t)
+    else:
+        # ln(x/y) loses the digits of t when x is near y, log1p(t) those of
+        # x/y when x << y; either way x ln(x/y) - (x - y) is exact to about
+        # eps |x - y|, which near a tie is a relative error of about eps / |t|
+        above = t > -0.5
+        log_ratio = np.log1p(np.maximum(t, -0.5))
+        if np.count_nonzero(above) < above.size:
+            log_ratio = np.where(above, log_ratio, np.log(xs / ys))
+        term = xs * log_ratio - d
+        if n_near:
+            tn = t[near]
+            term[near] = (ys * t)[near] * tn * _kl_series(tn)
+    if s is not None:
+        term = np.where(s, term, y)
+    return per_row(np.add.reduce(term, axis=-1))
+
+
+def _kl_series(t: Vector) -> Vector:
+    """((1+t) ln(1+t) - t) / t^2 by its series, for |t| < 1e-3."""
+    return 0.5 + t * (-1 / 6 + t * (1 / 12 + t * (-1 / 20 + t / 30)))
 
 
 # closed-form distance of each non-composite generator kind

@@ -197,6 +197,19 @@ def cmd_verify_identities(args) -> int:
     return status
 
 
+def _seed(text: str) -> int:
+    """A --seed value: the Philox generators take nonnegative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bregprox",
@@ -209,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simplex least-squares comparison")
     ps.add_argument("--rows", type=int, default=50)
     ps.add_argument("--cols", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=42)
+    ps.add_argument("--seed", type=_seed, default=42)
     ps.add_argument("--eta0", type=float, default=100.0)
     ps.add_argument("--alpha", type=float, default=0.5)
     ps.add_argument("--max-iters", type=int, default=5000)
@@ -227,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("run-lasso", help="one-step LASSO demonstration")
     pl.add_argument("--gamma", type=float, default=1.0)
     pl.add_argument("--dim", type=int, default=50)
-    pl.add_argument("--seed", type=int, default=7)
+    pl.add_argument("--seed", type=_seed, default=7)
     pl.add_argument("--eta-ratio", type=float, default=1.0,
                     help="step size as a fraction of gamma")
     pl.set_defaults(func=cmd_run_lasso)
@@ -236,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constant-step certificate check")
     pc.add_argument("--rows", type=int, default=20)
     pc.add_argument("--cols", type=int, default=40)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=_seed, default=0)
     pc.add_argument("--iters", type=int, default=500)
     pc.add_argument("--ref-iters", type=int, default=100_000,
                     help=REF_ITERS_HELP)
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-identities",
                         help="randomized identity suites")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_seed, default=0)
     pv.add_argument("--samples", type=int, default=10_000)
     pv.add_argument("--inject-fault", action="store_true",
                     help="negative control: run with a deliberately wrong "

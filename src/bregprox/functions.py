@@ -27,6 +27,14 @@ SIMPLEX_INTERIOR_MIN = 1e-300
 # memory bounded at any sample count
 BLOCK_ROWS = 1_000
 
+# What nothing in an iteration reads at once is completed in blocks of
+# steps, one stacked call per block, which gives the bits of one call per
+# step: f and D_f of least squares (ResidualStepper), and g(x_k) and the
+# constant-step d_hk (run_solver).  A block holds at most FLUSH_ENTRIES
+# entries (64 kB), so its memory does not grow with the size of the problem:
+# 81 iterate rows at n = 100, 8 at n = 1000.
+FLUSH_ENTRIES = 8192
+
 
 def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     """Per row of x (the last axis is the vector): every entry >= floor and
@@ -94,7 +102,12 @@ class DomainDescriptor:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dimension:
             return False
-        return self.kind == "rn" or bool(on_simplex(x, floor).all())
+        # one min over the whole stack: a per-row min over a short last
+        # axis costs far more, and a NaN row fails either way
+        return self.kind == "rn" or bool(
+            np.minimum.reduce(x, axis=None, initial=np.inf) >= floor
+            and (abs(np.add.reduce(x, axis=-1) - 1.0)
+                 <= SIMPLEX_SUM_TOL).all())
 
     def bounded(self) -> bool:
         return self.kind == "simplex"
@@ -142,26 +155,43 @@ class SmoothFunction:
 
 
 class OracleStepper:
-    """f at the current point x of an iteration, through its oracles.
+    """f along an iteration, through its oracles.
 
-    ``grad()`` is the gradient at x, ``distance(cand)`` is D_f(cand, x),
-    and ``accept()`` moves x to the candidate last passed to ``distance``
-    and returns f there.
+    ``grad()`` is the gradient at the current point x.  ``propose(cand)``
+    takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
+    ``accept()`` moves x to the candidate.  ``value(f_star, tol)`` is f at x
+    with the bits of the trace, or +inf where a cheaper test proves
+    f(x) - f_star > tol.  ``columns()`` gives f and D_f(x_k, x_{k-1}) of
+    every accepted step so far; here each is evaluated at acceptance, one
+    value and at most one distance per step.
     """
 
     def __init__(self, f: SmoothFunction, x0: Vector):
         self.f, self.x = f, x0
+        self.values, self.distances = [], []
 
     def grad(self) -> Vector:
         return np.asarray(self.f.grad(self.x), dtype=float)
 
-    def distance(self, cand: Vector) -> float:
-        self.cand = cand
-        return self.f.distance(cand, self.x)
+    def propose(self, cand: Vector) -> None:
+        self.cand, self.d_f = cand, None
 
-    def accept(self) -> float:
+    def distance(self) -> float:
+        self.d_f = self.f.distance(self.cand, self.x)
+        return self.d_f
+
+    def accept(self) -> None:
+        self.distances.append(self.distance() if self.d_f is None
+                              else self.d_f)
         self.x = self.cand
-        return self.f.value(self.x)
+        self.values.append(self.f.value(self.x))
+
+    def value(self, f_star: float, tol: float) -> float:
+        return self.values[-1]
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (np.array(self.values, dtype=float),
+                np.array(self.distances, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,28 +207,76 @@ class LeastSquaresFunction(SmoothFunction):
 
 
 class ResidualStepper:
-    """``OracleStepper``'s three operations for least squares, with the
-    residual r = A x - b at the current point x carried along: the gradient
-    is A^T r, D_f(cand, x) = 1/2 ||A d||^2 with d = cand - x, and accepting
+    """``OracleStepper``'s operations for least squares, with the residual
+    r = A x - b at the current point x carried along: the gradient is
+    A^T r, D_f(cand, x) = 1/2 ||A d||^2 with d = cand - x, and accepting
     the candidate updates r to r + A d.  A step costs one pass over A for
     the gradient and one per candidate.  The carried r drifts from A x - b
     only by rounding: over 5,000 steps the objective stays within a few
     1e-15 relative of a fresh evaluation, so it is never recomputed.
+
+    The residual rows and each accepted A d go into a block of
+    FLUSH_ENTRIES // m rows, and f = 1/2 ||r||^2 and D_f of a full block
+    come from one stacked reduction each, which gives the bits of one
+    reduction per row.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, x0: Vector):
-        self.A, self.x, self.r = A, x0, A @ x0 - b
+        m = A.shape[0]
+        rows = max(1, FLUSH_ENTRIES // m)
+        self.A, self.At, self.x, self.j = A, A.T, x0, 0
+        # rs[0] is the residual at the last flush, rs[j] the one at x;
+        # ads[j - 1] took rs[j - 1] to rs[j]
+        self.rs, self.ads = np.empty((rows + 1, m)), np.empty((rows, m))
+        self.rs[0] = A @ x0 - b
+        self.values, self.distances = [], []
+        # value() skips the exact f only where r . r proves the test fails.
+        # Both r . r and the trace's sum of squares are within gamma_m =
+        # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
+        # terms in any order, with or without FMA).  So where the trace's f
+        # passes fl(f - f_star) <= tol with f_star >= 0, r . r / 2 is at most
+        # (f_star + tol)(1 + 2 m u + u) to first order, and the bound as
+        # computed is at least (f_star + tol)(1 + 8 m u - 3 u): 4 m eps =
+        # 8 m u covers both for every m >= 1.  m tiny covers squares that
+        # underflow, each off by at most half the subnormal spacing.
+        self.slack = 1.0 + 4 * m * np.finfo(float).eps
+        self.floor = m * np.finfo(float).tiny
 
     def grad(self) -> Vector:
-        return self.A.T @ self.r
+        return self.At @ self.rs[self.j]
 
-    def distance(self, cand: Vector) -> float:
-        self.cand, self.Ad = cand, self.A @ (cand - self.x)
-        return float(0.5 * np.add.reduce(np.square(self.Ad)))
+    def propose(self, cand: Vector) -> None:
+        self.cand = cand
+        np.matmul(self.A, cand - self.x, out=self.ads[self.j])
 
-    def accept(self) -> float:
-        self.x, self.r = self.cand, self.r + self.Ad
-        return float(0.5 * np.add.reduce(np.square(self.r)))
+    def distance(self) -> float:
+        return float(0.5 * np.add.reduce(np.square(self.ads[self.j])))
+
+    def accept(self) -> None:
+        j = self.j
+        np.add(self.rs[j], self.ads[j], out=self.rs[j + 1])
+        self.x, self.j = self.cand, j + 1
+        if self.j == len(self.ads):
+            self._flush()
+
+    def value(self, f_star: float, tol: float) -> float:
+        r = self.rs[self.j]
+        if f_star >= 0.0 and \
+                0.5 * np.dot(r, r) > (f_star + tol) * self.slack + self.floor:
+            return np.inf
+        return float(0.5 * np.add.reduce(np.square(r)))
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        self._flush()
+        return np.concatenate(self.values), np.concatenate(self.distances)
+
+    def _flush(self) -> None:
+        j = self.j
+        self.values.append(
+            0.5 * np.add.reduce(np.square(self.rs[1:j + 1]), axis=-1))
+        self.distances.append(
+            0.5 * np.add.reduce(np.square(self.ads[:j]), axis=-1))
+        self.rs[0], self.j = self.rs[j], 0
 
 
 @dataclass(frozen=True, eq=False)

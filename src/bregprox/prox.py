@@ -41,18 +41,33 @@ def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
 def simplex_projection(z: Vector) -> Vector:
     """Euclidean projection onto {x : sum x_i = 1, x >= 0} by sort-and-threshold."""
     z = np.asarray(z, dtype=float)
-    ks = np.arange(1, z.size + 1)
-    # Entries that dwarf 1 (z = [1e17, 0, -3]) round the 1 out of the cumsum
-    # and empty the mask; the projection is shift-invariant, so retry (only
-    # then, so other inputs keep their exact result) from max(z) = 0.
-    for shift in (0.0, np.max(z)):
-        u = np.sort(z - shift)[::-1]
-        css = np.cumsum(u) - 1.0
-        above = u - css / ks > 0
-        if above.any():
-            rho = ks[above][-1]
-            return np.maximum(z - shift - css[rho - 1] / rho, 0.0)
-    raise NumericalFailure("cannot project a non-finite point onto the simplex")
+    ks = np.arange(1.0, z.size + 1.0)
+    theta = _simplex_threshold(z, ks)
+    if theta is None:
+        # Entries that dwarf 1 (z = [1e17, 0, -3]) round the 1 out of the
+        # cumsum and leave no index; the projection is shift-invariant, so
+        # retry (only then, so other inputs keep their exact result) from
+        # max(z) = 0.
+        z = z - np.max(z)
+        theta = _simplex_threshold(z, ks)
+        if theta is None:
+            raise NumericalFailure(
+                "cannot project a non-finite point onto the simplex")
+    x = z - theta
+    return np.maximum(x, 0.0, out=x)
+
+
+def _simplex_threshold(z: Vector, ks: Vector):
+    """css_rho / rho at the last rho with u_rho - css_rho / rho > 0, u the
+    entries of z in decreasing order and css their cumulative sums less 1;
+    None where no rho has it."""
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u)
+    css -= 1.0
+    # with subnormals, fl(a - b) > 0 exactly where a > b
+    above = u > css / ks
+    last = ks.size - 1 - np.argmax(above[::-1])
+    return css[last] / ks[last] if above[last] else None
 
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
@@ -74,15 +89,15 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     y = np.asarray(y, dtype=float)
-    y_min = y.min()
+    y_min = np.minimum.reduce(y)
     if y_min < 0.0:
         raise DomainError("mirror step undefined for negative components")
     x = -eta * np.asarray(v, dtype=float)
     if not y_min > 0.0:
         x = np.where(y > 0.0, x, -np.inf)
-    x -= x.max()
+    x -= np.maximum.reduce(x)
     np.multiply(np.exp(x, out=x), y, out=x)  # y exp(x - max x), in place
-    x /= x.sum()
+    x /= np.add.reduce(x)
     # subnormal entries weigh nothing in any sum, but as operands they make
     # every later matvec several times slower; they become exact zeros,
     # which stay zero

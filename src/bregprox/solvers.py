@@ -19,7 +19,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance, composite_generator
 from .errors import ContractViolation, SolverFailure
-from .functions import (CompositeProblem, Vector, blocks,
+from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector, blocks,
                         evaluate_composite, sample_feasible)
 from .prox import ProxMap
 
@@ -33,13 +33,6 @@ logger = logging.getLogger(__name__)
 # t = x_i / y_i - 1, and to series precision for |t| < 1e-3 (see
 # kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
-
-# Nothing in the iteration reads g(x_k), nor d_hk under a constant step, so
-# run_solver completes both after the steps, with one stacked call per block
-# of steps, which gives the bits of one call per step.  A block holds at most
-# FLUSH_ENTRIES iterate entries (64 kB), so its memory does not grow with n:
-# 81 rows at n = 100, 8 at n = 1000.
-FLUSH_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -124,9 +117,10 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     default each accepted iterate costs one gradient and one value of f,
     however many candidates the line search tries, and each candidate one
     distance; least squares carries its residual instead, so a step makes
-    one pass over A for the gradient and one per candidate.  The loop keeps
-    f, not F = f + g, and under a constant step D_f, not d_hk; both are
-    completed after it in blocks, one stacked g and D_H call each (see
+    one pass over A for the gradient and one per candidate, and f and D_f
+    come in blocks.  The loop reads D_f only under line search and f only
+    for the early stop; g, and under a constant step d_hk, are completed
+    after it in blocks too, one stacked g and D_H call each (see
     FLUSH_ENTRIES).
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
@@ -148,38 +142,43 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 "certificates may not hold", cfg.eta0, gamma,
             )
     early_stop = cfg.tolerance > 0 and p.optimum_oracle is not None
+    if early_stop:
+        f_star, tol = p.optimum_oracle[1], cfg.tolerance
 
     start = time.perf_counter()
     n, block_rows = x.size, max(1, FLUSH_ENTRIES // x.size)
     # the rows double in place by realloc, which copies no page of a large
     # buffer, and build() trims them; no view of xs exists until then
     xs = np.array([x])
-    # f, eta, backtracks, D_f or d_hk, and ms of each step
-    steps = [(obj0, cfg.eta0, 0, 0.0, 0.0)]
+    # eta, backtracks, d_hk under line search, and ms of each step
+    steps = [(cfg.eta0, 0, 0.0, 0.0)]
 
     def build() -> IterationTrace:
+        f, d_f = smooth.columns()
         xs.resize((len(steps), n), refcheck=False)
-        objective, etas, bts, d_hk, ms = map(np.array, zip(*steps))
+        etas, bts, d_hk, ms = map(np.array, zip(*steps))
+        objective = np.concatenate(([obj0], f))
         for lo in range(1, len(steps), block_rows):
             hi = min(lo + block_rows, len(steps))
             # f + 0.0 keeps f's bits, and a stacked g equals its row calls
             objective[lo:hi] += p.g.value(xs[lo:hi])
             if not cfg.line_search_enabled:
                 d_hk[lo:hi] = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) \
-                    / cfg.eta0 - d_hk[lo:hi]
+                    / cfg.eta0 - d_f[lo - 1:hi - 1]
         return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg)
 
-    eta = cfg.eta0
+    eta, d = cfg.eta0, 0.0
     smooth = p.f.stepper(x)
     for k in range(1, cfg.max_iters + 1):
         v = smooth.grad()
         backtracks = 0
         while True:
             cand = pm.solve(v, x, eta)
-            d = d_f = smooth.distance(cand)
+            smooth.propose(cand)
             if not cfg.line_search_enabled:
                 break
             d_H = H.distance(cand, x) / eta
+            d_f = smooth.distance()
             d = d_H - d_f
             if d >= -ACCEPT_TOL * (d_H + d_f):
                 break
@@ -191,17 +190,18 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 )
             eta *= cfg.alpha
         x = cand
-        f_k = smooth.accept()
+        smooth.accept()
         if k == len(xs):
             xs.resize((min(2 * k, cfg.max_iters + 1), n), refcheck=False)
         xs[k] = x
-        steps.append((f_k, eta, backtracks, d,
+        steps.append((eta, backtracks, d,
                       (time.perf_counter() - start) * 1e3))
         # every nonsmooth kind is >= 0, so F = f + g meets the tolerance only
         # where f does; g is evaluated there alone
-        if early_stop and f_k - p.optimum_oracle[1] <= cfg.tolerance \
-                and f_k + p.g.value(x) - p.optimum_oracle[1] <= cfg.tolerance:
-            break
+        if early_stop:
+            f_k = smooth.value(f_star, tol)
+            if f_k - f_star <= tol and f_k + p.g.value(x) - f_star <= tol:
+                break
     return build()
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bregprox import (
     DomainError,
@@ -60,6 +60,81 @@ def simplex_rows(r, rows, n, zeros=False):
         x = np.where(mask, 0.0, x)
         x /= np.sum(x, axis=-1, keepdims=True)
     return x
+
+
+def reference_kl_divergence(x, y):
+    """kl_divergence as it was before its fast paths: the bits it must
+    keep."""
+    s = x > 0.0
+    xs, ys = np.where(s, x, 1.0), np.where(s, y, 1.0)
+    d = xs - ys
+    t = d / ys
+    log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
+                         np.log(xs / ys))
+    term = xs * log_ratio - d
+    near = np.abs(t) < 1e-3
+    tn = t[near]
+    term[near] = ys[near] * tn * tn * (0.5 + tn * (-1 / 6 + tn * (
+        1 / 12 + tn * (-1 / 20 + tn / 30))))
+    r = np.where(s, term, y).sum(axis=-1)
+    return r if r.ndim else float(r)
+
+
+KL_KINDS = ["random", "some_near", "all_near", "far_below", "zeros"]
+
+
+def kl_input(r, shape, kind):
+    """(x, y) with y > 0 and x >= 0 of ``shape``: random simplex points, ties
+    |t| < 1e-3 (t = x / y - 1) in part or everywhere, t <= -0.5 in part,
+    or exact zeros in x."""
+    y = r.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    t = r.uniform(-0.9, 2.0, size=shape)
+    if kind == "random":
+        x = r.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        return x, y
+    if kind in ("some_near", "all_near"):
+        near = r.random(shape) < (0.5 if kind == "some_near" else 2.0)
+        t = np.where(near, r.uniform(-1e-3, 1e-3, size=shape)
+                     * 10.0 ** r.integers(-12, 1, size=shape), t)
+    elif kind == "far_below":
+        t = np.where(r.random(shape) < 0.3, -1.0 + 10.0 ** r.uniform(
+            -12, np.log10(0.5), size=shape), t)
+    x = y * (1.0 + t)
+    if kind == "zeros":
+        x[r.random(shape) < 0.3] = 0.0
+    return x, y
+
+
+class TestKlBits:
+    """kl_divergence's fast paths change no output bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           rows=st.integers(0, 6), kind=st.sampled_from(KL_KINDS),
+           layout=st.sampled_from(["same", "stack_vector", "vector_stack"]))
+    @example(seed=0, n=100, rows=0, kind="all_near", layout="same")
+    @example(seed=1, n=6, rows=6, kind="far_below", layout="stack_vector")
+    def test_kl_divergence_keeps_its_bits(self, seed, n, rows, kind, layout):
+        # rows 0 is a vector; a stack is (rows, n), compared with a vector y
+        # (as prox_objective calls it) or a vector x with a stack y
+        r = rng(seed)
+        x, y = kl_input(r, (rows, n) if rows else (n,), kind)
+        if rows and layout == "stack_vector":
+            y = y[0]
+        elif rows and layout == "vector_stack":
+            x = x[0]
+        got = np.asarray(kl_divergence(x, y))
+        want = np.asarray(reference_kl_divergence(x, y))
+        assert type(kl_divergence(x, y)) is type(reference_kl_divergence(x, y))
+        assert got.tobytes() == want.tobytes()
+
+    def test_zeros_of_y_under_zeros_of_x_keep_their_bits(self):
+        # mirror iterates hold exact zeros that stay zero, so a distance
+        # between two of them meets x = y = 0 entries
+        x = np.array([0.5, 0.0, 0.5, 0.0])
+        y = np.array([0.25, 0.0, 0.75, 0.0])
+        assert kl_divergence(x, y) == reference_kl_divergence(x, y)
+        assert kl_divergence(y, y) == reference_kl_divergence(y, y) == 0.0
 
 
 class TestStacks:

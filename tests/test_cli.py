@@ -318,3 +318,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             run([])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run-simplex", "--seed", "-1"],
+        ["certify", "--seed", "-5"],
+        ["run-lasso", "--seed", "-1"],
+        ["verify-identities", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, capsys):
+        # a negative seed used to end in a traceback from np.random.Philox;
+        # it is rejected while the arguments are parsed, before any work
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if argv[0] == "run-simplex" else []
+        with pytest.raises(SystemExit) as exc_info:
+            run(argv + extra)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"{argv[0]}: error: argument --seed: must be a nonnegative "
+            f"integer, got {argv[2]}\n")
+        assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bregprox import (
     CompositeProblem,
@@ -17,6 +18,8 @@ from bregprox import (
     simplex_indicator,
     zero_function,
 )
+from bregprox.functions import (SIMPLEX_INTERIOR_MIN, SIMPLEX_MEMBER_MIN,
+                                on_simplex)
 
 
 def rng(seed=0):
@@ -72,6 +75,40 @@ class TestEvaluateComposite:
             evaluate_composite(p, np.zeros((4, 3)))
         with pytest.raises(ContractViolation):
             evaluate_composite(p, np.zeros((2, 2, 2)))
+
+
+class TestDomainMembership:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+           n=st.integers(1, 8), faults=st.sets(st.sampled_from(
+               ["boundary", "negative", "off_sum", "nan", "tiny"])))
+    def test_whole_stack_min_gives_the_row_verdict(self, seed, rows, n,
+                                                   faults):
+        # the stack is inside when every row is: one min over the whole
+        # stack must decide as the per-row test does, NaN rows included
+        r = rng(seed)
+        x = r.dirichlet(np.ones(n), size=rows)
+        picks = [r.integers(rows, size=r.integers(1, 3)) if rows else []
+                 for _ in faults]
+        for fault, at in zip(sorted(faults), picks):
+            j = r.integers(n)
+            if fault == "boundary":
+                x[at, j] = 0.0
+            elif fault == "negative":
+                x[at, j] = -10.0 ** r.uniform(-14, -1)
+            elif fault == "off_sum":
+                x[at, j] += 10.0 ** r.uniform(-10, -1)
+            elif fault == "nan":
+                x[at, j] = np.nan
+            else:
+                x[at, j] = 1e-310
+        domain = probability_simplex(n)
+        assert domain.member(x) == bool(
+            on_simplex(x, SIMPLEX_MEMBER_MIN).all())
+        assert domain.interior(x) == bool(
+            on_simplex(x, SIMPLEX_INTERIOR_MIN).all())
+        for row in x:
+            assert domain.member(row) == bool(on_simplex(row))
 
 
 class TestSimplexIndicator:

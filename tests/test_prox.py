@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bregprox import (
     CompositeProblem,
@@ -27,7 +27,7 @@ from bregprox import (
     zero_term,
 )
 from bregprox.functions import sample_feasible
-from bregprox.prox import _REGISTRY, prox_objective
+from bregprox.prox import _REGISTRY, SMALLEST_NORMAL, prox_objective
 
 
 def rng(seed=0):
@@ -180,6 +180,118 @@ class TestEntropicUpdate:
     def test_negative_y_rejected(self):
         with pytest.raises(DomainError):
             entropic_update(np.zeros(2), np.array([1.1, -0.1]), 1.0)
+
+
+def reference_simplex_projection(z):
+    """simplex_projection as it was before its fast paths: the bits it
+    must keep."""
+    z = np.asarray(z, dtype=float)
+    ks = np.arange(1, z.size + 1)
+    for shift in (0.0, np.max(z)):
+        u = np.sort(z - shift)[::-1]
+        css = np.cumsum(u) - 1.0
+        above = u - css / ks > 0
+        if above.any():
+            rho = ks[above][-1]
+            return np.maximum(z - shift - css[rho - 1] / rho, 0.0)
+    raise NumericalFailure("cannot project a non-finite point onto the simplex")
+
+
+def reference_entropic_update(v, y, eta):
+    """entropic_update as it was before its fast paths: the bits it must
+    keep."""
+    y = np.asarray(y, dtype=float)
+    y_min = y.min()
+    if y_min < 0.0:
+        raise DomainError("mirror step undefined for negative components")
+    x = -eta * np.asarray(v, dtype=float)
+    if not y_min > 0.0:
+        x = np.where(y > 0.0, x, -np.inf)
+    x -= x.max()
+    np.multiply(np.exp(x, out=x), y, out=x)
+    x /= x.sum()
+    x[x < SMALLEST_NORMAL] = 0.0
+    return x
+
+
+def nudged(r, z, ulps):
+    """z with each entry moved by up to ``ulps`` units in the last place."""
+    return z + r.integers(-ulps, ulps + 1, size=z.shape) * np.spacing(z)
+
+
+PROJECTION_KINDS = ["normal", "some_ties", "all_ties", "on_simplex",
+                    "huge"]
+
+
+def projection_input(r, n, kind):
+    z = r.standard_normal(n) * 10.0 ** r.integers(-6, 7)
+    if kind == "some_ties":
+        # entries equal to, or a few ulps from, other entries
+        tied = r.random(n) < 0.5
+        z[tied] = nudged(r, z[r.integers(n, size=np.count_nonzero(tied))],
+                         3)
+    elif kind == "all_ties":
+        z = nudged(r, np.full(n, r.standard_normal()), 2)
+    elif kind == "on_simplex":
+        # a point of the simplex with exact zeros, shifted: the threshold
+        # ties with the zero entries up to the rounding of the cumsum
+        x = r.dirichlet(np.ones(n))
+        x[r.random(n) < 0.3] = 0.0
+        if x.sum() == 0.0:
+            x[0] = 1.0
+        z = x / x.sum() + r.choice([0.0, 1.0, -3.5, 1e3])
+    elif kind == "huge":
+        z *= 1e17
+    return z
+
+
+class TestKernelBits:
+    """The kernels' fast paths change no output bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           kind=st.sampled_from(PROJECTION_KINDS))
+    def test_simplex_projection_keeps_its_bits(self, seed, n, kind):
+        z = projection_input(rng(seed), n, kind)
+        got = simplex_projection(z)
+        assert got.tobytes() == reference_simplex_projection(z).tobytes()
+
+    @pytest.mark.parametrize("z", [[1e17, 0.0, -3.0], [1e300, -1e300, 0.0],
+                                   [0.5, 0.5], [2.0], [-0.0, 0.0, 1.0]])
+    def test_simplex_projection_keeps_its_bits_at_edges(self, z):
+        z = np.array(z)
+        got = simplex_projection(z)
+        assert got.tobytes() == reference_simplex_projection(z).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("z", [[np.nan, 0.0, 1.0], [np.inf, 0.0],
+                                   [-np.inf, 1.0, np.inf]])
+    def test_non_finite_projection_still_raises(self, z):
+        with pytest.raises(NumericalFailure):
+            reference_simplex_projection(np.array(z))
+        with pytest.raises(NumericalFailure):
+            simplex_projection(np.array(z))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           zeros=st.booleans(), log_eta=st.floats(-3.0, 4.0),
+           tiny=st.booleans())
+    @example(seed=0, n=100, zeros=False, log_eta=0.0, tiny=True)
+    def test_entropic_update_keeps_its_bits(self, seed, n, zeros, log_eta,
+                                            tiny):
+        r = rng(seed)
+        y = r.dirichlet(np.ones(n))
+        if zeros:
+            y[r.random(n) < 0.3] = 0.0
+            if y.max() == 0.0:
+                y[0] = 1.0
+        if tiny:
+            # entries that come out subnormal and must become zeros
+            y[r.random(n) < 0.3] = 1e-310
+        v = r.standard_normal(n) * 10.0 ** r.integers(-2, 3)
+        got = entropic_update(v, y, 10.0 ** log_eta)
+        want = reference_entropic_update(v, y, 10.0 ** log_eta)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestProxMapRegistry:

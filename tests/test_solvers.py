@@ -32,7 +32,7 @@ from bregprox import (
 )
 from bregprox import solvers
 from bregprox.experiments import build_simplex_ls
-from bregprox.functions import NONSMOOTH_VALUES
+from bregprox.functions import NONSMOOTH_VALUES, ResidualStepper
 from bregprox.prox import prox_objective
 
 
@@ -324,6 +324,13 @@ class TestRunSolver:
                 passes.append(1)
                 return np.asarray(self) @ other
 
+            # np.matmul(A, d, out=...) reaches the matrix as a ufunc, not
+            # through __matmul__
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is np.matmul and method == "__call__"
+                passes.append(1)
+                return ufunc(*(np.asarray(a) for a in inputs), **kwargs)
+
         def counted(oracle, cost):
             def wrapper(*args):
                 passes.extend([1] * cost)
@@ -390,6 +397,97 @@ class TestRunSolver:
         for prev, rec in zip(trace.records, trace.records[1:]):
             assert rec.d_hk_value == (base.distance(rec.x, prev.x) / eta
                                       - p.f.distance(rec.x, prev.x))
+
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_blocked_f_and_d_f_keep_the_bits_of_row_calls(self, H_kind,
+                                                          line_search):
+        # least squares reduces f and D_f once per block of steps; each must
+        # keep the bits of the row-by-row residual update it replaced
+        p = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=42))
+        A, b = p.f.A, p.f.b
+        H = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        eta = 100.0 if line_search else 1.0 / p.f.lipschitz_grad
+        steps = 2 * (solvers.FLUSH_ENTRIES // 50) + 11
+        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                           np.full(100, 0.01),
+                           SolverConfig(eta0=eta, max_iters=steps,
+                                        line_search_enabled=line_search))
+        xs = trace.xs
+        assert len(xs) == steps + 1
+        r = A @ xs[0] - b
+        for k in range(1, steps + 1):
+            Ad = A @ (xs[k] - xs[k - 1])
+            d_f = float(0.5 * np.add.reduce(np.square(Ad)))
+            r = r + Ad
+            f = float(0.5 * np.add.reduce(np.square(r)))
+            assert trace.objective[k] == f + p.g.value(xs[k])
+            assert trace.d_hk[k] == H.distance(xs[k], xs[k - 1]) \
+                / trace.eta[k] - d_f
+
+    @pytest.mark.parametrize("worst_dot", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 7, 50, 500])
+    def test_early_stop_bound_skips_no_step_that_stops(self, m, worst_dot,
+                                                      monkeypatch):
+        # the stepper skips the exact f where r . r / 2 exceeds
+        # (F* + tol)(1 + 4 m eps) + m tiny; with f a few ulps on either side
+        # of F* + tol, it must stop exactly where fl(f - F*) <= tol does.
+        # worst_dot stands in for r . r the largest value that its rounding
+        # allows, as another summation order or FMA could give: within
+        # gamma_m of ||r||^2, each square off by up to one subnormal spacing
+        if worst_dot:
+            u = np.finfo(float).eps / 2
+            gamma = m * u / (1 - m * u)
+
+            def dot(a, b):
+                two_f = float(np.add.reduce(np.square(a)))
+                return (two_f + m * 2.0 ** -1074) * (1 + gamma) \
+                    / (1 - gamma) + m * 2.0 ** -1074
+
+            monkeypatch.setattr(np, "dot", dot)
+        r = rng(m)
+        for trial in range(300):
+            # a third of the residuals have squares that underflow
+            exponent = r.uniform(-162, -154) if trial % 3 == 0 \
+                else r.uniform(-150, 150)
+            res = r.standard_normal(m) * 10.0 ** exponent
+            f = float(0.5 * np.add.reduce(np.square(res)))
+            f_star = f * r.choice([0.0, r.uniform(0.0, 1.0), 1.0])
+            base = f - f_star
+            for ulps in range(-4, 5):
+                tol = base + ulps * np.spacing(base)
+                if tol < 0.0:
+                    continue
+                # A = 0, x0 = 0 and b = -res carry the residual res exactly
+                stepper = ResidualStepper(np.zeros((m, 1)), -res,
+                                          np.zeros(1))
+                got = stepper.value(f_star, tol)
+                assert (got - f_star <= tol) == (f - f_star <= tol)
+                assert got == f or got == np.inf
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_early_stop_is_the_exact_test_on_the_trace(self, H_kind):
+        # a tolerance that the trace's f meets at step k with no slack at
+        # all must stop the run at step k, neither earlier nor later
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=3))
+        H = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        pm = make_prox_map("simplex", H_kind)
+        cfg = SolverConfig(eta0=1.0 / base.f.lipschitz_grad, max_iters=400)
+        full = run_solver(base, H, pm, np.full(100, 0.01), cfg)
+        f_star = float(np.min(full.objective)) * (1.0 - 1e-9)
+        p = dataclasses.replace(base, optimum_oracle=(None, f_star))
+        for k in (7, 150, 399):
+            tol = full.objective[k] - f_star
+            first = int(np.argmax(full.objective - f_star <= tol))
+            stopped = run_solver(p, H, pm, np.full(100, 0.01),
+                                 dataclasses.replace(cfg, tolerance=tol))
+            assert len(stopped.objective) - 1 == first <= k
+            assert stopped.objective.tobytes() == \
+                full.objective[:first + 1].tobytes()
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_exhausted_line_search_keeps_every_accepted_record(self, H_kind):
