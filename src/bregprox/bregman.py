@@ -39,27 +39,17 @@ from .functions import (
 @dataclass(frozen=True, eq=False)
 class BregmanGenerator:
     """Convex generator: value on the closed domain, gradient on its interior,
-    and the closed form of the distance D_h it induces.
-
-    ``strong_convexity`` is the modulus sigma (0 means unknown/none) in the
-    l2 norm, the norm of the hypothesis sigma >= eta L with L the smooth
-    term's gradient-Lipschitz constant.  Negative entropy has sigma = 1 in
-    l2 on the simplex, where its Hessian diag(1/x_i) dominates the identity
-    because every x_i <= 1.
-    """
+    and the closed form of the distance D_h it induces."""
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     distance: Callable[[Vector, Vector], float]
     domain: DomainDescriptor
-    strong_convexity: float
     kind: str  # "quadratic" | "entropy" | "composite"
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "entropy", "composite"):
             raise ContractViolation(f"unknown generator kind {self.kind!r}")
-        if self.strong_convexity < 0:
-            raise ContractViolation("strong_convexity must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,6 @@ def squared_euclidean(n: int) -> BregmanGenerator:
         grad=lambda x: np.asarray(x, dtype=float).copy(),
         distance=half_squared_distance,
         domain=euclidean_space(n),
-        strong_convexity=1.0,
         kind="quadratic",
     )
 
@@ -146,10 +135,7 @@ def negative_entropy(n: int) -> BregmanGenerator:
     """H(x) = sum x_i ln x_i on the simplex, with 0 ln 0 = 0.
 
     The value oracle is finite on the whole closed simplex; the gradient
-    (1 + ln x_i) exists only at strictly positive points.  sigma = 1 holds
-    in l2: on the simplex every x_i <= 1, so the Hessian diag(1/x_i)
-    dominates the identity.  Pinsker's modulus 1 in l1 gives the same,
-    since ||v||_1 >= ||v||_2.
+    (1 + ln x_i) exists only at strictly positive points.
     """
     dom = probability_simplex(n)
 
@@ -173,7 +159,6 @@ def negative_entropy(n: int) -> BregmanGenerator:
         grad=grad,
         distance=kl_divergence,
         domain=dom,
-        strong_convexity=1.0,
         kind="entropy",
     )
 
@@ -199,30 +184,33 @@ def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
                    - np.sum((x - y) * h.grad(y), axis=-1))
 
 
-def composite_generator(H: BregmanGenerator, f: SmoothFunction, eta: float,
-                        unchecked: bool = False) -> BregmanGenerator:
+def composite_generator(H: BregmanGenerator, f: SmoothFunction,
+                        eta: float) -> BregmanGenerator:
     """Generator h = (1/eta) H - f, with distance D_H / eta - D_f.
 
-    Convexity of the result needs sigma >= eta * L where L is the Lipschitz
-    constant of grad f; violated hypotheses raise unless ``unchecked`` is
-    set (negative testing, line-search probing above 1/L).
+    Convexity of the result needs sigma >= eta * L, where sigma is the
+    modulus of strong convexity of H in l2 and L the Lipschitz constant of
+    grad f; a violated hypothesis raises.  The kind of H fixes sigma:
+    1/2 ||x||^2 has sigma = 1, and so has negative entropy on the simplex,
+    where every x_i <= 1 and its Hessian diag(1/x_i) dominates the identity
+    (Pinsker's modulus 1 in l1 gives the same, since ||v||_1 >= ||v||_2).
+    A composite H has none.
     """
     if eta <= 0:
         raise ContractViolation("eta must be positive")
     if f.distance is None:
         raise ContractViolation("the smooth term has no closed-form distance")
-    if not unchecked:
-        if H.strong_convexity <= 0:
-            raise HypothesisViolation("H must be strongly convex")
-        if f.lipschitz_grad is None:
-            raise HypothesisViolation(
-                "gradient Lipschitz constant of f is required"
-            )
-        if H.strong_convexity < eta * f.lipschitz_grad - 1e-12:
-            raise HypothesisViolation(
-                f"sigma = {H.strong_convexity} < eta * L = "
-                f"{eta * f.lipschitz_grad}; composite generator not convex"
-            )
+    if H.kind == "composite":
+        raise HypothesisViolation("H must be strongly convex")
+    if f.lipschitz_grad is None:
+        raise HypothesisViolation(
+            "gradient Lipschitz constant of f is required"
+        )
+    if 1.0 < eta * f.lipschitz_grad - 1e-12:
+        raise HypothesisViolation(
+            f"sigma = 1.0 < eta * L = {eta * f.lipschitz_grad}; "
+            "composite generator not convex"
+        )
     return BregmanGenerator(
         value=lambda x, H=H, f=f, eta=eta: H.value(x) / eta - f.value(x),
         grad=lambda x, H=H, f=f, eta=eta: np.asarray(H.grad(x)) / eta
@@ -230,7 +218,6 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction, eta: float,
         distance=lambda x, y, H=H, f=f, eta=eta: H.distance(x, y) / eta
         - f.distance(x, y),
         domain=H.domain,
-        strong_convexity=0.0,
         kind="composite",
     )
 
@@ -304,7 +291,7 @@ def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
 
 
 def _bounded_level_sets(h: BregmanGenerator, rng) -> bool:
-    if h.domain.bounded():
+    if h.domain.kind == "simplex":
         return True
     n = h.domain.ambient_dimension
     y = sample_feasible(h.domain.kind, n, rng)

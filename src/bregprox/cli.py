@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BregProxError
+from .errors import BregProxError, ContractViolation
 from .experiments import (
     VARIANTS,
     ExperimentSpec,
@@ -51,14 +51,12 @@ def _fmt(x: float) -> str:
 
 def _write_variant_csv(path: Path, trace, f_star: float, cert, gamma: float,
                        x_star, x0, timing: bool) -> None:
-    # the classical bound ||x* - x0||^2 / (2 gamma k) in the expression, and
-    # so the bits, of rates.classical_pga_bound
-    diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
     k = np.arange(len(trace.objective))
     columns = (
         k, trace.objective, trace.objective - f_star, trace.eta,
         trace.backtracks, trace.d_hk,
-        np.concatenate(([np.inf], np.dot(diff, diff) / (2.0 * gamma * k[1:]))),
+        np.concatenate(([np.inf],
+                        classical_pga_bound(gamma, x_star, x0, k[1:]))),
         np.concatenate(([np.inf], cert.constant / cert.weight_sums)),
         trace.elapsed_ms if timing else np.zeros(k.size))
     with path.open("w", newline="\n") as fh:
@@ -140,6 +138,9 @@ def cmd_run_simplex(args) -> int:
 
 
 def cmd_run_lasso(args) -> int:
+    if args.dim < 1:
+        # before any draw: numpy rejects a negative size with a ValueError
+        raise ContractViolation("dimension must be positive")
     rng = np.random.Generator(np.random.Philox(args.seed))
     b = rng.standard_normal(args.dim)
     p = build_lasso_onestep(args.gamma, b)

@@ -29,10 +29,8 @@ from .functions import (
     estimate_spectral_norm,
     l1_norm,
     least_squares,
-    probability_simplex,
     shifted_quadratic,
     simplex_indicator,
-    euclidean_space,
 )
 from .prox import make_prox_map
 from .rates import RateCertificate, certify_trace
@@ -98,12 +96,7 @@ def build_simplex_ls(spec: ExperimentSpec) -> CompositeProblem:
     A /= np.linalg.norm(A, axis=0)
     b /= np.linalg.norm(b)
     f = least_squares(A, b, lipschitz=estimate_spectral_norm(A))
-    return CompositeProblem(
-        f=f,
-        g=simplex_indicator(spec.n),
-        domain=probability_simplex(spec.n),
-        problem_id=f"{spec.name}_{spec.m}x{spec.n}_seed{spec.seed}",
-    )
+    return CompositeProblem(f=f, g=simplex_indicator(spec.n))
 
 
 def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
@@ -114,13 +107,7 @@ def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
     f = shifted_quadratic(b, gamma)
     x_star = np.sign(b) * np.maximum(np.abs(b) - gamma, 0.0)
     f_star = f.value(x_star) + float(np.sum(np.abs(x_star)))
-    return CompositeProblem(
-        f=f,
-        g=l1_norm(),
-        domain=euclidean_space(b.size),
-        optimum_oracle=(x_star, f_star),
-        problem_id=f"lasso_onestep_n{b.size}",
-    )
+    return CompositeProblem(f=f, g=l1_norm(), optimum_oracle=(x_star, f_star))
 
 
 # The reference stops once the Frank-Wolfe gap certifies
@@ -237,10 +224,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # recomputed from the problem's own gradient oracle, as a check on x*
     # that does not rest on the reference run's corral arithmetic
     reference_gap = frank_wolfe_gap(f.grad(x_star), x_star)
-    problem = CompositeProblem(
-        f=f, g=base.g, domain=base.domain,
-        optimum_oracle=(x_star, f_star), problem_id=base.problem_id,
-    )
+    problem = CompositeProblem(f=f, g=base.g, optimum_oracle=(x_star, f_star))
     x0 = np.full(spec.n, 1.0 / spec.n)
     tol = 1e-6 * (1.0 + abs(f_star))
 

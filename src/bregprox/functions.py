@@ -10,7 +10,7 @@ Values and distances take a vector (giving a float) or a (rows, n) stack
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -108,9 +108,6 @@ class DomainDescriptor:
             np.minimum.reduce(x, axis=None, initial=np.inf) >= floor
             and (abs(np.add.reduce(x, axis=-1) - 1.0)
                  <= SIMPLEX_SUM_TOL).all())
-
-    def bounded(self) -> bool:
-        return self.kind == "simplex"
 
 
 def euclidean_space(n: int) -> DomainDescriptor:
@@ -297,23 +294,16 @@ class NonsmoothTerm:
 
 @dataclass(frozen=True, eq=False)
 class CompositeProblem:
-    """Composite objective F = f + g over a feasible domain.
+    """Composite objective F = f + g; g states the feasible set.
 
-    ``optimum_oracle`` is an optional (x_star, F_star) reference pair, used
-    only by certificate checks.
+    ``optimum_oracle`` is an optional (x_star, F_star) reference pair, read
+    by the certificates and the early stop; it is keyword-only.
     """
 
     f: SmoothFunction
     g: NonsmoothTerm
-    domain: DomainDescriptor
-    optimum_oracle: Optional[Tuple[Vector, float]] = None
-    problem_id: str = ""
-
-    def __post_init__(self):
-        if self.f.dimension != self.domain.ambient_dimension:
-            raise ContractViolation(
-                "smooth term dimension does not match the domain"
-            )
+    optimum_oracle: Optional[Tuple[Vector, float]] = field(
+        default=None, kw_only=True)
 
 
 def zero_function(n: int) -> SmoothFunction:

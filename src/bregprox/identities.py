@@ -30,7 +30,6 @@ from .functions import (
     blocks,
     estimate_spectral_norm,
     least_squares,
-    probability_simplex,
     sample_feasible,
     simplex_indicator,
 )
@@ -95,7 +94,6 @@ def nonnegativity_suite(samples: int, seed: int,
             grad=lambda x: 2.0 * np.asarray(x, dtype=float),
             distance=hq.distance,
             domain=hq.domain,
-            strong_convexity=hq.strong_convexity,
             kind="quadratic",
         )
     he = negative_entropy(6)
@@ -115,10 +113,7 @@ def _offset_problem(seed: int) -> CompositeProblem:
     A = rng.standard_normal((8, 6))
     b = rng.standard_normal(8)
     f = least_squares(A, b, lipschitz=estimate_spectral_norm(A))
-    return CompositeProblem(
-        f=f, g=simplex_indicator(6), domain=probability_simplex(6),
-        problem_id="offset_check",
-    )
+    return CompositeProblem(f=f, g=simplex_indicator(6))
 
 
 def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
@@ -129,7 +124,7 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     n = p.f.dimension
     H = squared_euclidean(n)
     eta = 0.5 / p.f.lipschitz_grad
-    h = composite_generator(H, p.f, eta, unchecked=True)
+    h = composite_generator(H, p.f, eta)
     x_k = rng.dirichlet(np.ones(n))
     v = np.asarray(p.f.grad(x_k))
     pm = make_prox_map("simplex", "quadratic")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance
 from .errors import ConfigurationError, ContractViolation
-from .functions import CompositeProblem, Vector
+from .functions import CompositeProblem, Vector, per_row
 from .solvers import IterationTrace
 
 
@@ -52,15 +52,15 @@ class RateCertificate:
         return self.constant / self.weight_sums[k - 1]
 
 
-def classical_pga_bound(eta: float, x_star: Vector, x0: Vector,
-                        k: int) -> float:
-    """||x* - x0||^2 / (2 eta k)."""
+def classical_pga_bound(eta: float, x_star: Vector, x0: Vector, k):
+    """||x* - x0||^2 / (2 eta k) at one k (a float) or at an array of k
+    (one bound each)."""
     if eta <= 0:
         raise ContractViolation("eta must be positive")
-    if k < 1:
+    if np.any(np.less(k, 1)):
         raise ContractViolation("k must be >= 1")
     diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
-    return float(np.dot(diff, diff)) / (2.0 * eta * k)
+    return per_row(float(np.dot(diff, diff)) / (2.0 * eta * k))
 
 
 def certify_trace(p: CompositeProblem, H: BregmanGenerator,

@@ -34,13 +34,16 @@ logger = logging.getLogger(__name__)
 # kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
 
+# candidates a line-search step may reject before the run fails: at
+# alpha = 0.5, 60 halvings shrink eta by 2^-60 (about 1e-18)
+MAX_BACKTRACKS = 60
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     eta0: float
     alpha: float = 0.5
     max_iters: int = 1000
-    max_backtracks_per_iter: int = 60
     line_search_enabled: bool = False
     tolerance: float = 0.0  # early stop on gap, needs an optimum oracle
 
@@ -49,7 +52,7 @@ class SolverConfig:
             raise ContractViolation("eta0 must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ContractViolation("alpha must lie in (0, 1)")
-        if self.max_iters < 1 or self.max_backtracks_per_iter < 1:
+        if self.max_iters < 1:
             raise ContractViolation("iteration budgets must be positive")
         if self.tolerance < 0:
             raise ContractViolation("tolerance must be nonnegative")
@@ -183,7 +186,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             if d >= -ACCEPT_TOL * (d_H + d_f):
                 break
             backtracks += 1
-            if backtracks > cfg.max_backtracks_per_iter:
+            if backtracks > MAX_BACKTRACKS:
                 raise SolverFailure(
                     f"backtracking budget exhausted at iteration {k}",
                     partial_trace=build(),

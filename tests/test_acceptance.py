@@ -21,7 +21,6 @@ from bregprox import (
     classical_pga_bound,
     composite_generator,
     certify_trace,
-    euclidean_space,
     gppa_objective,
     l1_norm,
     least_squares,
@@ -102,7 +101,7 @@ def test_criterion_2_tightness_ordering():
             np.dot(x_star - x0, f.grad(x0)))
         # the certificate of a 50-step constant-step run measured against
         # x_star; its bound does not depend on the iterates
-        p = CompositeProblem(f, zero_term(), euclidean_space(n),
+        p = CompositeProblem(f, zero_term(),
                              optimum_oracle=(x_star, f.value(x_star)))
         cert = certify_trace(p, H, run_solver(
             p, H, pm, x0, SolverConfig(eta0=eta, max_iters=50)))
@@ -127,8 +126,7 @@ def test_criterion_3_certificate_validity():
         p = build_simplex_ls(spec)
         gamma = 1.0 / p.f.lipschitz_grad
         x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, iters=100_000)
-        p = CompositeProblem(p.f, p.g, p.domain,
-                             optimum_oracle=(x_star, f_star))
+        p = CompositeProblem(p.f, p.g, optimum_oracle=(x_star, f_star))
         trace = run_solver(p, H, pm, x0,
                            SolverConfig(eta0=gamma, max_iters=500))
         assert certify_trace(p, H, trace).margin >= -1e-9
@@ -160,7 +158,7 @@ def test_criterion_4_equivalence():
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
     p_q = CompositeProblem(
         f=least_squares(A, r.standard_normal(10), lipschitz=L),
-        g=l1_norm(), domain=euclidean_space(20))
+        g=l1_norm())
     pm_q = make_prox_map("l1", "quadratic")
     H_q = squared_euclidean(20)
     x0_q = r.standard_normal(20)

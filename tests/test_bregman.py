@@ -347,8 +347,24 @@ class TestCompositeGenerator:
         f = shifted_quadratic(np.zeros(2), 1.0)  # L = 1
         with pytest.raises(HypothesisViolation):
             composite_generator(squared_euclidean(2), f, eta=2.0)
-        # unchecked construction is allowed for negative testing
-        composite_generator(squared_euclidean(2), f, eta=2.0, unchecked=True)
+
+    @pytest.mark.parametrize("H", [squared_euclidean(3),
+                                   negative_entropy(3)])
+    def test_sigma_is_one_up_to_a_slack_of_1e12(self, H):
+        # both kinds have sigma = 1 in l2: eta L may reach 1 + 1e-12
+        f = shifted_quadratic(np.array([0.2, 0.3, 0.5]), 0.25)  # L = 4
+        for ratio in (1.0, 1.0 + 1e-13):
+            composite_generator(H, f, ratio / f.lipschitz_grad)
+        with pytest.raises(HypothesisViolation,
+                           match=r"^sigma = 1\.0 < eta \* L = 1\.0000000000"):
+            composite_generator(H, f, (1.0 + 1e-11) / f.lipschitz_grad)
+
+    def test_composite_H_is_not_strongly_convex(self):
+        f = shifted_quadratic(np.zeros(2), 1.0)
+        h = composite_generator(squared_euclidean(2), f, 0.5)
+        with pytest.raises(HypothesisViolation,
+                           match="^H must be strongly convex$"):
+            composite_generator(h, f, 0.5)
 
 
 class TestThreePoint:

@@ -254,6 +254,15 @@ class TestRunLasso:
         assert captured.out == ""
         assert captured.err == "error: gamma must be positive and finite\n"
 
+    @pytest.mark.parametrize("dim", ["0", "-1", "-50"])
+    def test_dimension_below_one_is_an_error(self, capsys, dim):
+        # a negative --dim used to end in a traceback from
+        # rng.standard_normal; every --dim < 1 is rejected before any draw
+        assert run(["run-lasso", "--dim", dim]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension must be positive\n"
+
 
 class TestCertify:
     def test_small_instance(self):

@@ -9,8 +9,8 @@ from bregprox import (
     SmoothFunction,
     check_gradient,
     estimate_spectral_norm,
-    evaluate_composite,
     euclidean_space,
+    evaluate_composite,
     l1_norm,
     least_squares,
     probability_simplex,
@@ -37,18 +37,16 @@ def half_sq_norm(n):
 
 class TestEvaluateComposite:
     def test_both_terms_vanish_at_origin(self):
-        p = CompositeProblem(half_sq_norm(2), l1_norm(), euclidean_space(2))
+        p = CompositeProblem(half_sq_norm(2), l1_norm())
         assert evaluate_composite(p, np.zeros(2)) == 0.0
 
     def test_smooth_term_zero_at_b(self):
         p = CompositeProblem(
-            shifted_quadratic(np.array([1.0, 0.0]), 1.0),
-            l1_norm(), euclidean_space(2))
+            shifted_quadratic(np.array([1.0, 0.0]), 1.0), l1_norm())
         assert evaluate_composite(p, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_indicator_outside_simplex_is_inf(self):
-        p = CompositeProblem(half_sq_norm(3), simplex_indicator(3),
-                             probability_simplex(3))
+        p = CompositeProblem(half_sq_norm(3), simplex_indicator(3))
         assert evaluate_composite(p, np.array([1.0, 1.0, 1.0])) == np.inf
 
     def test_matches_naive_reconstruction(self):
@@ -61,14 +59,20 @@ class TestEvaluateComposite:
             grad=lambda x: Q @ x,
             dimension=5,
         )
-        p = CompositeProblem(f, simplex_indicator(5), probability_simplex(5))
+        p = CompositeProblem(f, simplex_indicator(5))
         x = r.dirichlet(np.ones(5))
         naive = 0.5 * sum(Q[i, j] * x[i] * x[j]
                           for i in range(5) for j in range(5))
         assert evaluate_composite(p, x) == pytest.approx(naive, rel=1e-12)
 
+    def test_positional_oracle_rejected(self):
+        # the oracle is keyword-only: a third positional argument, as the
+        # removed domain once was, must not become the reference optimum
+        with pytest.raises(TypeError):
+            CompositeProblem(half_sq_norm(2), l1_norm(), euclidean_space(2))
+
     def test_dimension_mismatch(self):
-        p = CompositeProblem(half_sq_norm(2), l1_norm(), euclidean_space(2))
+        p = CompositeProblem(half_sq_norm(2), l1_norm())
         with pytest.raises(ContractViolation):
             evaluate_composite(p, np.zeros(3))
         with pytest.raises(ContractViolation):

@@ -11,7 +11,6 @@ from bregprox import (
     NumericalFailure,
     composite_generator,
     entropic_update,
-    euclidean_space,
     evaluate_composite,
     gppa_objective,
     l1_norm,
@@ -374,12 +373,13 @@ class TestStacks:
             # F and the proximal-point objective on the same stack
             g = {"l1": l1_norm(), "simplex": simplex_indicator(n),
                  "zero": zero_term()}[g_kind]
+            # gamma >= eta keeps h = (1/eta) H - f convex
             p = CompositeProblem(
-                shifted_quadratic(r.standard_normal(n), r.uniform(0.1, 2.0)),
-                g, euclidean_space(n))
+                shifted_quadratic(r.standard_normal(n),
+                                  eta * r.uniform(1.0, 2.0)), g)
             H = squared_euclidean(n) if H_kind == "quadratic" \
                 else negative_entropy(n)
-            h = composite_generator(H, p.f, eta, unchecked=True)
+            h = composite_generator(H, p.f, eta)
             if g_kind == "simplex":
                 # D_h of an entropy H needs every row on the simplex
                 z /= np.sum(z, axis=-1, keepdims=True)

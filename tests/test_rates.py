@@ -4,6 +4,7 @@ import pytest
 from bregprox import (
     CompositeProblem,
     ConfigurationError,
+    ContractViolation,
     ExperimentSpec,
     IterationTrace,
     SolverConfig,
@@ -13,7 +14,6 @@ from bregprox import (
     certify_trace,
     classical_pga_bound,
     composite_generator,
-    euclidean_space,
     least_squares,
     make_prox_map,
     negative_entropy,
@@ -34,7 +34,7 @@ def constant_step_run(f, eta, x_star, x0, k):
     """Certificate of k constant steps of size eta on f over R^n (quadratic
     generator, no nonsmooth term), measured against x_star."""
     n = x0.size
-    p = CompositeProblem(f, zero_term(), euclidean_space(n),
+    p = CompositeProblem(f, zero_term(),
                          optimum_oracle=(x_star, float(f.value(x_star))))
     H = squared_euclidean(n)
     trace = run_solver(p, H, make_prox_map("zero", "quadratic"), x0,
@@ -48,7 +48,7 @@ def simplex_instance():
     p = build_simplex_ls(ExperimentSpec(name="rates", m=20, n=40, seed=42))
     gamma = 1.0 / p.f.lipschitz_grad
     x_star, f_star = reference_simplex_ls(p.f.A, p.f.b)
-    p = CompositeProblem(p.f, p.g, p.domain, optimum_oracle=(x_star, f_star))
+    p = CompositeProblem(p.f, p.g, optimum_oracle=(x_star, f_star))
     return p, gamma
 
 
@@ -160,6 +160,21 @@ class TestClassicalBound:
         assert classical_pga_bound(1.0, np.array([1.0, 0.0]), np.zeros(2),
                                    1) == pytest.approx(0.5)
 
+    def test_array_of_k_matches_each_k(self):
+        r = rng(5)
+        x_star, x0 = r.standard_normal((2, 7))
+        k = np.arange(1, 300)
+        each = [classical_pga_bound(0.3, x_star, x0, int(i)) for i in k]
+        assert all(type(b) is float for b in each)
+        got = classical_pga_bound(0.3, x_star, x0, k)
+        assert got.tobytes() == np.array(each).tobytes()
+        assert classical_pga_bound(0.3, x_star, x0, k[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("k", [0, -1, np.array([1, 2, 0])])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractViolation, match="^k must be >= 1$"):
+            classical_pga_bound(1.0, np.ones(2), np.zeros(2), k)
+
     def test_strictly_looser_on_lasso(self):
         p = build_lasso_onestep(1.0, np.array([3.0, -2.0]))
         x_star = p.optimum_oracle[0]
@@ -267,7 +282,7 @@ class TestCertifyTrace:
         trace = run_solver(p, H, make_prox_map("l1", "quadratic"),
                            r.standard_normal(3),
                            SolverConfig(eta0=1.0, max_iters=2))
-        unreferenced = CompositeProblem(p.f, p.g, p.domain)
+        unreferenced = CompositeProblem(p.f, p.g)
         with pytest.raises(ConfigurationError):
             certify_trace(unreferenced, H, trace)
 

@@ -13,14 +13,12 @@ from bregprox import (
     SolverFailure,
     build_lasso_onestep,
     composite_generator,
-    euclidean_space,
     evaluate_composite,
     gppa_objective,
     l1_norm,
     least_squares,
     make_prox_map,
     negative_entropy,
-    probability_simplex,
     project_simplex,
     run_experiment,
     run_solver,
@@ -47,12 +45,8 @@ def simplex_ls_problem(m, n, seed):
     b = r.standard_normal(m)
     b /= np.linalg.norm(b)
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    return CompositeProblem(
-        f=least_squares(A, b, lipschitz=L),
-        g=simplex_indicator(n),
-        domain=probability_simplex(n),
-        problem_id=f"test_{m}x{n}",
-    )
+    return CompositeProblem(f=least_squares(A, b, lipschitz=L),
+                            g=simplex_indicator(n))
 
 
 def one_step(p, H, pm, x, eta):
@@ -64,7 +58,7 @@ def one_step(p, H, pm, x, eta):
 class TestSteps:
     def test_ppa_reduces_to_soft_threshold(self):
         # f = 0 turns the proximal gradient step into a pure proximal step
-        p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
+        p = CompositeProblem(zero_function(2), l1_norm())
         pm = make_prox_map("l1", "quadratic")
         got = one_step(p, squared_euclidean(2), pm,
                        np.array([3.0, -0.5]), 1.0)
@@ -81,7 +75,7 @@ class TestSteps:
         np.testing.assert_allclose(outs[0], p.optimum_oracle[0], atol=1e-12)
 
     def test_fixed_point(self):
-        p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
+        p = CompositeProblem(zero_function(2), l1_norm())
         pm = make_prox_map("l1", "quadratic")
         np.testing.assert_allclose(
             one_step(p, squared_euclidean(2), pm, np.zeros(2), 1.0),
@@ -98,7 +92,7 @@ class TestSteps:
             project_simplex(p.f.grad(x), x, eta))
 
     def test_mismatched_prox_map_rejected(self):
-        p = CompositeProblem(zero_function(2), l1_norm(), euclidean_space(2))
+        p = CompositeProblem(zero_function(2), l1_norm())
         with pytest.raises(ContractViolation):
             one_step(p, squared_euclidean(2),
                      make_prox_map("zero", "quadratic"), np.zeros(2), 1.0)
@@ -143,7 +137,7 @@ class TestGppaObjective:
         assert np.mean(diffs) == pytest.approx(want, abs=1e-10)
 
     def test_zero_smooth_term_degenerates(self):
-        p = CompositeProblem(zero_function(3), l1_norm(), euclidean_space(3))
+        p = CompositeProblem(zero_function(3), l1_norm())
         H = squared_euclidean(3)
         h = composite_generator(H, p.f, 2.0)
         r = rng(9)
@@ -166,7 +160,7 @@ class TestRunSolver:
         assert trace.records[1].objective - f_star <= 1e-10
 
     def test_ppa_on_l1_contracts_to_origin(self):
-        p = CompositeProblem(zero_function(3), l1_norm(), euclidean_space(3))
+        p = CompositeProblem(zero_function(3), l1_norm())
         pm = make_prox_map("l1", "quadratic")
         cfg = SolverConfig(eta0=0.5, max_iters=30)
         trace = run_solver(p, squared_euclidean(3), pm,
@@ -208,10 +202,10 @@ class TestRunSolver:
     def test_backtrack_budget_exhaustion_carries_partial_trace(self):
         p = simplex_ls_problem(6, 10, seed=13)
         # nonconvex acceptance is impossible to fail for eta <= gamma, so
-        # force failure with a tiny backtrack budget and huge eta0
+        # force failure with a huge eta0 that alpha = 0.99 shrinks only to
+        # about 5e5 in MAX_BACKTRACKS steps
         pm = make_prox_map("simplex", "entropy")
         cfg = SolverConfig(eta0=1e6, alpha=0.99, max_iters=10,
-                           max_backtracks_per_iter=1,
                            line_search_enabled=True)
         with pytest.raises(SolverFailure) as exc_info:
             run_solver(p, negative_entropy(10), pm, np.full(10, 0.1), cfg)
@@ -247,7 +241,7 @@ class TestRunSolver:
         for s in (1.0, 1e2, 1e4):
             f = least_squares(base.f.A * s, base.f.b * s,
                               lipschitz=base.f.lipschitz_grad * s * s)
-            p = CompositeProblem(f, base.g, base.domain)
+            p = CompositeProblem(f, base.g)
             cfg = SolverConfig(eta0=100.0 / s**2, max_iters=200,
                                line_search_enabled=True)
             records = run_solver(p, H, pm, np.full(n, 1.0 / n), cfg).records
@@ -300,7 +294,7 @@ class TestRunSolver:
             base, grad=counted("grad", base.grad),
             value=counted("value", base.value),
             distance=counted("distance", base.distance))
-        p = CompositeProblem(f, simplex_indicator(40), probability_simplex(40))
+        p = CompositeProblem(f, simplex_indicator(40))
         H = squared_euclidean(40) if H_kind == "quadratic" \
             else negative_entropy(40)
         cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
@@ -343,7 +337,7 @@ class TestRunSolver:
             base.f, A=base.f.A.view(CountedMatrix),
             grad=counted(base.f.grad, 2), value=counted(base.f.value, 1),
             distance=counted(base.f.distance, 1))
-        p = CompositeProblem(f, base.g, base.domain)
+        p = CompositeProblem(f, base.g)
         H = squared_euclidean(40) if H_kind == "quadratic" \
             else negative_entropy(40)
         cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
@@ -489,6 +483,28 @@ class TestRunSolver:
             assert stopped.objective.tobytes() == \
                 full.objective[:first + 1].tobytes()
 
+    def test_backtrack_budget_is_max_backtracks(self):
+        # a line search that can never accept tries the first candidate and
+        # MAX_BACKTRACKS smaller steps, then fails at iteration 1
+        base = shifted_quadratic(np.zeros(3), 1.0)
+        f = dataclasses.replace(base, distance=lambda x, y: 1e300)
+        pm = make_prox_map("l1", "quadratic")
+        solves = []
+
+        def counted(*args):
+            solves.append(1)
+            return pm.solve(*args)
+
+        cfg = SolverConfig(eta0=1.0, max_iters=5, line_search_enabled=True)
+        with pytest.raises(SolverFailure,
+                           match="^backtracking budget exhausted at "
+                                 "iteration 1$") as exc_info:
+            run_solver(CompositeProblem(f, l1_norm()), squared_euclidean(3),
+                       dataclasses.replace(pm, solve=counted),
+                       np.ones(3), cfg)
+        assert len(solves) == solvers.MAX_BACKTRACKS + 1 == 61
+        assert len(exc_info.value.partial_trace.objective) == 1
+
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_exhausted_line_search_keeps_every_accepted_record(self, H_kind):
         # D_f is reported huge from the 101st candidate on, so iteration
@@ -507,10 +523,8 @@ class TestRunSolver:
         pm = make_prox_map("simplex", H_kind)
         runs = []
         for f in (base, dataclasses.replace(base, distance=failing)):
-            p = CompositeProblem(f, simplex_indicator(n),
-                                 probability_simplex(n))
+            p = CompositeProblem(f, simplex_indicator(n))
             cfg = SolverConfig(eta0=0.005, max_iters=200,
-                               max_backtracks_per_iter=3,
                                line_search_enabled=True)
             try:
                 runs.append(run_solver(p, H, pm, np.full(n, 1 / n), cfg))
@@ -546,7 +560,7 @@ class TestTheorem2Equivalence:
         L = float(np.linalg.eigvalsh(A.T @ A)[-1])
         p = CompositeProblem(
             f=least_squares(A, r.standard_normal(10), lipschitz=L),
-            g=l1_norm(), domain=euclidean_space(20),
+            g=l1_norm(),
         )
         pm = make_prox_map("l1", "quadratic")
         worst = verify_theorem2_equivalence(
@@ -563,7 +577,7 @@ class TestTheorem2Equivalence:
         assert worst <= 1e-9
 
     def test_zero_smooth_term(self):
-        p = CompositeProblem(zero_function(4), l1_norm(), euclidean_space(4))
+        p = CompositeProblem(zero_function(4), l1_norm())
         pm = make_prox_map("l1", "quadratic")
         worst = verify_theorem2_equivalence(
             p, squared_euclidean(4), pm, np.array([2.0, -1.0, 0.5, 0.0]),
@@ -684,7 +698,7 @@ class TestColumnarTrace:
 
         x0 = np.full(100, 0.01)
         p = CompositeProblem(
-            base.f, dataclasses.replace(base.g, value=counting), base.domain,
+            base.f, dataclasses.replace(base.g, value=counting),
             optimum_oracle=(x0, 0.0))
         cfg = SolverConfig(eta0=1.0 / base.f.lipschitz_grad, max_iters=5000,
                            tolerance=tolerance)
