@@ -32,6 +32,7 @@ from .functions import (
     on_simplex,
     per_row,
     probability_simplex,
+    row_sum,
     sample_feasible,
 )
 
@@ -72,7 +73,7 @@ class ProximalDistanceAxioms:
 
 def half_squared_distance(x: Vector, y: Vector) -> float:
     """1/2 ||x - y||^2, the distance of the squared Euclidean generator."""
-    return per_row(0.5 * np.sum((x - y) ** 2, axis=-1))
+    return per_row(0.5 * row_sum((x - y) ** 2))
 
 
 def kl_divergence(x: Vector, y: Vector) -> float:
@@ -108,7 +109,7 @@ def kl_divergence(x: Vector, y: Vector) -> float:
             term[near] = (ys * t)[near] * tn * _kl_series(tn)
     if s is not None:
         term = np.where(s, term, y)
-    return per_row(np.add.reduce(term, axis=-1))
+    return per_row(row_sum(term))
 
 
 def _kl_series(t: Vector) -> Vector:
@@ -123,7 +124,7 @@ DISTANCES = {"quadratic": half_squared_distance, "entropy": kl_divergence}
 def squared_euclidean(n: int) -> BregmanGenerator:
     """H(x) = 1/2 ||x||^2; induces D_H(x, y) = 1/2 ||x - y||^2."""
     return BregmanGenerator(
-        value=lambda x: per_row(0.5 * np.sum(np.square(x), axis=-1)),
+        value=lambda x: per_row(0.5 * row_sum(np.square(x))),
         grad=lambda x: np.asarray(x, dtype=float).copy(),
         distance=half_squared_distance,
         domain=euclidean_space(n),
@@ -145,8 +146,7 @@ def negative_entropy(n: int) -> BregmanGenerator:
             return np.inf
         s = x > 0.0
         xlogx = np.where(s, x * np.log(np.where(s, x, 1.0)), 0.0)
-        return per_row(np.where(on_simplex(x), np.sum(xlogx, axis=-1),
-                                np.inf))
+        return per_row(np.where(on_simplex(x), row_sum(xlogx), np.inf))
 
     def grad(x):
         x = np.asarray(x, dtype=float)
@@ -181,7 +181,7 @@ def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return per_row(h.value(x) - h.value(y)
-                   - np.sum((x - y) * h.grad(y), axis=-1))
+                   - row_sum((x - y) * h.grad(y)))
 
 
 def composite_generator(H: BregmanGenerator, f: SmoothFunction,
@@ -233,8 +233,7 @@ def check_three_point(h: BregmanGenerator, a: Vector, b: Vector,
         + bregman_distance(h, a, b)
         - bregman_distance(h, c, b)
     )
-    rhs = np.sum((np.asarray(h.grad(b)) - np.asarray(h.grad(a))) * (c - a),
-                 axis=-1)
+    rhs = row_sum((np.asarray(h.grad(b)) - np.asarray(h.grad(a))) * (c - a))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -271,7 +270,7 @@ def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
         members = points[:2]
         hit = rng.random(members.shape[:2]) < 0.2
         members[hit, rng.integers(n, size=np.count_nonzero(hit))] = 0.0
-        members /= np.sum(members, axis=-1, keepdims=True)
+        members /= row_sum(members)[..., None]
     x, x2, y, y2 = points
 
     d = bregman_distance(h, x, y)
@@ -282,7 +281,7 @@ def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
     lam = rng.uniform(0.05, 0.95, size=samples)
     mid = lam[:, None] * x + (1.0 - lam[:, None]) * x2
     if h.domain.kind == "simplex":
-        mid = mid / np.sum(mid, axis=-1, keepdims=True)
+        mid = mid / row_sum(mid)[:, None]
     convex = bool(np.all(bregman_distance(h, mid, y) <= lam * d + (1.0 - lam)
                          * bregman_distance(h, x2, y) + 1e-10))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import (NONSMOOTH_VALUES, Vector, blocks, per_row,
+from .functions import (NONSMOOTH_VALUES, Vector, blocks, per_row, row_sum,
                         sample_feasible)
 
 GeneratorKind = str  # "quadratic" | "entropy"
@@ -147,7 +147,7 @@ def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
     x = np.asarray(x, dtype=float)
     return per_row(
         NONSMOOTH_VALUES[pm.g_kind](x)
-        + np.sum(x * np.asarray(v, dtype=float), axis=-1)
+        + row_sum(x * np.asarray(v, dtype=float))
         + DISTANCES[pm.H_kind](x, np.asarray(y, dtype=float)) / eta
     )
 

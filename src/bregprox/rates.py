@@ -42,8 +42,8 @@ class RateCertificate:
     constant: float
     weight_sums: np.ndarray  # S_k for k = 1, 2, ...
     margin: float  # inf for a trace with no accepted step
-    # every step had D_{h_k} >= 0: a line-search step by its acceptance test,
-    # a constant step by its recorded d_hk
+    # every step had D_{h_k} >= 0 to within the line search's relative slack
+    # (IterationTrace.hypothesis_held)
     hypothesis_satisfied: bool
 
     def bound_at(self, k: int) -> float:
@@ -82,13 +82,12 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
         constant=constant,
         weight_sums=weight_sums,
         margin=float(np.min(constant / weight_sums - gaps, initial=np.inf)),
-        hypothesis_satisfied=trace.config.line_search_enabled
-        or bool(np.all(trace.d_hk >= 0.0)),  # d_hk is 0 at row 0
+        hypothesis_satisfied=trace.hypothesis_held,
     )
 
 
 # Nothing in the package calls these two: perfbench's tracer looks them up
-# by name, and ROADMAP item 7 retires them.
+# by name, and ROADMAP item 2 retires them.
 def constant_step_certificate(*args, **kwargs) -> RateCertificate:
     return certify_trace(*args, **kwargs)
 

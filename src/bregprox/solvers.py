@@ -68,7 +68,8 @@ class IterationTrace:
     """The accepted steps of one run as read-only columns, row k for step k
     (row 0 is x0, with eta0, no backtrack and d_hk = 0): the iterates ``xs``,
     F(x_k), the step that gave x_k, the candidates it rejected first,
-    D_{h_k}(x_k, x_{k-1}) at acceptance and the wall time since the start."""
+    D_{h_k}(x_k, x_{k-1}) at acceptance and the wall time since the start;
+    ``hypothesis_held``: every step passed the line search's test on it."""
 
     xs: np.ndarray
     objective: np.ndarray
@@ -77,6 +78,7 @@ class IterationTrace:
     d_hk: np.ndarray
     elapsed_ms: np.ndarray
     config: SolverConfig
+    hypothesis_held: bool
 
     def __post_init__(self):
         for column in self._columns():
@@ -161,14 +163,17 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         xs.resize((len(steps), n), refcheck=False)
         etas, bts, d_hk, ms = map(np.array, zip(*steps))
         objective = np.concatenate(([obj0], f))
+        held = True
         for lo in range(1, len(steps), block_rows):
             hi = min(lo + block_rows, len(steps))
             # f + 0.0 keeps f's bits, and a stacked g equals its row calls
             objective[lo:hi] += p.g.value(xs[lo:hi])
             if not cfg.line_search_enabled:
-                d_hk[lo:hi] = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) \
-                    / cfg.eta0 - d_f[lo - 1:hi - 1]
-        return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg)
+                d_H = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) / cfg.eta0
+                d_hk[lo:hi] = d_H - d_f[lo - 1:hi - 1]
+                held &= bool(np.all(d_hk[lo:hi] >= -ACCEPT_TOL
+                                    * (d_H + d_f[lo - 1:hi - 1])))
+        return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg, held)
 
     eta, d = cfg.eta0, 0.0
     smooth = p.f.stepper(x)

@@ -10,6 +10,7 @@ from bregprox import (
     certify_trace,
     experiments,
     make_prox_map,
+    prox,
     run_solver,
     squared_euclidean,
 )
@@ -245,6 +246,36 @@ class TestRunLasso:
         assert run(["run-lasso", "--eta-ratio", ratio]) == 1
         assert capsys.readouterr().out.split("\n")[1] == \
             "GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails"
+
+    @pytest.mark.parametrize("gamma", ["1", "1e-3", "1e-6", "1e-300"])
+    def test_one_step_optimum_at_any_scale(self, capsys, gamma):
+        # --gamma 1e-300 exited 1: its gap, 2.5e269, is x_1's rounding
+        # scaled by 1/gamma, and it was held to an absolute 1e-10; --gamma
+        # 1e-3 reported its hypothesis D_h1 >= 0 as failing on a d_h1 of
+        # -7.3e-12, which is 0 in exact arithmetic
+        assert run(["run-lasso", "--gamma", gamma]) == 0
+        out = capsys.readouterr().out.split("\n")
+        assert out[0].startswith("F(x_1) - F* = ")
+        assert out[1].startswith("GPPA-PGA bound at k=1: ")
+        assert "none" not in out[1]
+
+    @pytest.mark.parametrize("gamma", ["1", "1e-300"])
+    @pytest.mark.parametrize("shift, status", [(0, 0), (1, 0), (1e-12, 1)])
+    def test_one_step_exit_reads_the_point(self, monkeypatch, gamma, shift,
+                                           status):
+        # x_1 one ulp off x* still passes; 1e-12 of the data's scale fails
+        solve = prox._REGISTRY[("l1", "quadratic")]
+
+        def perturbed(v, y, eta):
+            x = solve(v, y, eta)
+            if shift == 1:
+                x[0] = np.nextafter(x[0], np.inf)
+            else:
+                x[0] += shift * np.max(np.abs(y))
+            return x
+
+        monkeypatch.setitem(prox._REGISTRY, ("l1", "quadratic"), perturbed)
+        assert run(["run-lasso", "--gamma", gamma]) == status
 
     @pytest.mark.parametrize("gamma", ["nan", "inf"])
     def test_non_finite_gamma_is_an_error(self, capsys, gamma):

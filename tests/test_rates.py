@@ -301,6 +301,39 @@ class TestCertifyTrace:
         assert not cert.hypothesis_satisfied
         assert np.isfinite(cert.margin)  # reported, whatever its sign
 
+    def test_constant_step_at_gamma_keeps_its_hypothesis(self):
+        # the run-lasso --gamma 1e-3 instance: at eta = gamma the flat
+        # composite's D_H / eta - D_f is 0 in exact arithmetic but came out
+        # -7.3e-12, and the exact test d_hk >= 0 reported the hypothesis as
+        # failing; it is now held to the line search's relative slack
+        r = rng(7)
+        b, x0 = r.standard_normal(50), r.standard_normal(50)
+        p = build_lasso_onestep(1e-3, b)
+        H = squared_euclidean(50)
+        trace = run_solver(p, H, make_prox_map("l1", "quadratic"), x0,
+                           SolverConfig(eta0=1e-3, max_iters=1))
+        assert trace.d_hk[1] < 0.0
+        assert trace.hypothesis_held
+        assert certify_trace(p, H, trace).hypothesis_satisfied
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_constant_step_verdict_is_the_line_search_test(self, seed):
+        # eta = gamma holds at every scale of the data; eta a relative 1e-9
+        # above gamma (a d_hk of about -1e-9 (D_H / eta + D_f) / 2) fails
+        r = rng(seed)
+        n = int(r.integers(1, 60))
+        gamma = 10.0 ** r.uniform(-30, 30)
+        b, x0 = (r.standard_normal(n) * 10.0 ** r.uniform(-30, 30)
+                 for _ in range(2))
+        p = build_lasso_onestep(gamma, b)
+        H = squared_euclidean(n)
+        pm = make_prox_map("l1", "quadratic")
+        for eta, held in ((gamma, True), (gamma * (1 + 1e-9), False)):
+            trace = run_solver(p, H, pm, x0,
+                               SolverConfig(eta0=eta, max_iters=3))
+            assert trace.hypothesis_held is held
+            assert certify_trace(p, H, trace).hypothesis_satisfied is held
+
     def test_trace_without_accepted_step_has_infinite_margin(
             self, simplex_instance):
         p, gamma = simplex_instance
@@ -311,7 +344,7 @@ class TestCertifyTrace:
         partial = IterationTrace(
             *(c[:1] for c in (trace.xs, trace.objective, trace.eta,
                               trace.backtracks, trace.d_hk, trace.elapsed_ms)),
-            trace.config)
+            trace.config, trace.hypothesis_held)
         cert = certify_trace(p, H, partial)
         assert cert.margin == np.inf
         assert cert.weight_sums.size == 0

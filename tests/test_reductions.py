@@ -1,0 +1,397 @@
+"""The one row-reduction kernel, ``functions.row_sum`` and ``row_min``.
+
+Every value, distance and domain check reduces the last axis through the
+kernel, which must give the bits of numpy's ufunc reduction on every shape
+and layout.  The rerouted oracles are compared with their bodies as they
+were before the kernel (kept below as ``reference_*``), and each stacked
+call with its row-by-row calls.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bregprox import (check_three_point, least_squares, negative_entropy,
+                      probability_simplex, shifted_quadratic,
+                      squared_euclidean)
+from bregprox.bregman import (DISTANCES, half_squared_distance,
+                              reference_distance)
+from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
+                                SIMPLEX_INTERIOR_MIN, SIMPLEX_MEMBER_MIN,
+                                SIMPLEX_SUM_TOL, on_simplex, per_row,
+                                row_min, row_sum)
+from bregprox.prox import make_prox_map, prox_objective
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bregprox"
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                     -5e-324, 2.2e-308, 1e308, -1e308])
+
+
+def rng(seed=0):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def mixed_values(r, shape, share):
+    """Normal draws at scales from 1e-300 to 1e300, about ``share`` of them
+    replaced by +-0, NaN, +-inf, subnormals or +-1e308."""
+    x = r.standard_normal(shape) * 10.0 ** r.integers(-300, 301, size=shape)
+    hit = r.random(shape) < share
+    x[hit] = r.choice(SPECIALS, size=np.count_nonzero(hit))
+    return x
+
+
+def laid_out(x, layout):
+    """x with the same values in C order, F order, as a strided view, or
+    as (A y^T)^T: a transposed matrix product, as least squares forms it."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.empty((2 * x.shape[0], 3 * x.shape[1]))
+        wide[::2, ::3] = x
+        return wide[::2, ::3]
+    if layout == "matmul":
+        # A = I keeps the values; numpy still returns the product's layout
+        return (np.eye(x.shape[-1]) @ x.T).T
+    return x
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKernelBits:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           rows=st.one_of(st.sampled_from([None, 0, 1]),
+                          st.integers(2, 3000)),
+           share=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           layout=st.sampled_from(["C", "F", "strided", "matmul"]))
+    @example(seed=0, n=1, rows=5, share=1.0, layout="C")
+    @example(seed=1, n=7, rows=3000, share=0.3, layout="strided")
+    @example(seed=2, n=8, rows=100, share=0.3, layout="C")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gives_the_ufunc_bits(self, seed, n, rows, share, layout):
+        # rows None is a 1-D vector; n crosses numpy's 8-wide pairwise block
+        r = rng(seed)
+        x = mixed_values(r, (n,) if rows is None else (rows, n), share)
+        if rows is not None:
+            x = laid_out(x, layout)
+        same_bits(row_sum(x), np.add.reduce(x, axis=-1))
+        same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_a_lone_negative_zero_sums_to_zero(self, n):
+        x = np.full((3, n), -0.0)
+        same_bits(row_sum(x), np.add.reduce(x, axis=-1))
+        assert not np.signbit(row_sum(x)).any()
+        same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("row", [[np.nan, -np.nan], [-np.nan, np.nan],
+                                     [-np.nan, 1.0], [1.0, -np.nan, np.nan],
+                                     [np.inf, -np.inf, np.nan]])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_which_nan_comes_out(self, rows, row):
+        # numpy's loops differ in which NaN of two they pass on, and the NaN
+        # of a row holds its sign bit
+        for x in (np.array([row] * rows), np.asfortranarray([row] * rows)):
+            same_bits(row_sum(x), np.add.reduce(x, axis=-1))
+            same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
+
+    def test_results_are_new_arrays(self):
+        x = np.ones((4, 1))
+        for reduce in (row_sum, row_min):
+            out = reduce(x)
+            out[:] = 7.0
+            assert (x == 1.0).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_other_shapes_and_types_go_to_the_ufunc(self):
+        for x in ([[1.0, -0.0], [np.nan, 2.0]], np.arange(12).reshape(3, 4),
+                  np.ones((2, 3, 4)), np.ones((5, 0)),
+                  np.ones((3, 5), dtype=np.float32)):
+            same_bits(row_sum(x), np.add.reduce(x, axis=-1))
+            if np.size(x):
+                same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
+
+
+# The rerouted oracles as they were before the kernel: the bits they keep.
+
+def reference_on_simplex(x, floor=SIMPLEX_MEMBER_MIN):
+    return (np.minimum.reduce(x, axis=-1) >= floor) & \
+        (abs(np.add.reduce(x, axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+def reference_contains(x, floor):
+    return bool(np.minimum.reduce(x, axis=None, initial=np.inf) >= floor
+                and (abs(np.add.reduce(x, axis=-1) - 1.0)
+                     <= SIMPLEX_SUM_TOL).all())
+
+
+def reference_l1(x):
+    return per_row(np.sum(np.abs(x), axis=-1))
+
+
+def reference_least_squares(A, b):
+    return (lambda x: per_row(0.5 * np.sum(((A @ x.T).T - b) ** 2, axis=-1)),
+            lambda x, y: per_row(
+                0.5 * np.sum((A @ (x - y).T).T ** 2, axis=-1)))
+
+
+def reference_shifted_quadratic(b, gamma):
+    return (lambda x: per_row(0.5 / gamma * np.sum((x - b) ** 2, axis=-1)),
+            lambda x, y: per_row(
+                0.5 / gamma * np.sum((x - y) ** 2, axis=-1)))
+
+
+def reference_half_squared_distance(x, y):
+    return per_row(0.5 * np.sum((x - y) ** 2, axis=-1))
+
+
+def reference_squared_euclidean_value(x):
+    return per_row(0.5 * np.sum(np.square(x), axis=-1))
+
+
+def reference_negative_entropy_value(x):
+    x = np.asarray(x, dtype=float)
+    s = x > 0.0
+    xlogx = np.where(s, x * np.log(np.where(s, x, 1.0)), 0.0)
+    return per_row(np.where(reference_on_simplex(x), np.sum(xlogx, axis=-1),
+                            np.inf))
+
+
+def reference_reference_distance(h, x, y):
+    return per_row(h.value(x) - h.value(y)
+                   - np.sum((x - y) * h.grad(y), axis=-1))
+
+
+def reference_three_point_rhs(h, a, b, c):
+    return np.sum((np.asarray(h.grad(b)) - np.asarray(h.grad(a))) * (c - a),
+                  axis=-1)
+
+
+def reference_prox_objective(pm, x, v, y, eta):
+    g = {"l1": reference_l1, "zero": lambda x: per_row(
+        np.zeros(np.shape(x)[:-1])), "simplex": lambda x: per_row(
+        np.where(reference_on_simplex(x), 0.0, np.inf))}[pm.g_kind]
+    return per_row(g(x) + np.sum(x * v, axis=-1)
+                   + DISTANCES[pm.H_kind](x, y) / eta)
+
+
+def rows_match(fn, *stacks):
+    """fn on C-ordered stacks, as the package forms them, equals fn row by
+    row, bit for bit.  (numpy reduces an F-ordered stack of rows of 8 or
+    more entries column by column but each row pairwise, kernel or not.)"""
+    stacks = [np.ascontiguousarray(s) for s in stacks]
+    whole = np.asarray(fn(*stacks))
+    rows = [fn(*(s[i] for s in stacks)) for i in range(len(stacks[0]))]
+    assert whole.tobytes() == np.array(rows, dtype=whole.dtype).tobytes()
+
+
+def simplex_points(r, rows, n):
+    """Rows on the simplex, some with exact zeros, some just off it."""
+    x = r.dirichlet(np.ones(n), size=rows)
+    x[r.random((rows, n)) < 0.2] = 0.0
+    x /= np.where(x.sum(axis=-1, keepdims=True) > 0.0,
+                  x.sum(axis=-1, keepdims=True), 1.0)
+    off = r.random(rows) < 0.2
+    x[off, 0] += 10.0 ** r.uniform(-12, -6, size=np.count_nonzero(off))
+    return x
+
+
+ORACLE_SETTINGS = dict(max_examples=60, deadline=None, derandomize=True)
+ORACLE_ARGS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+                   rows=st.integers(0, 40))
+
+
+class TestReroutedOracles:
+    @settings(**ORACLE_SETTINGS)
+    @given(**ORACLE_ARGS, layout=st.sampled_from(["C", "F", "strided"]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_domain_checks(self, seed, n, rows, layout):
+        r = rng(seed)
+        x = laid_out(simplex_points(r, rows, n), layout)
+        if rows:
+            x[r.integers(rows), r.integers(n)] = r.choice(SPECIALS)
+        for floor in (SIMPLEX_MEMBER_MIN, SIMPLEX_INTERIOR_MIN):
+            same_bits(on_simplex(x, floor), reference_on_simplex(x, floor))
+        domain = probability_simplex(n)
+        assert domain.member(x) == reference_contains(x, SIMPLEX_MEMBER_MIN)
+        assert domain.interior(x) == \
+            reference_contains(x, SIMPLEX_INTERIOR_MIN)
+        rows_match(on_simplex, x)
+        rows_match(NONSMOOTH_VALUES["simplex"], x)
+
+    @settings(**ORACLE_SETTINGS)
+    @given(**ORACLE_ARGS, share=st.sampled_from([0.0, 0.1]),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_values_and_distances(self, seed, n, rows, share, layout):
+        r = rng(seed)
+        x, y = (laid_out(mixed_values(r, (rows, n), share) * 1e-150, layout)
+                for _ in range(2))
+        b, gamma = r.standard_normal(n), 10.0 ** r.uniform(-6, 6)
+        pairs = [
+            (NONSMOOTH_VALUES["l1"], reference_l1, (x,)),
+            (squared_euclidean(n).value, reference_squared_euclidean_value,
+             (x,)),
+            (half_squared_distance, reference_half_squared_distance, (x, y)),
+        ]
+        q = shifted_quadratic(b, gamma)
+        ref_value, ref_distance = reference_shifted_quadratic(b, gamma)
+        pairs += [(q.value, ref_value, (x,)),
+                  (q.distance, ref_distance, (x, y))]
+        for fn, ref, args in pairs:
+            same_bits(fn(*args), ref(*args))
+            rows_match(fn, *args)
+
+    @settings(**ORACLE_SETTINGS)
+    @given(**ORACLE_ARGS, m=st.integers(1, 12))
+    def test_least_squares(self, seed, n, rows, m):
+        # a stack goes through a matrix product, which rounds unlike the
+        # matrix-vector product of one row: compared with the old body only
+        r = rng(seed)
+        A, b = r.standard_normal((m, n)), r.standard_normal(m)
+        x, y = r.standard_normal((2, rows, n))
+        f = least_squares(A, b)
+        ref_value, ref_distance = reference_least_squares(A, b)
+        same_bits(f.value(x), ref_value(x))
+        same_bits(f.distance(x, y), ref_distance(x, y))
+        if rows:
+            same_bits(f.value(x[0]), ref_value(x[0]))
+
+    @settings(**ORACLE_SETTINGS)
+    @given(**ORACLE_ARGS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_generators_and_identity_checks(self, seed, n, rows):
+        r = rng(seed)
+        a, b, c = (r.dirichlet(np.ones(n), size=rows) for _ in range(3))
+        he = negative_entropy(n)
+        off = simplex_points(r, rows, n)
+        same_bits(he.value(off), reference_negative_entropy_value(off))
+        rows_match(he.value, off)
+        for h, p, q in ((squared_euclidean(n), r.standard_normal((rows, n)),
+                         r.standard_normal((rows, n))), (he, a, b)):
+            same_bits(reference_distance(h, p, q),
+                      reference_reference_distance(h, p, q))
+            rows_match(lambda p, q: reference_distance(h, p, q), p, q)
+        if rows:
+            rhs = reference_three_point_rhs(he, a, b, c)
+            lhs = he.distance(c, a) + he.distance(a, b) - he.distance(c, b)
+            assert check_three_point(he, a, b, c) == \
+                float(np.max(np.abs(lhs - rhs)))
+
+    @settings(**ORACLE_SETTINGS)
+    @given(**ORACLE_ARGS, pair=st.sampled_from(
+        [("l1", "quadratic"), ("simplex", "quadratic"),
+         ("simplex", "entropy"), ("zero", "quadratic")]))
+    def test_prox_objective(self, seed, n, rows, pair):
+        r = rng(seed)
+        pm = make_prox_map(*pair)
+        if pair[0] == "simplex":
+            y = r.dirichlet(np.ones(n))
+            x = simplex_points(r, rows, n)
+            if pair[1] == "entropy":
+                x = r.dirichlet(np.ones(n), size=rows)
+        else:
+            y = r.standard_normal(n)
+            x = r.standard_normal((rows, n))
+        v, eta = r.standard_normal(n), r.uniform(0.1, 2.0)
+        same_bits(prox_objective(pm, x, v, y, eta),
+                  reference_prox_objective(pm, x, v, y, eta))
+        rows_match(lambda x: prox_objective(pm, x, v, y, eta), x)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 12, 50])
+    def test_residual_stepper_blocks(self, m):
+        # f and D_f of a block of steps, one row_sum each, against the old
+        # per-row reductions of the carried residual
+        r = rng(m)
+        A, b = r.standard_normal((m, 6)), r.standard_normal(m)
+        x = r.standard_normal(6)
+        stepper = least_squares(A, b).stepper(x)
+        res, values, distances = A @ x - b, [], []
+        for _ in range(3 * (FLUSH_ENTRIES // m) // 2 + 3):
+            cand = x + 1e-3 * r.standard_normal(6)
+            stepper.propose(cand)
+            stepper.accept()
+            ad = A @ (cand - x)
+            res, x = res + ad, cand
+            values.append(0.5 * np.add.reduce(np.square(res)))
+            distances.append(0.5 * np.add.reduce(np.square(ad)))
+        got_values, got_distances = stepper.columns()
+        same_bits(got_values, np.array(values))
+        same_bits(got_distances, np.array(distances))
+
+
+# numpy's norms in verify_proximal_distance_axioms and _bounded_level_sets
+# measure how far apart the sampled points lie, the test geometry of the
+# axiom checks, not a value, a distance or a domain check of the solvers;
+# np.linalg.norm takes its own square root of its own sum
+LAST_AXIS_EXCEPTIONS = {
+    ("bregman.py", "verify_proximal_distance_axioms", "np.linalg.norm"),
+    ("bregman.py", "_bounded_level_sets", "np.linalg.norm"),
+}
+KERNEL = {("functions.py", "row_sum"), ("functions.py", "row_min")}
+
+
+REDUCTIONS = {"reduce", "sum", "min", "max", "prod", "mean", "all", "any"}
+
+
+def is_minus_one(node):
+    try:
+        return ast.literal_eval(node) == -1
+    except ValueError:
+        return False
+
+
+def last_axis_calls(src=SRC):
+    """(file, enclosing function or "<module>", callee) of every call in
+    ``src`` that takes axis=-1, or that reduces with a positional -1 axis."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    # ast.walk goes outside in, so the innermost def wins
+                    owner[node] = fn.name
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = ast.unparse(call.func)
+            if any(kw.arg == "axis" and is_minus_one(kw.value)
+                   for kw in call.keywords) or (
+                    callee.rsplit(".", 1)[-1] in REDUCTIONS
+                    and any(map(is_minus_one, call.args[1:]))):
+                found.add((path.name, owner.get(call, "<module>"), callee))
+    return found
+
+
+def test_last_axis_reductions_go_through_the_kernel():
+    calls = last_axis_calls()
+    assert {c[:2] for c in calls} >= KERNEL
+    stray = {c for c in calls if c[:2] not in KERNEL
+             and c not in LAST_AXIS_EXCEPTIONS}
+    assert not stray, f"reduce the last axis with row_sum/row_min: {stray}"
+
+
+def test_the_guard_sees_a_stray_reduction(tmp_path):
+    (tmp_path / "stray.py").write_text(
+        "import numpy as np\n\n"
+        "VALUES = {'l1': lambda x: np.abs(x).sum(axis=-1)}\n\n"
+        "def f(x):\n"
+        "    def g(y):\n"
+        "        return np.add.reduce(y, -1)\n"
+        "    return np.sum(x,\n"
+        "                  axis=-1) + g(x) + np.sum(x, axis=0)\n")
+    assert last_axis_calls(tmp_path) == {
+        ("stray.py", "<module>", "np.abs(x).sum"),
+        ("stray.py", "g", "np.add.reduce"),
+        ("stray.py", "f", "np.sum")}
