@@ -40,13 +40,12 @@ CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
 CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
 CSV_CHUNK_ROWS = 1024
+SUMMARY_HEADER = ("variant,iters_to_tol,reached,tolerance,final_gap,"
+                  "cert_kind,cert_margin,hypothesis_satisfied\n")
+SUMMARY_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
 REF_ITERS_HELP = ("cap on the major cycles of Wolfe's method for the "
                   "reference optimum, which stops once its Frank-Wolfe gap "
                   "certifies it")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write_variant_csv(path: Path, trace, f_star: float, cert, gamma: float,
@@ -74,6 +73,21 @@ def _certified(cert) -> bool:
     return cert.margin >= -1e-9 or not cert.hypothesis_satisfied
 
 
+def _report(result, line: str) -> int:
+    """Print ``line`` with each certificate's variant, iterations to
+    tolerance k, margin and verdict, then each solver failure; 1 if any."""
+    status = 0
+    for variant, cert in result.certificates.items():
+        ok = _certified(cert)
+        print(line.format(variant=variant, k=result.iters_to_tol[variant],
+                          margin=cert.margin, verdict="ok" if ok else "FAIL"))
+        status |= not ok
+    for variant, msg in result.failures.items():
+        print(f"{variant}: solver failure: {msg}", file=sys.stderr)
+        status = 1
+    return status
+
+
 def cmd_run_simplex(args) -> int:
     variants = tuple(args.variants.split(","))
     spec = ExperimentSpec(
@@ -98,43 +112,25 @@ def cmd_run_simplex(args) -> int:
                 out / f"{variant}.csv", trace, f_star,
                 result.certificates[variant], result.gamma, x_star,
                 result.x0, args.timing)
-        summary = ["variant,iters_to_tol,reached,tolerance,final_gap,"
-                   "cert_kind,cert_margin,hypothesis_satisfied"]
+        summary = SUMMARY_HEADER
         for variant in variants:
-            if variant in result.failures and variant not in result.traces:
-                summary.append(f"{variant},,false,,,,,")
-                continue
-            trace = result.traces[variant]
-            cert = result.certificates[variant]
-            k_tol = result.iters_to_tol[variant]
-            summary.append(",".join([
-                variant,
-                "" if k_tol is None else str(k_tol),
-                "true" if k_tol is not None else "false",
-                _fmt(result.tolerance),
-                _fmt(trace.final().objective - f_star),
-                "gppa",
-                _fmt(cert.margin),
-                "true" if cert.hypothesis_satisfied else "false",
-            ]))
-        (out / "summary.csv").write_text("\n".join(summary) + "\n",
-                                         newline="\n")
+            fields = ("", "false", "", "", "", "", "")  # failed, no trace
+            if variant in result.traces:
+                k = result.iters_to_tol[variant]
+                cert = result.certificates[variant]
+                gap = result.traces[variant].objective[-1] - f_star
+                fields = ("" if k is None else k, str(k is not None).lower(),
+                          f"{result.tolerance:.17g}", f"{gap:.17g}", "gppa",
+                          f"{cert.margin:.17g}",
+                          str(cert.hypothesis_satisfied).lower())
+            summary += SUMMARY_ROW % (variant, *fields)
+        (out / "summary.csv").write_text(summary, newline="\n")
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-
-    status = 0
-    for variant, cert in result.certificates.items():
-        ok = _certified(cert)
-        print(f"{variant}: iters_to_tol="
-              f"{result.iters_to_tol[variant]} cert_margin="
-              f"{cert.margin:.3e} [{'ok' if ok else 'FAIL'}]")
-        if not ok:
-            status = 1
-    for variant, msg in result.failures.items():
-        print(f"{variant}: solver failure: {msg}", file=sys.stderr)
-        status = 1
-    return status
+    return _report(
+        result, "{variant}: iters_to_tol={k} cert_margin={margin:.3e} "
+                "[{verdict}]")
 
 
 def cmd_run_lasso(args) -> int:
@@ -146,6 +142,10 @@ def cmd_run_lasso(args) -> int:
     p = build_lasso_onestep(args.gamma, b)
     x_star, f_star = p.optimum_oracle
     eta = args.gamma * args.eta_ratio
+    for name, value in (("--eta-ratio", args.eta_ratio),
+                        ("the step gamma * eta-ratio", eta)):
+        if not 0.0 < value < np.inf:  # a NaN fails this too
+            raise ContractViolation(f"{name} must be positive and finite")
     x0 = rng.standard_normal(args.dim)
     pm = make_prox_map("l1", "quadratic")
     H = squared_euclidean(args.dim)
@@ -178,15 +178,8 @@ def cmd_certify(args) -> int:
         ref_iters=args.ref_iters,
         variants=("pga-constant", "mirror-constant"),
     )
-    result = run_experiment(spec)
-    status = 0
-    for variant, cert in result.certificates.items():
-        ok = _certified(cert)
-        print(f"{variant}: margin={cert.margin:.3e} "
-              f"[{'ok' if ok else 'FAIL'}]")
-        if not ok:
-            status = 1
-    return status
+    return _report(run_experiment(spec),
+                   "{variant}: margin={margin:.3e} [{verdict}]")
 
 
 def cmd_verify_identities(args) -> int:
@@ -197,8 +190,7 @@ def cmd_verify_identities(args) -> int:
         print(f"{r.name:<35s} worst={r.worst:.3e} "
               f"threshold={r.threshold:.0e} "
               f"[{'pass' if r.passed else 'FAIL'}]")
-        if not r.passed:
-            status = 1
+        status |= not r.passed
     return status
 
 

@@ -105,12 +105,24 @@ def sample_feasible(kind: str, n: int, rng, shape: tuple = (),
     return around + scale * spread * rng.standard_normal(shape + (n,))
 
 
+def worst_excess(objective: Callable, x: Vector, kind: str, rng,
+                 samples: int) -> float:
+    """max objective(x) - objective(z) over ``samples`` points z drawn
+    around x, in blocks of BLOCK_ROWS rows: <= 0 iff no z beats x."""
+    base = objective(x)
+    worst = -np.inf
+    for rows in blocks(samples):
+        z = sample_feasible(kind, x.size, rng, (rows,), x)
+        worst = np.max(base - objective(z), initial=worst)
+    return worst
+
+
 # the value of each nonsmooth kind at x, or at each row of a stack: the one
 # coding that NonsmoothTerm values and prox objectives share
 NONSMOOTH_VALUES = {
     "l1": lambda x: per_row(row_sum(np.abs(x))),
     "simplex": lambda x: per_row(np.where(on_simplex(x), 0.0, np.inf)),
-    "zero": lambda x: per_row(np.zeros(np.shape(x)[:-1])),
+    "zero": lambda x, y=None: per_row(np.zeros(np.shape(x)[:-1])),
 }
 
 
@@ -311,18 +323,24 @@ class ResidualStepper:
 
 @dataclass(frozen=True, eq=False)
 class NonsmoothTerm:
-    """Proper closed convex term; the value oracle may return +inf.
+    """Proper closed convex term: its kind selects its value (may be +inf)
+    and its prox map.  ``value`` takes a vector, giving a float, or a
+    (rows, n) stack, giving one value per row; +inf off ``dimension``."""
 
-    ``value`` takes a vector, giving a float, or a (rows, n) stack, giving
-    one value per row.
-    """
-
-    value: Callable[[Vector], float]
     kind: str  # "l1" | "simplex" | "zero"
+    dimension: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in NONSMOOTH_VALUES:
             raise ContractViolation(f"unknown nonsmooth kind {self.kind!r}")
+        if self.dimension is not None and self.dimension < 1:
+            raise ContractViolation("dimension must be positive")
+
+    def value(self, x: Vector) -> float:
+        x = np.asarray(x, dtype=float)
+        if self.dimension is not None and x.shape[-1:] != (self.dimension,):
+            return np.inf
+        return NONSMOOTH_VALUES[self.kind](x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,12 +358,13 @@ class CompositeProblem:
 
 
 def zero_function(n: int) -> SmoothFunction:
+    zero = NONSMOOTH_VALUES["zero"]  # takes (x) and (x, y) alike
     return SmoothFunction(
-        value=lambda x: per_row(np.zeros(np.shape(x)[:-1])),
+        value=zero,
         grad=lambda x: np.zeros(n),
         dimension=n,
         lipschitz_grad=0.0,
-        distance=lambda x, y: per_row(np.zeros(np.shape(x)[:-1])),
+        distance=zero,
     )
 
 
@@ -386,25 +405,16 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
 
 
 def l1_norm() -> NonsmoothTerm:
-    return NonsmoothTerm(value=NONSMOOTH_VALUES["l1"], kind="l1")
+    return NonsmoothTerm("l1")
 
 
 def simplex_indicator(n: int) -> NonsmoothTerm:
-    """Indicator of the probability simplex in R^n; +inf at a point of
-    another dimension."""
-    if n < 1:
-        raise ContractViolation("dimension must be positive")
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return NONSMOOTH_VALUES["simplex"](x) if x.shape[-1:] == (n,) \
-            else np.inf
-
-    return NonsmoothTerm(value=value, kind="simplex")
+    """Indicator of the probability simplex in R^n."""
+    return NonsmoothTerm("simplex", n)
 
 
 def zero_term() -> NonsmoothTerm:
-    return NonsmoothTerm(value=NONSMOOTH_VALUES["zero"], kind="zero")
+    return NonsmoothTerm("zero")
 
 
 def evaluate_composite(p: CompositeProblem, x: Vector) -> float:
@@ -450,7 +460,7 @@ def estimate_spectral_norm(A: np.ndarray) -> float:
     # The symmetric eigensolver is backward stable, so the result is exact
     # to rounding and is not rounded up: at 500x1000 the two Gram orders
     # agree to 5.6e-15 relative or better (seeds 0-9 and 42), far inside
-    # run_solver's 1 + 1e-12 slack on eta <= 1/L.
+    # the 1e-12 slack of bregman.step_within_hypothesis on eta L <= 1.
     # The Gram matrix has min(m, n)^2 <= m n entries, never more than A.
     G = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
     return float(np.linalg.eigvalsh(G)[-1])

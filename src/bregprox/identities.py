@@ -9,13 +9,12 @@ maps.  The CLI and the test suite both run them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
 
 from .bregman import (
-    BregmanGenerator,
     bregman_distance,
     check_linearity,
     check_three_point,
@@ -58,9 +57,9 @@ def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
     worst_q = 0.0
     worst_e = 0.0
     for rows in blocks(samples):
-        a, b, c = rng.standard_normal((3, rows, 3))
+        a, b, c = sample_feasible(hq.domain.kind, 3, rng, (3, rows))
         worst_q = np.maximum(worst_q, check_three_point(hq, a, b, c))
-        a, b, c = rng.dirichlet(np.ones(5), size=(3, rows))
+        a, b, c = sample_feasible(he.domain.kind, 5, rng, (3, rows))
         worst_e = np.maximum(worst_e, check_three_point(he, a, b, c))
     return [
         _result("three_point_quadratic", worst_q, 1e-10),
@@ -75,7 +74,7 @@ def linearity_suite(samples: int, seed: int) -> List[SuiteResult]:
     he = negative_entropy(n)
     worst = 0.0
     for rows in blocks(samples):
-        a, b = rng.dirichlet(np.ones(n), size=(2, rows))
+        a, b = sample_feasible(he.domain.kind, n, rng, (2, rows))
         worst = np.maximum(worst, check_linearity(hq, he, a, b))
     return [_result("linearity_quadratic_entropy", worst, 1e-10)]
 
@@ -89,18 +88,12 @@ def nonnegativity_suite(samples: int, seed: int,
     if inject_fault:
         # negative control: a gradient oracle inconsistent with the value
         # oracle makes the definition disagree with the closed form
-        hq = BregmanGenerator(
-            value=hq.value,
-            grad=lambda x: 2.0 * np.asarray(x, dtype=float),
-            distance=hq.distance,
-            domain=hq.domain,
-            kind="quadratic",
-        )
+        hq = replace(hq, grad=lambda x: 2.0 * np.asarray(x, dtype=float))
     he = negative_entropy(6)
     worst = -np.inf
     for rows in blocks(samples):
-        x, y = rng.standard_normal((2, rows, 4))
-        a, b = rng.dirichlet(np.ones(6), size=(2, rows))
+        x, y = sample_feasible(hq.domain.kind, 4, rng, (2, rows))
+        a, b = sample_feasible(he.domain.kind, 6, rng, (2, rows))
         for h, p, q in ((hq, x, y), (he, a, b)):
             d = bregman_distance(h, p, q)
             worst = np.max(np.maximum(-d, np.abs(
@@ -125,10 +118,10 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     H = squared_euclidean(n)
     eta = 0.5 / p.f.lipschitz_grad
     h = composite_generator(H, p.f, eta)
-    x_k = rng.dirichlet(np.ones(n))
+    x_k = sample_feasible(p.g.kind, n, rng)
     v = np.asarray(p.f.grad(x_k))
     pm = make_prox_map("simplex", "quadratic")
-    x = rng.dirichlet(np.ones(n), size=min(samples, 1000))
+    x = sample_feasible(p.g.kind, n, rng, (min(samples, 1000),))
     offsets = gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
     spread = float(np.std(offsets))
     return [_result("theorem_offset_spread", spread, 1e-10)]

@@ -18,8 +18,7 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import (NONSMOOTH_VALUES, Vector, blocks, per_row, row_sum,
-                        sample_feasible)
+from .functions import NONSMOOTH_VALUES, Vector, per_row, row_sum, worst_excess
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
@@ -154,19 +153,13 @@ def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
 
 def verify_prox_optimality(pm: ProxMap, v: Vector, y: Vector, eta: float,
                            trials: int = 1000, seed: int = 0) -> float:
-    """Worst objective excess of the prox output over random feasible points,
-    drawn and evaluated in blocks of at most ``BLOCK_ROWS`` rows.
+    """Worst objective excess of the prox output over ``trials`` random
+    feasible points (``worst_excess``).
 
     Nonpositive (up to rounding) iff the output is a global minimizer.
     """
     if trials < 100:
         raise ContractViolation("trials must be >= 100")
     rng = np.random.Generator(np.random.Philox(seed))
-    x_plus = pm.solve(v, y, eta)
-    base = prox_objective(pm, x_plus, v, y, eta)
-    worst = -np.inf
-    for rows in blocks(trials):
-        z = sample_feasible(pm.g_kind, x_plus.size, rng, (rows,), x_plus)
-        worst = np.max(base - prox_objective(pm, z, v, y, eta),
-                       initial=worst)
-    return float(worst)
+    return float(worst_excess(lambda x: prox_objective(pm, x, v, y, eta),
+                              pm.solve(v, y, eta), pm.g_kind, rng, trials))

@@ -31,7 +31,7 @@ import numpy as np
 from .bregman import BregmanGenerator, bregman_distance
 from .errors import ConfigurationError, ContractViolation
 from .functions import CompositeProblem, Vector, per_row
-from .solvers import IterationTrace
+from .solvers import IterationTrace, accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +73,13 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
     x0, eta = trace.xs[0], trace.eta[1:]
     # a trace with no accepted step bounds nothing; eta0 stands in for eta_1
     eta_1 = eta[0] if eta.size else trace.config.eta0
-    constant = bregman_distance(H, x_star, x0) / eta_1 \
-        - p.f.distance(x_star, x0)
+    d_H = bregman_distance(H, x_star, x0) / eta_1
+    d_f = p.f.distance(x_star, x0)
+    constant = d_H - d_f
+    if constant < 0.0 and accepts(d_H, d_f):
+        # c = D_{h_1}(x*, x0) >= 0 under the hypothesis: a negative c that
+        # passes its test is cancellation, as of D_H / eta_1 = D_f exactly
+        constant = 0.0
     # under a constant step every weight is exactly 1.0, so S_k is exactly k
     weight_sums = np.cumsum(eta / eta_1)
     gaps = trace.objective[1:] - f_star

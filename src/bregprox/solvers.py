@@ -17,22 +17,29 @@ from typing import List
 
 import numpy as np
 
-from .bregman import BregmanGenerator, bregman_distance, composite_generator
+from .bregman import (BregmanGenerator, bregman_distance, composite_generator,
+                      step_within_hypothesis)
 from .errors import ContractViolation, SolverFailure
-from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector, blocks,
-                        evaluate_composite, sample_feasible)
+from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector,
+                        evaluate_composite, worst_excess)
 from .prox import ProxMap
 
 logger = logging.getLogger(__name__)
 
-# A candidate is accepted when D_H / eta - D_f >= -ACCEPT_TOL (D_H / eta +
-# D_f).  A slack relative to the distances reads the same in any units of
-# the data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
+# A slack relative to the distances reads the same in any units of the
+# data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
 # squared norms carry a relative rounding error near n eps, under 1e-12 for
 # n up to a few thousand.  A KL term is exact to about 2 eps / |t| relative,
 # t = x_i / y_i - 1, and to series precision for |t| < 1e-3 (see
 # kl_divergence), so under 5e-13 at a near tie as well.
 ACCEPT_TOL = 1e-12
+
+
+def accepts(d_H, d_f):
+    """D_{h_k} = d_H - d_f >= 0 (d_H = D_H / eta) to a slack of ACCEPT_TOL
+    (d_H + d_f), elementwise: the line search's and certificates' test."""
+    return d_H - d_f >= -ACCEPT_TOL * (d_H + d_f)
+
 
 # candidates a line-search step may reject before the run fails: at
 # alpha = 0.5, 60 halvings shrink eta by 2^-60 (about 1e-18)
@@ -139,13 +146,13 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     if not np.isfinite(obj0):
         raise ContractViolation("x0 must have finite objective")
 
-    if p.f.lipschitz_grad:
-        gamma = 1.0 / p.f.lipschitz_grad
-        if not cfg.line_search_enabled and cfg.eta0 > gamma * (1 + 1e-12):
-            logger.warning(
-                "constant step eta = %g exceeds gamma = %g; rate "
-                "certificates may not hold", cfg.eta0, gamma,
-            )
+    L = p.f.lipschitz_grad
+    if not (cfg.line_search_enabled or L is None
+            or step_within_hypothesis(cfg.eta0, L)):
+        logger.warning(
+            "constant step eta = %g exceeds gamma = %g; rate "
+            "certificates may not hold", cfg.eta0, 1.0 / L,
+        )
     early_stop = cfg.tolerance > 0 and p.optimum_oracle is not None
     if early_stop:
         f_star, tol = p.optimum_oracle[1], cfg.tolerance
@@ -171,8 +178,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             if not cfg.line_search_enabled:
                 d_H = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) / cfg.eta0
                 d_hk[lo:hi] = d_H - d_f[lo - 1:hi - 1]
-                held &= bool(np.all(d_hk[lo:hi] >= -ACCEPT_TOL
-                                    * (d_H + d_f[lo - 1:hi - 1])))
+                held &= bool(np.all(accepts(d_H, d_f[lo - 1:hi - 1])))
         return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg, held)
 
     eta, d = cfg.eta0, 0.0
@@ -188,7 +194,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             d_H = H.distance(cand, x) / eta
             d_f = smooth.distance()
             d = d_H - d_f
-            if d >= -ACCEPT_TOL * (d_H + d_f):
+            if accepts(d_H, d_f):
                 break
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
@@ -220,19 +226,14 @@ def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,
     """Worst proximal-point optimality violation of the BPGA iterates.
 
     Each of the first ``iters`` constant-step iterates of ``run_solver`` is
-    compared against ``samples`` random feasible points, in blocks of at
-    most ``BLOCK_ROWS`` rows, under the objective F(x) + D_h(x, x_k) with
-    h = (1/eta) H - f; a nonpositive result (up to rounding) certifies that
-    the two iterations coincide.
+    compared against ``samples`` random feasible points (``worst_excess``)
+    under the objective F(x) + D_h(x, x_k) with h = (1/eta) H - f; a
+    nonpositive result (up to rounding) certifies that the two coincide.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     h = composite_generator(H, p.f, eta)
     xs = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=iters)).xs
-    worst = -np.inf
-    for anchor, x in zip(xs, xs[1:]):
-        base = gppa_objective(p, h, x, anchor)
-        for rows in blocks(samples):
-            z = sample_feasible(p.g.kind, x.size, rng, (rows,), x)
-            worst = np.max(base - gppa_objective(p, h, z, anchor),
-                           initial=worst)
-    return float(worst)
+    return float(np.max([
+        worst_excess(lambda z: gppa_objective(p, h, z, anchor), x,
+                     p.g.kind, rng, samples)
+        for anchor, x in zip(xs, xs[1:])]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bregprox import (
+    ContractViolation,
     DomainError,
     HypothesisViolation,
     bregman_distance,
@@ -358,6 +359,23 @@ class TestCompositeGenerator:
         with pytest.raises(HypothesisViolation,
                            match=r"^sigma = 1\.0 < eta \* L = 1\.0000000000"):
             composite_generator(H, f, (1.0 + 1e-11) / f.lipschitz_grad)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_nonpositive_eta_rejected(self, eta):
+        f = shifted_quadratic(np.zeros(2), 1.0)
+        with pytest.raises(ContractViolation, match="^eta must be positive$"):
+            composite_generator(squared_euclidean(2), f, eta)
+
+    def test_smooth_term_needs_distance_and_lipschitz_constant(self):
+        f = shifted_quadratic(np.zeros(2), 1.0)
+        with pytest.raises(ContractViolation, match="no closed-form distance"):
+            composite_generator(squared_euclidean(2),
+                                dataclasses.replace(f, distance=None), 0.5)
+        with pytest.raises(HypothesisViolation,
+                           match="Lipschitz constant of f is required"):
+            composite_generator(squared_euclidean(2),
+                                dataclasses.replace(f, lipschitz_grad=None),
+                                0.5)
 
     def test_composite_H_is_not_strongly_convex(self):
         f = shifted_quadratic(np.zeros(2), 1.0)

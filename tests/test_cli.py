@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from bregprox import (
+    DomainError,
     SolverConfig,
     certify_trace,
     experiments,
@@ -164,6 +166,50 @@ class TestRunSimplex:
         target.write_text("a file, not a directory")
         assert run(SMALL_SIMPLEX + ["--out", str(target)]) == 3
 
+    def test_failed_certificate_exits_1(self, monkeypatch, tmp_path,
+                                        capsys):
+        # an F* 1.0 too low puts every gap above its bound: each variant
+        # prints [FAIL] and none reaches the tolerance
+        reference = experiments.reference_simplex_ls
+
+        def low(*args, **kwargs):
+            x_star, f_star = reference(*args, **kwargs)
+            return x_star, f_star - 1.0
+
+        monkeypatch.setattr(experiments, "reference_simplex_ls", low)
+        assert run(SMALL_SIMPLEX + ["--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.split("\n")
+        assert lines[-1] == "" and len(lines) == len(VARIANTS) + 1
+        for variant, line in zip(VARIANTS, lines):
+            head, margin, verdict = line.rsplit(" ", 2)
+            assert head == f"{variant}: iters_to_tol=None"
+            assert margin.startswith("cert_margin=-")
+            assert verdict == "[FAIL]"
+
+    def test_variant_failing_without_a_trace_keeps_its_row(
+            self, monkeypatch, tmp_path, capsys):
+        # a prox map that raises before the first step leaves no partial
+        # trace: the mirror variants write no CSV but keep a summary row
+        def refuse(v, y, eta):
+            raise DomainError("no mirror step here")
+
+        monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), refuse)
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX + ["--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "pga-constant.csv", "pga-linesearch.csv", "summary.csv"]
+        summary = (out / "summary.csv").read_text().split("\n")
+        assert summary[3:] == ["mirror-constant,,false,,,,,",
+                               "mirror-linesearch,,false,,,,,", ""]
+        assert [row.split(",")[5] for row in summary[1:3]] == ["gppa"] * 2
+        captured = capsys.readouterr()
+        assert captured.out.count("[ok]") == 2
+        assert captured.err == (
+            "mirror-constant: solver failure: no mirror step here\n"
+            "mirror-linesearch: solver failure: no mirror step here\n")
+
 
 def row_by_row_csv(trace, f_star, cert, gamma, x_star, x0, timing):
     """The CSV bytes of the writer that formatted one record at a time with
@@ -247,17 +293,19 @@ class TestRunLasso:
         assert capsys.readouterr().out.split("\n")[1] == \
             "GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails"
 
-    @pytest.mark.parametrize("gamma", ["1", "1e-3", "1e-6", "1e-300"])
+    @pytest.mark.parametrize("gamma", ["1", "1e-3", "1e-6", "1e-300", "10"])
     def test_one_step_optimum_at_any_scale(self, capsys, gamma):
         # --gamma 1e-300 exited 1: its gap, 2.5e269, is x_1's rounding
         # scaled by 1/gamma, and it was held to an absolute 1e-10; --gamma
         # 1e-3 reported its hypothesis D_h1 >= 0 as failing on a d_h1 of
-        # -7.3e-12, which is 0 in exact arithmetic
+        # -7.3e-12, which is 0 in exact arithmetic, and then printed that
+        # cancellation as a negative bound, as --gamma 10 did
         assert run(["run-lasso", "--gamma", gamma]) == 0
         out = capsys.readouterr().out.split("\n")
         assert out[0].startswith("F(x_1) - F* = ")
-        assert out[1].startswith("GPPA-PGA bound at k=1: ")
-        assert "none" not in out[1]
+        head, bound = out[1].split(": ")
+        assert head == "GPPA-PGA bound at k=1"
+        assert float(bound) >= 0.0
 
     @pytest.mark.parametrize("gamma", ["1", "1e-300"])
     @pytest.mark.parametrize("shift, status", [(0, 0), (1, 0), (1e-12, 1)])
@@ -284,6 +332,24 @@ class TestRunLasso:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gamma must be positive and finite\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--eta-ratio", "0"], "--eta-ratio"),
+        (["--eta-ratio", "-1"], "--eta-ratio"),
+        (["--eta-ratio", "nan"], "--eta-ratio"),
+        (["--eta-ratio", "inf"], "--eta-ratio"),
+        (["--gamma", "1e300", "--eta-ratio", "1e10"],
+         "the step gamma * eta-ratio"),
+        (["--gamma", "1e-300", "--eta-ratio", "1e-300"],
+         "the step gamma * eta-ratio"),
+    ], ids=["0", "-1", "nan", "inf", "overflow", "underflow"])
+    def test_bad_step_names_the_flag(self, capsys, argv, name):
+        # these used to fail in SolverConfig, naming eta0, which run-lasso
+        # has no flag for
+        assert run(["run-lasso"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be positive and finite\n"
 
     @pytest.mark.parametrize("dim", ["0", "-1", "-50"])
     def test_dimension_below_one_is_an_error(self, capsys, dim):
@@ -321,6 +387,22 @@ class TestCertify:
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == (2 if hypothesis else 0)
         assert status == (1 if hypothesis else 0)
+
+    def test_solver_failure_is_reported(self, monkeypatch, capsys):
+        # certify used to skip its variants' failures: a mirror map that
+        # raises left one [ok] line and exit 0
+        def refuse(v, y, eta):
+            raise DomainError("no mirror step here")
+
+        monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), refuse)
+        status = run(["certify", "--rows", "10", "--cols", "20",
+                      "--iters", "100"])
+        captured = capsys.readouterr()
+        assert captured.out.startswith("pga-constant: margin=")
+        assert captured.out.count("\n") == 1
+        assert captured.err == \
+            "mirror-constant: solver failure: no mirror step here\n"
+        assert status == 1
 
 
 class TestVerifyIdentities:
@@ -379,3 +461,24 @@ class TestUsage:
             f"{argv[0]}: error: argument --seed: must be a nonnegative "
             f"integer, got {argv[2]}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["1.5", "seven"])
+    def test_non_integer_seed_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["verify-identities", "--seed", seed])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"verify-identities: error: argument --seed: invalid int "
+            f"value: '{seed}'\n")
+
+    def test_closed_output_stream_is_io_error(self, monkeypatch, capsys):
+        # a report that cannot be printed, as into a closed pipe, exits 3
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["verify-identities", "--samples", "100"]) == 3
+        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"

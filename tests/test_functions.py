@@ -18,8 +18,8 @@ from bregprox import (
     simplex_indicator,
     zero_function,
 )
-from bregprox.functions import (SIMPLEX_INTERIOR_MIN, SIMPLEX_MEMBER_MIN,
-                                on_simplex)
+from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_INTERIOR_MIN,
+                                SIMPLEX_MEMBER_MIN, NonsmoothTerm, on_simplex)
 
 
 def rng(seed=0):
@@ -126,6 +126,20 @@ class TestSimplexIndicator:
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ContractViolation):
             simplex_indicator(0)
+
+
+class TestNonsmoothTerm:
+    def test_kind_selects_the_value(self):
+        # a term used to carry a value beside its kind: an l1 value on a
+        # simplex kind was accepted, projected onto the simplex and
+        # reported f + ||x||_1
+        with pytest.raises(TypeError):
+            NonsmoothTerm(value=NONSMOOTH_VALUES["l1"], kind="simplex")
+        x = rng(3).dirichlet(np.ones(4), size=5)
+        x[0] *= 2.0
+        for kind, value in NONSMOOTH_VALUES.items():
+            assert np.array_equal(NonsmoothTerm(kind).value(x), value(x))
+            assert NonsmoothTerm(kind, 3).value(x) == np.inf
 
 
 class TestCheckGradient:

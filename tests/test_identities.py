@@ -4,7 +4,7 @@ one row of one block must still fail its suite."""
 import numpy as np
 import pytest
 
-from bregprox import bregman, identities, prox
+from bregprox import bregman, functions, identities, prox
 
 FAULT = 1e-9  # above the three suites' thresholds (1e-10, 1e-12)
 
@@ -62,9 +62,9 @@ def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
             z[shape[0] // 2] = minimizer.pop("x")
         return z
 
-    sample_feasible = prox.sample_feasible
+    sample_feasible = functions.sample_feasible
     monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), off_once)
-    monkeypatch.setattr(prox, "sample_feasible", plant)
+    monkeypatch.setattr(functions, "sample_feasible", plant)
     results = {r.name: r for r in identities.prox_optimality_suite(10_000, 0)}
     assert calls[0] == 5 and not minimizer
     assert not results["prox_optimality_simplex_entropy"].passed

@@ -298,6 +298,19 @@ class TestProxMapRegistry:
         with pytest.raises(ContractViolation):
             make_prox_map("l1", "entropy")
 
+    @pytest.mark.parametrize("pair", sorted(_REGISTRY))
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_every_map_rejects_nonpositive_eta(self, pair, eta):
+        y = np.full(3, 1 / 3)
+        with pytest.raises(ContractViolation, match="^eta must be positive$"):
+            make_prox_map(*pair).solve(np.zeros(3), y, eta)
+
+    def test_fewer_than_100_trials_rejected(self):
+        pm = make_prox_map("l1", "quadratic")
+        with pytest.raises(ContractViolation, match="trials must be >= 100"):
+            verify_prox_optimality(pm, np.zeros(3), np.zeros(3), 1.0,
+                                   trials=99)
+
     @pytest.mark.parametrize("g_kind,H_kind,n", [
         ("l1", "quadratic", 5),
         ("simplex", "quadratic", 10),

@@ -118,6 +118,22 @@ class TestBpgaBound:
                            SolverConfig(eta0=0.6, max_iters=1))
         assert abs(certify_trace(p, H, trace).bound_at(1)) <= 1e-12
 
+    @pytest.mark.parametrize("gamma, ratio, sign", [
+        (1e-3, 1.0, 0.0), (10.0, 1.0, 0.0), (1.0, 2.0, -1.0)])
+    def test_cancelled_constant_is_zero(self, gamma, ratio, sign):
+        # run-lasso's instance: at eta = gamma, c = D_H / eta - D_f is 0 in
+        # exact arithmetic and came out as -7.3e-12 (gamma 1e-3) and
+        # -4.4e-16 (gamma 10); a step of 2 gamma keeps its negative c
+        r = rng(7)
+        p = build_lasso_onestep(gamma, r.standard_normal(50))
+        x0 = r.standard_normal(50)
+        H = squared_euclidean(50)
+        trace = run_solver(p, H, make_prox_map("l1", "quadratic"), x0,
+                           SolverConfig(eta0=gamma * ratio, max_iters=1))
+        cert = certify_trace(p, H, trace)
+        assert np.sign(cert.constant) == sign
+        assert cert.hypothesis_satisfied == (ratio == 1.0)
+
     def test_matches_hand_expanded_quadratics(self):
         r = rng(2)
         A = r.standard_normal((12, 10))

@@ -4,7 +4,9 @@ Every value, distance and domain check reduces the last axis through the
 kernel, which must give the bits of numpy's ufunc reduction on every shape
 and layout.  The rerouted oracles are compared with their bodies as they
 were before the kernel (kept below as ``reference_*``), and each stacked
-call with its row-by-row calls.
+call with its row-by-row calls.  A parse of the sources guards that no
+other reduction of the last axis appears, and that two more rules keep one
+coding each.
 """
 
 import ast
@@ -350,10 +352,9 @@ def is_minus_one(node):
         return False
 
 
-def last_axis_calls(src=SRC):
-    """(file, enclosing function or "<module>", callee) of every call in
-    ``src`` that takes axis=-1, or that reduces with a positional -1 axis."""
-    found = set()
+def owned_nodes(src=SRC):
+    """(file, enclosing function or "<module>", node) of every node of the
+    modules in ``src``."""
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -362,15 +363,23 @@ def last_axis_calls(src=SRC):
                 for node in ast.walk(fn):
                     # ast.walk goes outside in, so the innermost def wins
                     owner[node] = fn.name
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            callee = ast.unparse(call.func)
-            if any(kw.arg == "axis" and is_minus_one(kw.value)
-                   for kw in call.keywords) or (
-                    callee.rsplit(".", 1)[-1] in REDUCTIONS
-                    and any(map(is_minus_one, call.args[1:]))):
-                found.add((path.name, owner.get(call, "<module>"), callee))
+        for node in ast.walk(tree):
+            yield path.name, owner.get(node, "<module>"), node
+
+
+def last_axis_calls(src=SRC):
+    """(file, enclosing function or "<module>", callee) of every call in
+    ``src`` that takes axis=-1, or that reduces with a positional -1 axis."""
+    found = set()
+    for name, owner, call in owned_nodes(src):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = ast.unparse(call.func)
+        if any(kw.arg == "axis" and is_minus_one(kw.value)
+               for kw in call.keywords) or (
+                callee.rsplit(".", 1)[-1] in REDUCTIONS
+                and any(map(is_minus_one, call.args[1:]))):
+            found.add((name, owner, callee))
     return found
 
 
@@ -395,3 +404,40 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
         ("stray.py", "<module>", "np.abs(x).sum"),
         ("stray.py", "g", "np.add.reduce"),
         ("stray.py", "f", "np.sum")}
+
+
+# Two more rules with one coding each: the acceptance test D_{h_k} >= 0 of
+# the line search and the certificates (solvers.accepts), and the feasible
+# points of the randomized checks (functions.sample_feasible).
+def single_coding_sites(src=SRC):
+    """(file, enclosing function or "<module>", what) of every read of
+    ACCEPT_TOL and every call of a ``dirichlet`` method in ``src``."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        if isinstance(node, ast.Name) and node.id == "ACCEPT_TOL" \
+                and isinstance(node.ctx, ast.Load):
+            found.add((name, owner, "ACCEPT_TOL"))
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "dirichlet":
+            found.add((name, owner, "dirichlet"))
+    return found
+
+
+def test_each_rule_has_one_coding():
+    assert single_coding_sites() == {
+        ("solvers.py", "accepts", "ACCEPT_TOL"),
+        ("functions.py", "sample_feasible", "dirichlet")}
+
+
+def test_the_guard_sees_a_second_coding(tmp_path):
+    (tmp_path / "second.py").write_text(
+        "from .solvers import ACCEPT_TOL\n\n"
+        "SLACK = -ACCEPT_TOL\n\n"
+        "def draw(rng, n):\n"
+        "    ACCEPT_TOL = 0.0\n"
+        "    return rng.dirichlet([1.0] * n, size=2), ACCEPT_TOL\n")
+    assert single_coding_sites(tmp_path) == {
+        ("second.py", "<module>", "ACCEPT_TOL"),
+        ("second.py", "draw", "dirichlet"),
+        ("second.py", "draw", "ACCEPT_TOL")}

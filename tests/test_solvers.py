@@ -108,6 +108,19 @@ class TestSteps:
         assert len(trace.records) == 4
         assert any("exceeds gamma" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("ratio, warned", [
+        (1.0, False), (1.0 + 1e-13, False), (1.0 + 1e-11, True)])
+    def test_step_warning_has_the_generator_slack(self, caplog, ratio,
+                                                  warned):
+        # the warning and composite_generator share one hypothesis: eta L
+        # may reach 1 + 1e-12
+        p = CompositeProblem(shifted_quadratic(np.zeros(3), 0.25), l1_norm())
+        cfg = SolverConfig(eta0=ratio / p.f.lipschitz_grad, max_iters=1)
+        with caplog.at_level(logging.WARNING, logger="bregprox.solvers"):
+            run_solver(p, squared_euclidean(3),
+                       make_prox_map("l1", "quadratic"), np.ones(3), cfg)
+        assert any("exceeds gamma" in m for m in caplog.messages) == warned
+
 
 class TestGppaObjective:
     def test_anchor_value_is_objective(self):
@@ -545,6 +558,14 @@ class TestRunSolver:
         with pytest.raises(ContractViolation):
             SolverConfig(eta0=eta0)
 
+    @pytest.mark.parametrize("setting", [
+        {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": -0.5}, {"alpha": np.nan},
+        {"max_iters": 0}, {"max_iters": -3}, {"tolerance": -1e-12},
+    ])
+    def test_out_of_range_setting_rejected(self, setting):
+        with pytest.raises(ContractViolation):
+            SolverConfig(eta0=1.0, **setting)
+
     def test_infeasible_start_rejected(self):
         p = simplex_ls_problem(4, 6, seed=15)
         pm = make_prox_map("simplex", "quadratic")
@@ -682,7 +703,8 @@ class TestColumnarTrace:
         assert trace.objective[-1] - f_star <= tol
 
     @pytest.mark.parametrize("tolerance, steps", [(1e-12, 5000), (1.0, 1)])
-    def test_g_is_evaluated_once_per_block(self, tolerance, steps):
+    def test_g_is_evaluated_once_per_block(self, monkeypatch, tolerance,
+                                           steps):
         # with F* = 0 under objectives of about 0.2, tolerance 1e-12 is never
         # met: all 5,000 steps take the f-only test, and g is evaluated at x0
         # and once per block alone; tolerance 1.0 is met by f at the first
@@ -691,15 +713,15 @@ class TestColumnarTrace:
         base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
                                                seed=42))
         calls = []
+        simplex_value = NONSMOOTH_VALUES["simplex"]
 
         def counting(x):
             calls.append(np.shape(x))
-            return base.g.value(x)
+            return simplex_value(x)
 
+        monkeypatch.setitem(NONSMOOTH_VALUES, "simplex", counting)
         x0 = np.full(100, 0.01)
-        p = CompositeProblem(
-            base.f, dataclasses.replace(base.g, value=counting),
-            optimum_oracle=(x0, 0.0))
+        p = CompositeProblem(base.f, base.g, optimum_oracle=(x0, 0.0))
         cfg = SolverConfig(eta0=1.0 / base.f.lipschitz_grad, max_iters=5000,
                            tolerance=tolerance)
         trace = run_solver(p, negative_entropy(100),
