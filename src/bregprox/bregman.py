@@ -28,6 +28,7 @@ from .functions import (
     DomainDescriptor,
     SmoothFunction,
     Vector,
+    check_step,
     euclidean_space,
     on_simplex,
     per_row,
@@ -202,8 +203,7 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction,
     (Pinsker's modulus 1 in l1 gives the same, since ||v||_1 >= ||v||_2).
     A composite H has none.
     """
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     if f.distance is None:
         raise ContractViolation("the smooth term has no closed-form distance")
     if H.kind == "composite":

@@ -30,6 +30,7 @@ from .experiments import (
     build_lasso_onestep,
     run_experiment,
 )
+from .functions import check_step
 from .identities import run_identity_suites
 from .prox import make_prox_map
 from .rates import certify_trace, classical_pga_bound
@@ -88,46 +89,40 @@ def _report(result, line: str) -> int:
     return status
 
 
+def _spec(args, name: str, **fields) -> ExperimentSpec:
+    """The experiment of --rows, --cols, --seed, --max-iters (certify's
+    --iters) and --ref-iters, with a subcommand's own ``fields``."""
+    return ExperimentSpec(name=name, m=args.rows, n=args.cols, seed=args.seed,
+                          max_iters=args.max_iters, ref_iters=args.ref_iters,
+                          **fields)
+
+
 def cmd_run_simplex(args) -> int:
     variants = tuple(args.variants.split(","))
-    spec = ExperimentSpec(
-        name="simplex_ls",
-        m=args.rows,
-        n=args.cols,
-        seed=args.seed,
-        eta0=args.eta0,
-        alpha=args.alpha,
-        max_iters=args.max_iters,
-        ref_iters=args.ref_iters,
-        variants=variants,
-    )
-    result = run_experiment(spec)
+    result = run_experiment(_spec(args, "simplex_ls", eta0=args.eta0,
+                                  alpha=args.alpha, variants=variants))
     x_star, f_star = result.reference_optimum
 
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for variant, trace in result.traces.items():
-            _write_variant_csv(
-                out / f"{variant}.csv", trace, f_star,
-                result.certificates[variant], result.gamma, x_star,
-                result.x0, args.timing)
-        summary = SUMMARY_HEADER
-        for variant in variants:
-            fields = ("", "false", "", "", "", "", "")  # failed, no trace
-            if variant in result.traces:
-                k = result.iters_to_tol[variant]
-                cert = result.certificates[variant]
-                gap = result.traces[variant].objective[-1] - f_star
-                fields = ("" if k is None else k, str(k is not None).lower(),
-                          f"{result.tolerance:.17g}", f"{gap:.17g}", "gppa",
-                          f"{cert.margin:.17g}",
-                          str(cert.hypothesis_satisfied).lower())
-            summary += SUMMARY_ROW % (variant, *fields)
-        (out / "summary.csv").write_text(summary, newline="\n")
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    out.mkdir(parents=True, exist_ok=True)
+    for variant, trace in result.traces.items():
+        _write_variant_csv(
+            out / f"{variant}.csv", trace, f_star,
+            result.certificates[variant], result.gamma, x_star,
+            result.x0, args.timing)
+    summary = SUMMARY_HEADER
+    for variant in variants:
+        fields = ("", "false", "", "", "", "", "")  # failed, no trace
+        if variant in result.traces:
+            k = result.iters_to_tol[variant]
+            cert = result.certificates[variant]
+            gap = result.traces[variant].objective[-1] - f_star
+            fields = ("" if k is None else k, str(k is not None).lower(),
+                      f"{result.tolerance:.17g}", f"{gap:.17g}", "gppa",
+                      f"{cert.margin:.17g}",
+                      str(cert.hypothesis_satisfied).lower())
+        summary += SUMMARY_ROW % (variant, *fields)
+    (out / "summary.csv").write_text(summary, newline="\n")
     return _report(
         result, "{variant}: iters_to_tol={k} cert_margin={margin:.3e} "
                 "[{verdict}]")
@@ -138,19 +133,23 @@ def cmd_run_lasso(args) -> int:
         # before any draw: numpy rejects a negative size with a ValueError
         raise ContractViolation("dimension must be positive")
     rng = np.random.Generator(np.random.Philox(args.seed))
-    b = rng.standard_normal(args.dim)
-    p = build_lasso_onestep(args.gamma, b)
+    b, x0 = rng.standard_normal(args.dim), rng.standard_normal(args.dim)
+    # a tiny gamma overflows f(x0) = ||x0 - b||^2 / (2 gamma), and makes F*
+    # 0 * inf once 1 / gamma overflows: the error names the flag instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = build_lasso_onestep(args.gamma, b)
+        f0 = p.f.value(x0)
+    if not f0 < np.inf:
+        raise ContractViolation(
+            f"--gamma {args.gamma!r} is too small: F(x0) overflows")
     x_star, f_star = p.optimum_oracle
     eta = args.gamma * args.eta_ratio
-    for name, value in (("--eta-ratio", args.eta_ratio),
-                        ("the step gamma * eta-ratio", eta)):
-        if not 0.0 < value < np.inf:  # a NaN fails this too
-            raise ContractViolation(f"{name} must be positive and finite")
-    x0 = rng.standard_normal(args.dim)
+    check_step(args.eta_ratio, "--eta-ratio")
+    check_step(eta, "the step gamma * eta-ratio")
     pm = make_prox_map("l1", "quadratic")
     H = squared_euclidean(args.dim)
     trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=1))
-    gap = trace.final().objective - f_star
+    gap = trace.objective[-1] - f_star
     cert = certify_trace(p, H, trace)
     print(f"F(x_1) - F* = {gap:.17g}")
     if cert.hypothesis_satisfied:
@@ -163,21 +162,13 @@ def cmd_run_lasso(args) -> int:
         # the claim is x_1 = x*, up to one step's rounding: at most
         # 4.5 eps max(|b|, |x0|) per entry, which the gap scales by 1/gamma
         scale = max(np.max(np.abs(b)), np.max(np.abs(x0)))
-        error = np.max(np.abs(trace.final().x - x_star))
+        error = np.max(np.abs(trace.xs[-1] - x_star))
         return 0 if error <= 8 * np.finfo(float).eps * scale else 1
     return 0 if _certified(cert) else 1
 
 
 def cmd_certify(args) -> int:
-    spec = ExperimentSpec(
-        name="certify",
-        m=args.rows,
-        n=args.cols,
-        seed=args.seed,
-        max_iters=args.iters,
-        ref_iters=args.ref_iters,
-        variants=("pga-constant", "mirror-constant"),
-    )
+    spec = _spec(args, "certify", variants=("pga-constant", "mirror-constant"))
     return _report(run_experiment(spec),
                    "{variant}: margin={margin:.3e} [{verdict}]")
 
@@ -247,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--rows", type=int, default=20)
     pc.add_argument("--cols", type=int, default=40)
     pc.add_argument("--seed", type=_seed, default=0)
-    pc.add_argument("--iters", type=int, default=500)
+    pc.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int,
+                    default=500)
     pc.add_argument("--ref-iters", type=int, default=100_000,
                     help=REF_ITERS_HELP)
     pc.set_defaults(func=cmd_certify)

@@ -153,7 +153,8 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
     measured against an uncertified F*.
     """
     if iters < 0:
-        raise ContractViolation(f"iters must be non-negative, got {iters}")
+        raise ContractViolation(
+            f"the cycle cap (--ref-iters) must be non-negative, got {iters}")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     P = A - b[:, None]

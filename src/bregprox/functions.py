@@ -29,10 +29,10 @@ BLOCK_ROWS = 1_000
 
 # What nothing in an iteration reads at once is completed in blocks of
 # steps, one stacked call per block, which gives the bits of one call per
-# step: f and D_f of least squares (ResidualStepper), and g(x_k) and the
-# constant-step d_hk (run_solver).  A block holds at most FLUSH_ENTRIES
-# entries (64 kB), so its memory does not grow with the size of the problem:
-# 81 iterate rows at n = 100, 8 at n = 1000.
+# step: f and D_f (the steppers' columns), and g(x_k) and the constant-step
+# d_hk (run_solver).  A block holds at most FLUSH_ENTRIES entries (64 kB),
+# so its memory does not grow with the size of the problem: 81 iterate rows
+# at n = 100, 8 at n = 1000.
 FLUSH_ENTRIES = 8192
 
 
@@ -77,6 +77,12 @@ def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     """Per row of x (the last axis is the vector): every entry >= floor and
     the sum within SIMPLEX_SUM_TOL of 1."""
     return (row_min(x) >= floor) & (abs(row_sum(x) - 1.0) <= SIMPLEX_SUM_TOL)
+
+
+def check_step(eta: float, name: str = "eta") -> None:
+    """The one test of a step size: positive and finite (a NaN fails)."""
+    if not 0.0 < eta < np.inf:
+        raise ContractViolation(f"{name} must be positive and finite")
 
 
 def per_row(r):
@@ -205,37 +211,38 @@ class OracleStepper:
     takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
     ``accept()`` moves x to the candidate.  ``value(f_star, tol)`` is f at x
     with the bits of the trace, or +inf where a cheaper test proves
-    f(x) - f_star > tol.  ``columns()`` gives f and D_f(x_k, x_{k-1}) of
-    every accepted step so far; here each is evaluated at acceptance, one
-    value and at most one distance per step.
+    f(x) - f_star > tol.  ``columns(xs)`` gives f and D_f(x_k, x_{k-1}) of
+    the accepted steps, whose iterates are the rows of xs after x0; here
+    from one stacked value and one stacked distance call per block of
+    FLUSH_ENTRIES entries, which equal the calls on each row bit for bit.
     """
 
     def __init__(self, f: SmoothFunction, x0: Vector):
         self.f, self.x = f, x0
-        self.values, self.distances = [], []
 
     def grad(self) -> Vector:
         return np.asarray(self.f.grad(self.x), dtype=float)
 
     def propose(self, cand: Vector) -> None:
-        self.cand, self.d_f = cand, None
+        self.cand = cand
 
     def distance(self) -> float:
-        self.d_f = self.f.distance(self.cand, self.x)
-        return self.d_f
+        return self.f.distance(self.cand, self.x)
 
     def accept(self) -> None:
-        self.distances.append(self.distance() if self.d_f is None
-                              else self.d_f)
         self.x = self.cand
-        self.values.append(self.f.value(self.x))
 
     def value(self, f_star: float, tol: float) -> float:
-        return self.values[-1]
+        return self.f.value(self.x)
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (np.array(self.values, dtype=float),
-                np.array(self.distances, dtype=float))
+    def columns(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        rows, k = max(1, FLUSH_ENTRIES // xs.shape[1]), len(xs) - 1
+        values, distances = np.empty(k), np.empty(k)
+        for lo in range(0, k, rows):
+            hi = min(lo + rows, k)
+            values[lo:hi] = self.f.value(xs[lo + 1:hi + 1])
+            distances[lo:hi] = self.f.distance(xs[lo + 1:hi + 1], xs[lo:hi])
+        return values, distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,8 +317,8 @@ class ResidualStepper:
             return np.inf
         return float(0.5 * np.add.reduce(np.square(r)))
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        self._flush()
+    def columns(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        self._flush()  # from the carried residuals, not from xs
         return np.concatenate(self.values), np.concatenate(self.distances)
 
     def _flush(self) -> None:
@@ -393,8 +400,7 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
     """f(x) = 1/(2 gamma) ||x - b||^2; gradient Lipschitz constant is 1/gamma
     and D_f(x, y) = ||x - y||^2 / (2 gamma)."""
     b = np.asarray(b, dtype=float)
-    if not 0.0 < gamma < np.inf:  # a NaN fails this too
-        raise ContractViolation("gamma must be positive and finite")
+    check_step(gamma, "gamma")
     return SmoothFunction(
         value=lambda x: per_row(0.5 / gamma * row_sum((x - b) ** 2)),
         grad=lambda x: (x - b) / gamma,

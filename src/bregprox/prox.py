@@ -18,7 +18,8 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import NONSMOOTH_VALUES, Vector, per_row, row_sum, worst_excess
+from .functions import (NONSMOOTH_VALUES, Vector, check_step, per_row,
+                        row_sum, worst_excess)
 
 GeneratorKind = str  # "quadratic" | "entropy"
 
@@ -31,8 +32,7 @@ def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
 
     Componentwise shrink of y - eta v by eta.
     """
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     z = np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - eta, 0.0)
 
@@ -71,8 +71,7 @@ def _simplex_threshold(z: Vector, ks: Vector):
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer over the simplex of <x, v> + 1/(2 eta) ||x - y||^2."""
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     return simplex_projection(np.asarray(y, dtype=float)
                               - eta * np.asarray(v, dtype=float))
 
@@ -85,8 +84,7 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     search) cannot overflow.  Zero components of y stay zero, and
     components below the smallest normal float become zero.
     """
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     y = np.asarray(y, dtype=float)
     y_min = np.minimum.reduce(y)
     if y_min < 0.0:
@@ -106,8 +104,7 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
 
 def gradient_step(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer of <x, v> + 1/(2 eta) ||x - y||^2 (g identically zero)."""
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     return np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bregman import BregmanGenerator, bregman_distance
 from .errors import ConfigurationError, ContractViolation
-from .functions import CompositeProblem, Vector, per_row
+from .functions import CompositeProblem, Vector, check_step, per_row
 from .solvers import IterationTrace, accepts
 
 
@@ -55,8 +55,7 @@ class RateCertificate:
 def classical_pga_bound(eta: float, x_star: Vector, x0: Vector, k):
     """||x* - x0||^2 / (2 eta k) at one k (a float) or at an array of k
     (one bound each)."""
-    if eta <= 0:
-        raise ContractViolation("eta must be positive")
+    check_step(eta)
     if np.any(np.less(k, 1)):
         raise ContractViolation("k must be >= 1")
     diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
@@ -71,8 +70,8 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
         raise ConfigurationError("certificate needs a reference optimum")
     x_star, f_star = p.optimum_oracle
     x0, eta = trace.xs[0], trace.eta[1:]
-    # a trace with no accepted step bounds nothing; eta0 stands in for eta_1
-    eta_1 = eta[0] if eta.size else trace.config.eta0
+    # no accepted step bounds nothing; eta0, in row 0, stands in for eta_1
+    eta_1 = eta[0] if eta.size else trace.eta[0]
     d_H = bregman_distance(H, x_star, x0) / eta_1
     d_f = p.f.distance(x_star, x0)
     constant = d_H - d_f

@@ -20,7 +20,7 @@ import numpy as np
 from .bregman import (BregmanGenerator, bregman_distance, composite_generator,
                       step_within_hypothesis)
 from .errors import ContractViolation, SolverFailure
-from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector,
+from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector, check_step,
                         evaluate_composite, worst_excess)
 from .prox import ProxMap
 
@@ -55,8 +55,7 @@ class SolverConfig:
     tolerance: float = 0.0  # early stop on gap, needs an optimum oracle
 
     def __post_init__(self):
-        if not 0.0 < self.eta0 < np.inf:  # a NaN fails this too
-            raise ContractViolation("eta0 must be positive and finite")
+        check_step(self.eta0, "eta0")
         if not 0.0 < self.alpha < 1.0:
             raise ContractViolation("alpha must lie in (0, 1)")
         if self.max_iters < 1:
@@ -84,7 +83,6 @@ class IterationTrace:
     backtracks: np.ndarray
     d_hk: np.ndarray
     elapsed_ms: np.ndarray
-    config: SolverConfig
     hypothesis_held: bool
 
     def __post_init__(self):
@@ -125,15 +123,12 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     candidate is accepted only if D_{h_k}(x_{k+1}, x_k) >= 0 with
     h_k = (1/eta_k) H - f; otherwise eta_k shrinks by alpha and the step is
     recomputed from the same x_k.  The accepted eta carries over to the
-    next iteration.  The smooth term is reached through its stepper: by
-    default each accepted iterate costs one gradient and one value of f,
-    however many candidates the line search tries, and each candidate one
-    distance; least squares carries its residual instead, so a step makes
-    one pass over A for the gradient and one per candidate, and f and D_f
-    come in blocks.  The loop reads D_f only under line search and f only
-    for the early stop; g, and under a constant step d_hk, are completed
-    after it in blocks too, one stacked g and D_H call each (see
-    FLUSH_ENTRIES).
+    next iteration.  The smooth term is reached through its stepper: a step
+    costs one gradient however many candidates the line search tries, and
+    for least squares one pass over A for it and one per candidate.  The
+    loop reads D_f only under line search and f only for the early stop;
+    f, D_f, g and, under a constant step, d_hk are completed in blocks of
+    steps, one stacked call each (see FLUSH_ENTRIES).
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -166,8 +161,8 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     steps = [(cfg.eta0, 0, 0.0, 0.0)]
 
     def build() -> IterationTrace:
-        f, d_f = smooth.columns()
         xs.resize((len(steps), n), refcheck=False)
+        f, d_f = smooth.columns(xs)
         etas, bts, d_hk, ms = map(np.array, zip(*steps))
         objective = np.concatenate(([obj0], f))
         held = True
@@ -179,7 +174,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 d_H = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) / cfg.eta0
                 d_hk[lo:hi] = d_H - d_f[lo - 1:hi - 1]
                 held &= bool(np.all(accepts(d_H, d_f[lo - 1:hi - 1])))
-        return IterationTrace(xs, objective, etas, bts, d_hk, ms, cfg, held)
+        return IterationTrace(xs, objective, etas, bts, d_hk, ms, held)
 
     eta, d = cfg.eta0, 0.0
     smooth = p.f.stepper(x)

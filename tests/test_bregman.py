@@ -360,10 +360,12 @@ class TestCompositeGenerator:
                            match=r"^sigma = 1\.0 < eta \* L = 1\.0000000000"):
             composite_generator(H, f, (1.0 + 1e-11) / f.lipschitz_grad)
 
-    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_eta_rejected(self, eta):
+        # a NaN step used to raise HypothesisViolation on eta * L = nan
         f = shifted_quadratic(np.zeros(2), 1.0)
-        with pytest.raises(ContractViolation, match="^eta must be positive$"):
+        with pytest.raises(ContractViolation,
+                           match="^eta must be positive and finite$"):
             composite_generator(squared_euclidean(2), f, eta)
 
     def test_smooth_term_needs_distance_and_lipschitz_constant(self):

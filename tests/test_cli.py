@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,29 @@ class TestRunLasso:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be positive and finite\n"
 
+    @pytest.mark.parametrize("gamma", ["1e-320", "4e-309", "1e-307"])
+    def test_tiny_gamma_names_the_flag(self, capsys, gamma):
+        # 1 / gamma or ||x0 - b||^2 / (2 gamma) overflows: these printed a
+        # numpy RuntimeWarning and then "x0 must have finite objective"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-lasso", "--gamma", gamma]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: --gamma {gamma} is too small: F(x0) overflows\n"
+
+    def test_small_gamma_keeps_its_output(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-lasso", "--gamma", "1e-305"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "F(x_1) - F* = 2.2976344236539723e+274\n"
+            "GPPA-PGA bound at k=1: 0\n"
+            "classical PGA bound at k=1: 4.7841596809461938e+306\n")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("dim", ["0", "-1", "-50"])
     def test_dimension_below_one_is_an_error(self, capsys, dim):
         # a negative --dim used to end in a traceback from
@@ -403,6 +427,19 @@ class TestCertify:
         assert captured.err == \
             "mirror-constant: solver failure: no mirror step here\n"
         assert status == 1
+
+
+@pytest.mark.parametrize("command", ["run-simplex", "certify"])
+def test_negative_ref_iters_names_the_flag(tmp_path, capsys, command):
+    # this named reference_simplex_ls's parameter: "iters must be
+    # non-negative, got -1"
+    assert run([command, "--rows", "10", "--cols", "20", "--ref-iters", "-1"]
+               + (["--out", str(tmp_path / "out")]
+                  if command == "run-simplex" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the cycle cap (--ref-iters) must be "
+                            "non-negative, got -1\n")
 
 
 class TestVerifyIdentities:

@@ -299,10 +299,13 @@ class TestProxMapRegistry:
             make_prox_map("l1", "entropy")
 
     @pytest.mark.parametrize("pair", sorted(_REGISTRY))
-    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
     def test_every_map_rejects_nonpositive_eta(self, pair, eta):
+        # a NaN step used to pass: three maps returned NaN with a numpy
+        # warning, and the projection raised NumericalFailure
         y = np.full(3, 1 / 3)
-        with pytest.raises(ContractViolation, match="^eta must be positive$"):
+        with pytest.raises(ContractViolation,
+                           match="^eta must be positive and finite$"):
             make_prox_map(*pair).solve(np.zeros(3), y, eta)
 
     def test_fewer_than_100_trials_rejected(self):

@@ -186,6 +186,13 @@ class TestClassicalBound:
         assert got.tobytes() == np.array(each).tobytes()
         assert classical_pga_bound(0.3, x_star, x0, k[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_step_rejected(self, eta):
+        # a NaN step used to give a NaN bound
+        with pytest.raises(ContractViolation,
+                           match="^eta must be positive and finite$"):
+            classical_pga_bound(eta, np.ones(2), np.zeros(2), 1)
+
     @pytest.mark.parametrize("k", [0, -1, np.array([1, 2, 0])])
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ContractViolation, match="^k must be >= 1$"):
@@ -360,7 +367,9 @@ class TestCertifyTrace:
         partial = IterationTrace(
             *(c[:1] for c in (trace.xs, trace.objective, trace.eta,
                               trace.backtracks, trace.d_hk, trace.elapsed_ms)),
-            trace.config, trace.hypothesis_held)
+            trace.hypothesis_held)
         cert = certify_trace(p, H, partial)
         assert cert.margin == np.inf
         assert cert.weight_sums.size == 0
+        # eta0, in row 0, stands in for eta_1
+        assert cert.constant == certify_trace(p, H, trace).constant

@@ -326,7 +326,7 @@ class TestReroutedOracles:
             res, x = res + ad, cand
             values.append(0.5 * np.add.reduce(np.square(res)))
             distances.append(0.5 * np.add.reduce(np.square(ad)))
-        got_values, got_distances = stepper.columns()
+        got_values, got_distances = stepper.columns(None)  # xs unread
         same_bits(got_values, np.array(values))
         same_bits(got_distances, np.array(distances))
 
@@ -406,12 +406,38 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
         ("stray.py", "f", "np.sum")}
 
 
-# Two more rules with one coding each: the acceptance test D_{h_k} >= 0 of
-# the line search and the certificates (solvers.accepts), and the feasible
-# points of the randomized checks (functions.sample_feasible).
+# Three more rules with one coding each: the acceptance test D_{h_k} >= 0
+# of the line search and the certificates (solvers.accepts), the feasible
+# points of the randomized checks (functions.sample_feasible), and the test
+# of a step size (functions.check_step).
+def is_zero_or_inf(node):
+    try:
+        return ast.literal_eval(node) == 0
+    except ValueError:
+        return ast.unparse(node) in ("np.inf", "math.inf")
+
+
+def names_a_step(node):
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else ""
+    return name.startswith("eta")
+
+
+def is_step_check(node):
+    """A comparison of a step (a name starting with "eta") with 0 or inf,
+    or a chain 0 < x < inf of any x: the positive-and-finite test."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    bounds = [o for o in operands if is_zero_or_inf(o)]
+    return bool(bounds) and (any(map(names_a_step, operands))
+                             or len(bounds) == 2)
+
+
 def single_coding_sites(src=SRC):
     """(file, enclosing function or "<module>", what) of every read of
-    ACCEPT_TOL and every call of a ``dirichlet`` method in ``src``."""
+    ACCEPT_TOL, every call of a ``dirichlet`` method and every step check
+    in ``src``."""
     found = set()
     for name, owner, node in owned_nodes(src):
         if isinstance(node, ast.Name) and node.id == "ACCEPT_TOL" \
@@ -421,23 +447,41 @@ def single_coding_sites(src=SRC):
                 and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "dirichlet":
             found.add((name, owner, "dirichlet"))
+        elif is_step_check(node):
+            found.add((name, owner, "step check"))
     return found
 
 
 def test_each_rule_has_one_coding():
     assert single_coding_sites() == {
         ("solvers.py", "accepts", "ACCEPT_TOL"),
-        ("functions.py", "sample_feasible", "dirichlet")}
+        ("functions.py", "sample_feasible", "dirichlet"),
+        ("functions.py", "check_step", "step check")}
 
 
 def test_the_guard_sees_a_second_coding(tmp_path):
     (tmp_path / "second.py").write_text(
+        "import numpy as np\n"
         "from .solvers import ACCEPT_TOL\n\n"
         "SLACK = -ACCEPT_TOL\n\n"
         "def draw(rng, n):\n"
         "    ACCEPT_TOL = 0.0\n"
-        "    return rng.dirichlet([1.0] * n, size=2), ACCEPT_TOL\n")
+        "    return rng.dirichlet([1.0] * n, size=2), ACCEPT_TOL\n\n"
+        "def step(v, y, eta):\n"
+        "    if eta <= 0:\n"
+        "        raise ValueError\n"
+        "    return y - eta * v\n\n"
+        "def check(cfg):\n"
+        "    return cfg.eta0 < np.inf\n\n"
+        "def scale(gamma, eta_ratio, y):\n"
+        "    # a chain with 0 and inf is the same test; other bounds are not\n"
+        "    if not 0.0 < gamma < np.inf or y.min() < 0.0:\n"
+        "        raise ValueError\n"
+        "    return eta_ratio >= 1.0 and gamma * eta_ratio <= 1.0\n")
     assert single_coding_sites(tmp_path) == {
         ("second.py", "<module>", "ACCEPT_TOL"),
         ("second.py", "draw", "dirichlet"),
-        ("second.py", "draw", "ACCEPT_TOL")}
+        ("second.py", "draw", "ACCEPT_TOL"),
+        ("second.py", "step", "step check"),
+        ("second.py", "check", "step check"),
+        ("second.py", "scale", "step check")}

@@ -30,7 +30,8 @@ from bregprox import (
 )
 from bregprox import solvers
 from bregprox.experiments import build_simplex_ls
-from bregprox.functions import NONSMOOTH_VALUES, ResidualStepper
+from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
+                                ResidualStepper)
 from bregprox.prox import prox_objective
 
 
@@ -47,6 +48,23 @@ def simplex_ls_problem(m, n, seed):
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
     return CompositeProblem(f=least_squares(A, b, lipschitz=L),
                             g=simplex_indicator(n))
+
+
+def counted_oracles(f):
+    """f with its grad, value and distance oracles logging each call, as
+    the number of dimensions of its first argument (2 for a stack)."""
+    calls = {"grad": [], "value": [], "distance": []}
+
+    def counted(name):
+        oracle = getattr(f, name)
+
+        def wrapper(*args):
+            calls[name].append(np.ndim(args[0]))
+            return oracle(*args)
+        return wrapper
+
+    wrapped = dataclasses.replace(f, **{name: counted(name) for name in calls})
+    return wrapped, calls
 
 
 def one_step(p, H, pm, x, eta):
@@ -292,21 +310,11 @@ class TestRunSolver:
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_one_gradient_and_value_per_accepted_iterate(self, H_kind):
         # a smooth term without a stepper of its own goes through its
-        # oracles: one gradient and one value per accepted iterate, one
-        # distance per candidate
+        # oracles: one gradient per step and one distance per candidate,
+        # then f and D_f of the accepted steps in one stacked call each
+        # (30 rows make one block); the first value is F(x0)
         base = shifted_quadratic(rng(11).standard_normal(40), 0.01)
-        calls = {"grad": 0, "value": 0, "distance": 0}
-
-        def counted(name, oracle):
-            def wrapper(*args):
-                calls[name] += 1
-                return oracle(*args)
-            return wrapper
-
-        f = dataclasses.replace(
-            base, grad=counted("grad", base.grad),
-            value=counted("value", base.value),
-            distance=counted("distance", base.distance))
+        f, calls = counted_oracles(base)
         p = CompositeProblem(f, simplex_indicator(40))
         H = squared_euclidean(40) if H_kind == "quadratic" \
             else negative_entropy(40)
@@ -316,8 +324,32 @@ class TestRunSolver:
                            np.full(40, 1 / 40), cfg)
         backtracks = sum(r.backtracks for r in trace.records)
         assert backtracks >= 10
-        assert calls == {"grad": 30, "value": 31,
-                         "distance": 30 + backtracks}
+        assert calls == {"grad": [1] * 30, "value": [1, 2],
+                         "distance": [1] * (30 + backtracks) + [2]}
+
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_constant_step_reads_no_value_or_distance(self, H_kind):
+        # a constant step with no early stop used to make one value and one
+        # distance call per step; now each block of FLUSH_ENTRIES entries
+        # (204 rows of 40) takes one stacked call of each, with the bits of
+        # the calls on each row
+        base = shifted_quadratic(rng(12).standard_normal(40), 0.01)
+        f, calls = counted_oracles(base)
+        p = CompositeProblem(f, simplex_indicator(40))
+        H = squared_euclidean(40) if H_kind == "quadratic" \
+            else negative_entropy(40)
+        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                           np.full(40, 1 / 40),
+                           SolverConfig(eta0=0.01, max_iters=500))
+        assert FLUSH_ENTRIES // 40 == 204  # 500 steps make 3 blocks
+        assert calls == {"grad": [1] * 500, "value": [1, 2, 2, 2],
+                         "distance": [2, 2, 2]}
+        pairs = list(zip(trace.xs[1:], trace.xs))
+        assert trace.objective[1:].tobytes() == np.array(
+            [base.value(x) for x, _ in pairs]).tobytes()
+        assert trace.d_hk[1:].tobytes() == np.array(
+            [H.distance(x, y) / 0.01 - base.distance(x, y)
+             for x, y in pairs]).tobytes()
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_least_squares_step_makes_two_passes_over_A(self, H_kind):
