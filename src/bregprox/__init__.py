@@ -59,7 +59,6 @@ from .prox import (
 )
 from .rates import RateCertificate, certify_trace, classical_pga_bound
 from .solvers import (
-    IterationRecord,
     IterationTrace,
     SolverConfig,
     gppa_objective,

@@ -134,30 +134,34 @@ def cmd_run_lasso(args) -> int:
         raise ContractViolation("dimension must be positive")
     rng = np.random.Generator(np.random.Philox(args.seed))
     b, x0 = rng.standard_normal(args.dim), rng.standard_normal(args.dim)
-    # a tiny gamma overflows f(x0) = ||x0 - b||^2 / (2 gamma), and makes F*
-    # 0 * inf once 1 / gamma overflows: the error names the flag instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = build_lasso_onestep(args.gamma, b)
-        f0 = p.f.value(x0)
-    if not f0 < np.inf:
-        raise ContractViolation(
-            f"--gamma {args.gamma!r} is too small: F(x0) overflows")
-    x_star, f_star = p.optimum_oracle
-    eta = args.gamma * args.eta_ratio
-    check_step(args.eta_ratio, "--eta-ratio")
-    check_step(eta, "the step gamma * eta-ratio")
     pm = make_prox_map("l1", "quadratic")
     H = squared_euclidean(args.dim)
-    trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=1))
-    gap = trace.objective[-1] - f_star
-    cert = certify_trace(p, H, trace)
+    # a tiny gamma or step overflows f(x0) = ||x0 - b||^2 / (2 gamma), F*,
+    # D_f or D_H / eta: every printed value is computed first, so such a
+    # run prints one error line that names the flags, and no number
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            p = build_lasso_onestep(args.gamma, b)
+            x_star, f_star = p.optimum_oracle
+            eta = args.gamma * args.eta_ratio
+            check_step(args.eta_ratio, "--eta-ratio")
+            check_step(eta, "the step gamma * eta-ratio")
+            trace = run_solver(p, H, pm, x0,
+                               SolverConfig(eta0=eta, max_iters=1))
+            gap = trace.objective[-1] - f_star
+            cert = certify_trace(p, H, trace)
+            bound = cert.bound_at(1) if cert.hypothesis_satisfied else None
+            classical = classical_pga_bound(eta, x_star, x0, 1)
+    except FloatingPointError:
+        raise ContractViolation(
+            f"--gamma {args.gamma!r} with --eta-ratio {args.eta_ratio!r} "
+            "overflows the one-step run") from None
     print(f"F(x_1) - F* = {gap:.17g}")
     if cert.hypothesis_satisfied:
-        print(f"GPPA-PGA bound at k=1: {cert.bound_at(1):.17g}")
+        print(f"GPPA-PGA bound at k=1: {bound:.17g}")
     else:
         print("GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails")
-    print(f"classical PGA bound at k=1: "
-          f"{classical_pga_bound(eta, x_star, x0, 1):.17g}")
+    print(f"classical PGA bound at k=1: {classical:.17g}")
     if args.eta_ratio >= 1.0:
         # the claim is x_1 = x*, up to one step's rounding: at most
         # 4.5 eps max(|b|, |x0|) per entry, which the gap scales by 1/gamma

@@ -29,10 +29,10 @@ BLOCK_ROWS = 1_000
 
 # What nothing in an iteration reads at once is completed in blocks of
 # steps, one stacked call per block, which gives the bits of one call per
-# step: f and D_f (the steppers' columns), and g(x_k) and the constant-step
-# d_hk (run_solver).  A block holds at most FLUSH_ENTRIES entries (64 kB),
-# so its memory does not grow with the size of the problem: 81 iterate rows
-# at n = 100, 8 at n = 1000.
+# step: f and D_f (the steppers' flush), and g(x_k) and the constant-step
+# d_hk (run_solver's hook).  A block holds at most FLUSH_ENTRIES entries
+# (64 kB) of any one stack, so its memory does not grow with the size of
+# the problem: 81 iterate rows at n = 100, 8 at n = 1000.
 FLUSH_ENTRIES = 8192
 
 
@@ -211,14 +211,16 @@ class OracleStepper:
     takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
     ``accept()`` moves x to the candidate.  ``value(f_star, tol)`` is f at x
     with the bits of the trace, or +inf where a cheaper test proves
-    f(x) - f_star > tol.  ``columns(xs)`` gives f and D_f(x_k, x_{k-1}) of
-    the accepted steps, whose iterates are the rows of xs after x0; here
-    from one stacked value and one stacked distance call per block of
-    FLUSH_ENTRIES entries, which equal the calls on each row bit for bit.
+    f(x) - f_star > tol.  ``flush(xs)`` gives f and D_f(x_k, x_{k-1}) of the
+    steps accepted since the last flush, at most ``rows`` of them, whose
+    iterates are the rows of xs after its first, the point before them;
+    here from one stacked value and one stacked distance call, which equal
+    the calls on each row bit for bit.
     """
 
     def __init__(self, f: SmoothFunction, x0: Vector):
         self.f, self.x = f, x0
+        self.rows = max(1, FLUSH_ENTRIES // x0.size)
 
     def grad(self) -> Vector:
         return np.asarray(self.f.grad(self.x), dtype=float)
@@ -235,14 +237,14 @@ class OracleStepper:
     def value(self, f_star: float, tol: float) -> float:
         return self.f.value(self.x)
 
-    def columns(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows, k = max(1, FLUSH_ENTRIES // xs.shape[1]), len(xs) - 1
-        values, distances = np.empty(k), np.empty(k)
-        for lo in range(0, k, rows):
-            hi = min(lo + rows, k)
-            values[lo:hi] = self.f.value(xs[lo + 1:hi + 1])
-            distances[lo:hi] = self.f.distance(xs[lo + 1:hi + 1], xs[lo:hi])
-        return values, distances
+    def flush(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        columns = self.f.value(xs[1:]), self.f.distance(xs[1:], xs[:-1])
+        for name, column in zip(("value", "distance"), columns):
+            if np.shape(column) != (len(xs) - 1,):
+                raise ContractViolation(
+                    f"the smooth term's {name} oracle gave shape "
+                    f"{np.shape(column)} for {len(xs) - 1} stacked rows")
+        return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,21 +268,22 @@ class ResidualStepper:
     only by rounding: over 5,000 steps the objective stays within a few
     1e-15 relative of a fresh evaluation, so it is never recomputed.
 
-    The residual rows and each accepted A d go into a block of
-    FLUSH_ENTRIES // m rows, and f = 1/2 ||r||^2 and D_f of a full block
-    come from one stacked reduction each, which gives the bits of one
-    reduction per row.
+    The residual rows and each accepted A d go into a block of ``rows``
+    steps, and ``flush`` reduces f = 1/2 ||r||^2 and D_f of the block with
+    one stacked reduction each, which gives the bits of one reduction per
+    row; xs is not read.  The block holds at most FLUSH_ENTRIES entries of
+    A d and of the iterates, so a step past the ``rows``-th must wait for
+    a flush.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, x0: Vector):
         m = A.shape[0]
-        rows = max(1, FLUSH_ENTRIES // m)
+        self.rows = rows = max(1, FLUSH_ENTRIES // max(A.shape))
         self.A, self.At, self.x, self.j = A, A.T, x0, 0
         # rs[0] is the residual at the last flush, rs[j] the one at x;
         # ads[j - 1] took rs[j - 1] to rs[j]
         self.rs, self.ads = np.empty((rows + 1, m)), np.empty((rows, m))
         self.rs[0] = A @ x0 - b
-        self.values, self.distances = [], []
         # value() skips the exact f only where r . r proves the test fails.
         # Both r . r and the trace's sum of squares are within gamma_m =
         # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
@@ -307,8 +310,6 @@ class ResidualStepper:
         j = self.j
         np.add(self.rs[j], self.ads[j], out=self.rs[j + 1])
         self.x, self.j = self.cand, j + 1
-        if self.j == len(self.ads):
-            self._flush()
 
     def value(self, f_star: float, tol: float) -> float:
         r = self.rs[self.j]
@@ -317,15 +318,12 @@ class ResidualStepper:
             return np.inf
         return float(0.5 * np.add.reduce(np.square(r)))
 
-    def columns(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._flush()  # from the carried residuals, not from xs
-        return np.concatenate(self.values), np.concatenate(self.distances)
-
-    def _flush(self) -> None:
+    def flush(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         j = self.j
-        self.values.append(0.5 * row_sum(np.square(self.rs[1:j + 1])))
-        self.distances.append(0.5 * row_sum(np.square(self.ads[:j])))
+        columns = (0.5 * row_sum(np.square(self.rs[1:j + 1])),
+                   0.5 * row_sum(np.square(self.ads[:j])))
         self.rs[0], self.j = self.rs[j], 0
+        return columns
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .bregman import (BregmanGenerator, bregman_distance, composite_generator,
                       step_within_hypothesis)
-from .errors import ContractViolation, SolverFailure
-from .functions import (FLUSH_ENTRIES, CompositeProblem, Vector, check_step,
+from .errors import ConfigurationError, ContractViolation, SolverFailure
+from .functions import (CompositeProblem, Vector, check_step,
                         evaluate_composite, worst_excess)
 from .prox import ProxMap
 
@@ -37,8 +37,14 @@ ACCEPT_TOL = 1e-12
 
 def accepts(d_H, d_f):
     """D_{h_k} = d_H - d_f >= 0 (d_H = D_H / eta) to a slack of ACCEPT_TOL
-    (d_H + d_f), elementwise: the line search's and certificates' test."""
-    return d_H - d_f >= -ACCEPT_TOL * (d_H + d_f)
+    (d_H + d_f), elementwise: the line search's and certificates' test.
+
+    Tested as a sum against 0, which has the sign of the difference of
+    the two sides: every finite pair gets the comparison's verdict, and a
+    D_f that overflowed to inf fails (inf - inf is NaN), where the
+    comparison would pass it (-inf >= -inf).
+    """
+    return d_H - d_f + ACCEPT_TOL * (d_H + d_f) >= 0.0
 
 
 # candidates a line-search step may reject before the run fails: at
@@ -127,8 +133,9 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     costs one gradient however many candidates the line search tries, and
     for least squares one pass over A for it and one per candidate.  The
     loop reads D_f only under line search and f only for the early stop;
-    f, D_f, g and, under a constant step, d_hk are completed in blocks of
-    steps, one stacked call each (see FLUSH_ENTRIES).
+    f, D_f, g and, under a constant step, d_hk are completed by one hook,
+    ``complete``, once per block of the stepper's ``rows`` steps, one
+    stacked call each.
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -148,33 +155,47 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             "constant step eta = %g exceeds gamma = %g; rate "
             "certificates may not hold", cfg.eta0, 1.0 / L,
         )
-    early_stop = cfg.tolerance > 0 and p.optimum_oracle is not None
+    early_stop = cfg.tolerance > 0
     if early_stop:
+        if p.optimum_oracle is None:
+            raise ConfigurationError(
+                "a tolerance needs the problem's optimum oracle to stop on")
         f_star, tol = p.optimum_oracle[1], cfg.tolerance
 
     start = time.perf_counter()
-    n, block_rows = x.size, max(1, FLUSH_ENTRIES // x.size)
     # the rows double in place by realloc, which copies no page of a large
-    # buffer, and build() trims them; no view of xs exists until then
+    # buffer, and build() trims them; complete() reads a copy of its rows,
+    # so no view of xs outlives a realloc
     xs = np.array([x])
     # eta, backtracks, d_hk under line search, and ms of each step
     steps = [(cfg.eta0, 0, 0.0, 0.0)]
+    # F(x_k) and the constant-step d_hk of each completed block; steps lo
+    # on are not completed yet
+    objective, d_hks, lo, held = [np.array([obj0])], [], 1, True
+
+    def complete() -> None:
+        """Finish steps lo, ..., len(steps) - 1: f and D_f from the stepper,
+        g and, under a constant step, d_hk and its test D_{h_k} >= 0, one
+        stacked call each, which give the bits of the calls on each row."""
+        nonlocal lo, held
+        block, lo = xs[lo - 1:len(steps)].copy(), len(steps)
+        f, d_f = smooth.flush(block)
+        # f + 0.0 keeps f's bits, and a stacked g equals its row calls
+        objective.append(f + p.g.value(block[1:]))
+        if not cfg.line_search_enabled:
+            d_H = H.distance(block[1:], block[:-1]) / cfg.eta0
+            d_hks.append(d_H - d_f)
+            held &= bool(np.all(accepts(d_H, d_f)))
 
     def build() -> IterationTrace:
-        xs.resize((len(steps), n), refcheck=False)
-        f, d_f = smooth.columns(xs)
+        if lo < len(steps):
+            complete()
+        xs.resize((len(steps), x.size), refcheck=False)
         etas, bts, d_hk, ms = map(np.array, zip(*steps))
-        objective = np.concatenate(([obj0], f))
-        held = True
-        for lo in range(1, len(steps), block_rows):
-            hi = min(lo + block_rows, len(steps))
-            # f + 0.0 keeps f's bits, and a stacked g equals its row calls
-            objective[lo:hi] += p.g.value(xs[lo:hi])
-            if not cfg.line_search_enabled:
-                d_H = H.distance(xs[lo:hi], xs[lo - 1:hi - 1]) / cfg.eta0
-                d_hk[lo:hi] = d_H - d_f[lo - 1:hi - 1]
-                held &= bool(np.all(accepts(d_H, d_f[lo - 1:hi - 1])))
-        return IterationTrace(xs, objective, etas, bts, d_hk, ms, held)
+        if d_hks:
+            d_hk[1:] = np.concatenate(d_hks)
+        return IterationTrace(xs, np.concatenate(objective), etas, bts, d_hk,
+                              ms, held)
 
     eta, d = cfg.eta0, 0.0
     smooth = p.f.stepper(x)
@@ -201,10 +222,12 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         x = cand
         smooth.accept()
         if k == len(xs):
-            xs.resize((min(2 * k, cfg.max_iters + 1), n), refcheck=False)
+            xs.resize((min(2 * k, cfg.max_iters + 1), x.size), refcheck=False)
         xs[k] = x
         steps.append((eta, backtracks, d,
                       (time.perf_counter() - start) * 1e3))
+        if k - lo + 1 == smooth.rows:
+            complete()
         # every nonsmooth kind is >= 0, so F = f + g meets the tolerance only
         # where f does; g is evaluated there alone
         if early_stop:

@@ -80,7 +80,7 @@ def test_criterion_1_one_step_lasso():
         x0 = r.standard_normal(50) * r.uniform(0.5, 3.0)
         trace = run_solver(p, H, pm, x0,
                            SolverConfig(eta0=gamma, max_iters=1))
-        assert trace.records[1].objective - f_star <= 1e-10
+        assert trace.objective[1] - f_star <= 1e-10
         assert certify_trace(p, H, trace).bound_at(1) <= 1e-12
     report("1 one-step LASSO", watch.check())
 
@@ -141,8 +141,7 @@ def _offset_spread(p, H, pm, x0, eta, sampler, steps=10, points=100, seed=0):
     h = composite_generator(H, p.f, eta)
     trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=steps))
     worst = 0.0
-    for rec in trace.records[:-1]:
-        x = rec.x
+    for x in trace.xs[:-1]:
         z = sampler(r, points)
         offsets = (gppa_objective(p, h, z, x)
                    - prox_objective(pm, z, p.f.grad(x), x, eta))
@@ -201,14 +200,13 @@ def test_criterion_5_line_search(desk_experiment):
                            line_search_enabled=True)
         trace = run_solver(p, H, pm, x0, cfg)
         cert = certify_trace(p, H, trace)
-        objs = trace.objectives()
-        for rec in trace.records[1:]:
-            assert rec.d_hk_value >= -1e-12
-            assert rec.eta_used >= alpha * gamma - 1e-12
+        objs = trace.objective
+        for k in range(1, len(objs)):
+            assert trace.d_hk[k] >= -1e-12
+            assert trace.eta[k] >= alpha * gamma - 1e-12
             # F(x_k) - F* <= (D_H(x*, x0) / eta_1 - D_f(x*, x0)) / S_k,
             # S_k = sum_{i <= k} eta_i / eta_1
-            assert (rec.objective - f_star
-                    <= cert.bound_at(rec.k) + 1e-9)
+            assert objs[k] - f_star <= cert.bound_at(k) + 1e-9
         at_optimum = objs[:-1] - f_star <= 1e-12 * (1 + abs(f_star))
         strict = np.diff(objs) < 0
         assert np.all(strict | at_optimum)

@@ -218,16 +218,19 @@ def row_by_row_csv(trace, f_star, cert, gamma, x_star, x0, timing):
     diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
     dd, two_gamma = float(np.dot(diff, diff)), 2.0 * gamma
     lines = [CSV_HEADER]
-    for rec in trace.records:
-        if rec.k >= 1:
-            b_classical = dd / (two_gamma * rec.k)
-            b_gppa = cert.bound_at(rec.k)
+    rows = zip(*(c.tolist() for c in (trace.objective, trace.eta,
+                                       trace.backtracks, trace.d_hk,
+                                       trace.elapsed_ms)))
+    for k, (objective, eta, backtracks, d_hk, elapsed_ms) in enumerate(rows):
+        if k >= 1:
+            b_classical = dd / (two_gamma * k)
+            b_gppa = cert.bound_at(k)
         else:
             b_classical = b_gppa = np.inf
-        ms = rec.elapsed_ms if timing else 0.0
+        ms = elapsed_ms if timing else 0.0
         lines.append(
-            f"{rec.k},{rec.objective:.17g},{rec.objective - f_star:.17g},"
-            f"{rec.eta_used:.17g},{rec.backtracks},{rec.d_hk_value:.17g},"
+            f"{k},{objective:.17g},{objective - f_star:.17g},"
+            f"{eta:.17g},{backtracks},{d_hk:.17g},"
             f"{b_classical:.17g},{b_gppa:.17g},{ms:.17g}")
     return ("\n".join(lines) + "\n").encode()
 
@@ -361,8 +364,39 @@ class TestRunLasso:
             assert run(["run-lasso", "--gamma", gamma]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == \
-            f"error: --gamma {gamma} is too small: F(x0) overflows\n"
+        assert captured.err == (f"error: --gamma {gamma} with --eta-ratio "
+                                "1.0 overflows the one-step run\n")
+
+    @pytest.mark.parametrize("gamma, ratio", [
+        ("1e-306", "2"), ("3e-307", "1"), ("1e-305", "0.01"),
+        ("1e-300", "1e-10")])
+    def test_overflow_is_one_error_line(self, capsys, gamma, ratio):
+        # D_f or D_H / eta_1 overflows, as F(x0) does for the tiny gammas
+        # above.  The first printed a negative bound under a failed
+        # hypothesis, since an inf D_f passed the test D_h1 >= 0; the
+        # others printed RuntimeWarnings, then a bound of 0 or inf, and
+        # exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-lasso", "--gamma", gamma,
+                        "--eta-ratio", ratio]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --gamma {float(gamma)!r} with --eta-ratio "
+            f"{float(ratio)!r} overflows the one-step run\n")
+
+    def test_small_gamma_half_step_keeps_its_output(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-lasso", "--gamma", "1e-306",
+                        "--eta-ratio", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "F(x_1) - F* = 1.1960399202365482e+307\n"
+            "GPPA-PGA bound at k=1: 4.784159680946193e+307\n"
+            "classical PGA bound at k=1: 9.5683193618923879e+307\n")
+        assert captured.err == ""
 
     def test_small_gamma_keeps_its_output(self, capsys):
         with warnings.catch_warnings():

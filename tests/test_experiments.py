@@ -253,9 +253,9 @@ class TestRunExperiment:
 
     def test_mirror_iterates_stay_interior(self, result):
         for v in ("mirror-constant", "mirror-linesearch"):
-            for rec in result.traces[v].records:
-                assert np.min(rec.x) > 0.0
-                assert abs(np.sum(rec.x) - 1.0) <= 1e-9
+            for x in result.traces[v].xs:
+                assert np.min(x) > 0.0
+                assert abs(np.sum(x) - 1.0) <= 1e-9
 
     def test_single_variant_spec(self):
         res = run_experiment(desk_spec(variants=("pga-constant",),
@@ -268,10 +268,10 @@ class TestRunExperiment:
         a = run_experiment(spec)
         b = run_experiment(spec)
         for v in spec.variants:
-            np.testing.assert_array_equal(a.traces[v].objectives(),
-                                          b.traces[v].objectives())
-            ra = np.array([r.eta_used for r in a.traces[v].records])
-            rb = np.array([r.eta_used for r in b.traces[v].records])
+            np.testing.assert_array_equal(a.traces[v].objective,
+                                          b.traces[v].objective)
+            ra = a.traces[v].eta
+            rb = b.traces[v].eta
             np.testing.assert_array_equal(ra, rb)
         assert a.reference_optimum[1] == b.reference_optimum[1]
 
@@ -288,5 +288,5 @@ class TestRunExperiment:
             x0 = rng.standard_normal(10) * 3
             trace = run_solver(p, H, pm, x0,
                                SolverConfig(eta0=gamma, max_iters=1))
-            assert trace.records[1].objective - f_star <= 1e-10
+            assert trace.objective[1] - f_star <= 1e-10
             assert abs(certify_trace(p, H, trace).bound_at(1)) <= 1e-12

@@ -86,10 +86,10 @@ class TestGppaBound:
         p, _ = simplex_instance
         H = negative_entropy(40)
         trace, cert = line_search_run(simplex_instance, H, 100.0)
-        etas = np.array([r.eta_used for r in trace.records[1:]])
+        etas = trace.eta[1:]
         assert len(np.unique(etas)) > 1
         x_star, _ = p.optimum_oracle
-        x0 = trace.records[0].x
+        x0 = trace.xs[0]
         c = (bregman_distance(H, x_star, x0) / etas[0]
              - p.f.distance(x_star, x0))
         for k in (1, 2, 10, len(etas)):
@@ -256,10 +256,10 @@ class TestLineSearchBound:
         x_star = p.optimum_oracle[0]
         for alpha, eta0 in ((0.5, 100.0), (0.3, 100.0), (0.5, 0.5 * gamma)):
             trace, cert = line_search_run(simplex_instance, H, eta0, alpha)
-            x0 = trace.records[0].x
-            for rec in trace.records[1:]:
-                assert cert.bound_at(rec.k) <= eta_min_bound(
-                    H, alpha, gamma, eta0, x_star, x0, rec.k)
+            x0 = trace.xs[0]
+            for k in range(1, len(trace.objective)):
+                assert cert.bound_at(k) <= eta_min_bound(
+                    H, alpha, gamma, eta0, x_star, x0, k)
             assert cert.hypothesis_satisfied
             assert cert.margin >= 0.0
 
@@ -270,9 +270,9 @@ class TestLineSearchBound:
         H = squared_euclidean(40)
         trace, cert = line_search_run(simplex_instance, H, 0.5 * gamma,
                                       max_iters=50)
-        assert all(r.backtracks == 0 for r in trace.records)
+        assert all(trace.backtracks == 0)
         np.testing.assert_array_equal(cert.weight_sums, np.arange(1, 51))
-        x_star, x0 = p.optimum_oracle[0], trace.records[0].x
+        x_star, x0 = p.optimum_oracle[0], trace.xs[0]
         assert cert.constant == (bregman_distance(H, x_star, x0)
                                  / (0.5 * gamma) - p.f.distance(x_star, x0))
 
@@ -288,7 +288,7 @@ class TestCertifyTrace:
         trace = run_solver(p, H, pm, x0, cfg)
         f_star = p.optimum_oracle[1]
         assert certify_trace(p, H, trace).margin >= -1e-9
-        assert trace.records[1].objective - f_star <= 1e-10
+        assert trace.objective[1] - f_star <= 1e-10
 
     def test_bound_shape_is_constant_over_k(self):
         ks = np.arange(1, 200)
@@ -319,7 +319,7 @@ class TestCertifyTrace:
         x0 = r.standard_normal(4) * 5
         H = squared_euclidean(4)
         trace = run_solver(p, H, pm, x0, SolverConfig(eta0=10.0, max_iters=20))
-        assert min(r.d_hk_value for r in trace.records[1:]) < 0.0
+        assert min(trace.d_hk[1:]) < 0.0
         cert = certify_trace(p, H, trace)
         assert not cert.hypothesis_satisfied
         assert np.isfinite(cert.margin)  # reported, whatever its sign

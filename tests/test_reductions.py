@@ -312,13 +312,15 @@ class TestReroutedOracles:
     @pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 12, 50])
     def test_residual_stepper_blocks(self, m):
         # f and D_f of a block of steps, one row_sum each, against the old
-        # per-row reductions of the carried residual
+        # per-row reductions of the carried residual; the stepper is
+        # flushed after each block of its rows, as run_solver does
         r = rng(m)
         A, b = r.standard_normal((m, 6)), r.standard_normal(m)
         x = r.standard_normal(6)
         stepper = least_squares(A, b).stepper(x)
-        res, values, distances = A @ x - b, [], []
-        for _ in range(3 * (FLUSH_ENTRIES // m) // 2 + 3):
+        assert stepper.rows == FLUSH_ENTRIES // max(m, 6)
+        res, values, distances, blocks = A @ x - b, [], [], []
+        for k in range(1, 3 * stepper.rows // 2 + 4):
             cand = x + 1e-3 * r.standard_normal(6)
             stepper.propose(cand)
             stepper.accept()
@@ -326,7 +328,10 @@ class TestReroutedOracles:
             res, x = res + ad, cand
             values.append(0.5 * np.add.reduce(np.square(res)))
             distances.append(0.5 * np.add.reduce(np.square(ad)))
-        got_values, got_distances = stepper.columns(None)  # xs unread
+            if k % stepper.rows == 0:
+                blocks.append(stepper.flush(None))  # xs unread
+        blocks.append(stepper.flush(None))
+        got_values, got_distances = map(np.concatenate, zip(*blocks))
         same_bits(got_values, np.array(values))
         same_bits(got_distances, np.array(distances))
 
@@ -485,3 +490,65 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         ("second.py", "step", "step check"),
         ("second.py", "check", "step check"),
         ("second.py", "scale", "step check")}
+
+
+# The trace's row view and the two rates aliases stay only while perfbench
+# reads them: past their definitions, one adapter test pins what perfbench
+# reads, and every other reader reads the trace as columns.
+PERFBENCH_ONLY = {"records", "final", "objectives", "IterationRecord",
+                  "constant_step_certificate", "line_search_certificate"}
+TESTS = Path(__file__).resolve().parent
+# the field of each kind of node that names something
+NAMING = {ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name",
+          ast.alias: "name"}
+
+
+def perfbench_only_sites(src):
+    """(file, enclosing function or "<module>", name) of every name,
+    attribute, def or import of a PERFBENCH_ONLY name in ``src``, outside
+    test_perfbench_contract.py."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        ident = getattr(node, NAMING.get(type(node), ""), None)
+        if ident in PERFBENCH_ONLY and name != "test_perfbench_contract.py":
+            found.add((name, owner, ident))
+    return found
+
+
+def test_only_perfbench_reads_the_row_view():
+    assert perfbench_only_sites(SRC) == {
+        ("solvers.py", "<module>", "IterationRecord"),
+        ("solvers.py", "objectives", "objectives"),
+        ("solvers.py", "final", "final"),
+        ("solvers.py", "final", "IterationRecord"),
+        ("solvers.py", "records", "records"),
+        ("solvers.py", "records", "IterationRecord"),
+        ("rates.py", "constant_step_certificate",
+         "constant_step_certificate"),
+        ("rates.py", "line_search_certificate", "line_search_certificate")}
+    adapter = "test_perfbench_reads_rows_that_match_the_columns"
+    assert perfbench_only_sites(TESTS) == {
+        ("test_solvers.py", adapter, name)
+        for name in ("records", "final", "objectives")}
+
+
+def test_the_guard_sees_a_row_view_reader(tmp_path):
+    (tmp_path / "reader.py").write_text(
+        "from bregprox import IterationRecord\n"
+        "from bregprox.rates import line_search_certificate as cert\n\n"
+        "def last(trace):\n"
+        "    return trace.final().x, trace.records[-1]\n\n"
+        "def objs(trace, rates):\n"
+        "    final = trace.objective[-1]\n"
+        "    return rates.constant_step_certificate, trace.objectives()\n")
+    (tmp_path / "test_perfbench_contract.py").write_text(
+        "def test_it(trace):\n"
+        "    return trace.records\n")
+    assert perfbench_only_sites(tmp_path) == {
+        ("reader.py", "<module>", "IterationRecord"),
+        ("reader.py", "<module>", "line_search_certificate"),
+        ("reader.py", "last", "final"),
+        ("reader.py", "last", "records"),
+        ("reader.py", "objs", "final"),
+        ("reader.py", "objs", "constant_step_certificate"),
+        ("reader.py", "objs", "objectives")}
