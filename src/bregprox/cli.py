@@ -166,7 +166,7 @@ def cmd_run_lasso(args) -> int:
         # the claim is x_1 = x*, up to one step's rounding: at most
         # 4.5 eps max(|b|, |x0|) per entry, which the gap scales by 1/gamma
         scale = max(np.max(np.abs(b)), np.max(np.abs(x0)))
-        error = np.max(np.abs(trace.xs[-1] - x_star))
+        error = np.max(np.abs(trace.x - x_star))
         return 0 if error <= 8 * np.finfo(float).eps * scale else 1
     return 0 if _certified(cert) else 1
 

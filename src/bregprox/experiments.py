@@ -209,10 +209,27 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
             w = w[keep]
 
 
-def _variant_setup(variant: str, n: int) -> Tuple[BregmanGenerator, bool]:
-    generator, mode = variant.split("-")
-    H = squared_euclidean(n) if generator == "pga" else negative_entropy(n)
-    return H, mode == "linesearch"
+def variant_configs(spec: ExperimentSpec, gamma: float, tol: float
+                    ) -> Dict[str, Tuple[BregmanGenerator, SolverConfig]]:
+    """Each variant's generator and solver configuration as
+    ``run_experiment`` runs it: a constant step at gamma or the line search
+    from spec.eta0, the early stop at tol, and no iterate kept but the
+    first and the last."""
+    configs = {}
+    for variant in spec.variants:
+        generator, mode = variant.split("-")
+        H = squared_euclidean(spec.n) if generator == "pga" \
+            else negative_entropy(spec.n)
+        line_search = mode == "linesearch"
+        configs[variant] = H, SolverConfig(
+            eta0=spec.eta0 if line_search else gamma,
+            alpha=spec.alpha,
+            max_iters=spec.max_iters,
+            line_search_enabled=line_search,
+            tolerance=tol,
+            keep_iterates=False,
+        )
+    return configs
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -235,16 +252,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     failures: Dict[str, str] = {}
     # every configuration is checked before the first solve: a bad setting
     # fails before any solver work, not after variants have finished
-    configs = {}
-    for variant in spec.variants:
-        H, line_search = _variant_setup(variant, spec.n)
-        configs[variant] = H, SolverConfig(
-            eta0=spec.eta0 if line_search else gamma,
-            alpha=spec.alpha,
-            max_iters=spec.max_iters,
-            line_search_enabled=line_search,
-            tolerance=tol,
-        )
+    configs = variant_configs(spec, gamma, tol)
     for variant, (H, cfg) in configs.items():
         pm = make_prox_map("simplex", H.kind)
         try:

@@ -211,10 +211,11 @@ class OracleStepper:
     takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
     ``accept()`` moves x to the candidate.  ``value(f_star, tol)`` is f at x
     with the bits of the trace, or +inf where a cheaper test proves
-    f(x) - f_star > tol.  ``flush(xs)`` gives f and D_f(x_k, x_{k-1}) of the
-    steps accepted since the last flush, at most ``rows`` of them, whose
-    iterates are the rows of xs after its first, the point before them;
-    here from one stacked value and one stacked distance call, which equal
+    f(x) - f_star > tol.  The steps accepted since the last flush, at most
+    ``rows`` of them, make a block whose iterates are the rows of xs after
+    its first, the point before them: ``distances(xs)`` gives their
+    D_f(x_k, x_{k-1}), and ``flush(xs)`` their f and starts the next block;
+    here from one stacked distance and one stacked value call, which equal
     the calls on each row bit for bit.
     """
 
@@ -237,14 +238,21 @@ class OracleStepper:
     def value(self, f_star: float, tol: float) -> float:
         return self.f.value(self.x)
 
-    def flush(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        columns = self.f.value(xs[1:]), self.f.distance(xs[1:], xs[:-1])
-        for name, column in zip(("value", "distance"), columns):
-            if np.shape(column) != (len(xs) - 1,):
-                raise ContractViolation(
-                    f"the smooth term's {name} oracle gave shape "
-                    f"{np.shape(column)} for {len(xs) - 1} stacked rows")
-        return columns
+    def distances(self, xs: np.ndarray) -> np.ndarray:
+        return _per_step("distance", self.f.distance(xs[1:], xs[:-1]), xs)
+
+    def flush(self, xs: np.ndarray) -> np.ndarray:
+        return _per_step("value", self.f.value(xs[1:]), xs)
+
+
+def _per_step(name: str, column, xs: np.ndarray) -> np.ndarray:
+    """A stacked oracle's column for the steps of xs, checked to hold one
+    entry per step."""
+    if np.shape(column) != (len(xs) - 1,):
+        raise ContractViolation(
+            f"the smooth term's {name} oracle gave shape "
+            f"{np.shape(column)} for {len(xs) - 1} stacked rows")
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +277,11 @@ class ResidualStepper:
     1e-15 relative of a fresh evaluation, so it is never recomputed.
 
     The residual rows and each accepted A d go into a block of ``rows``
-    steps, and ``flush`` reduces f = 1/2 ||r||^2 and D_f of the block with
-    one stacked reduction each, which gives the bits of one reduction per
-    row; xs is not read.  The block holds at most FLUSH_ENTRIES entries of
-    A d and of the iterates, so a step past the ``rows``-th must wait for
-    a flush.
+    steps; ``distances`` reduces D_f = 1/2 ||A d||^2 of the block and
+    ``flush`` f = 1/2 ||r||^2, one stacked reduction each, which gives the
+    bits of one reduction per row; xs is not read.  The block holds at most
+    FLUSH_ENTRIES entries of A d and of the iterates, so a step past the
+    ``rows``-th must wait for a flush.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, x0: Vector):
@@ -318,12 +326,14 @@ class ResidualStepper:
             return np.inf
         return float(0.5 * np.add.reduce(np.square(r)))
 
-    def flush(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def distances(self, xs: np.ndarray) -> np.ndarray:
+        return 0.5 * row_sum(np.square(self.ads[:self.j]))
+
+    def flush(self, xs: np.ndarray) -> np.ndarray:
         j = self.j
-        columns = (0.5 * row_sum(np.square(self.rs[1:j + 1])),
-                   0.5 * row_sum(np.square(self.ads[:j])))
+        f = 0.5 * row_sum(np.square(self.rs[1:j + 1]))
         self.rs[0], self.j = self.rs[j], 0
-        return columns
+        return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,6 +409,9 @@ def shifted_quadratic(b: np.ndarray, gamma: float) -> SmoothFunction:
     and D_f(x, y) = ||x - y||^2 / (2 gamma)."""
     b = np.asarray(b, dtype=float)
     check_step(gamma, "gamma")
+    if not np.isfinite(1.0 / gamma):  # gamma below about 5.6e-309
+        raise ContractViolation(
+            f"gamma = {gamma!r} is too small: 1 / gamma overflows")
     return SmoothFunction(
         value=lambda x: per_row(0.5 / gamma * row_sum((x - b) ** 2)),
         grad=lambda x: (x - b) / gamma,

@@ -69,7 +69,7 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
     if p.optimum_oracle is None:
         raise ConfigurationError("certificate needs a reference optimum")
     x_star, f_star = p.optimum_oracle
-    x0, eta = trace.xs[0], trace.eta[1:]
+    x0, eta = trace.x0, trace.eta[1:]
     # no accepted step bounds nothing; eta0, in row 0, stands in for eta_1
     eta_1 = eta[0] if eta.size else trace.eta[0]
     d_H = bregman_distance(H, x_star, x0) / eta_1

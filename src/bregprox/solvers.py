@@ -13,7 +13,8 @@ import logging
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import List
+from itertools import repeat
+from typing import List, Optional
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class SolverConfig:
     max_iters: int = 1000
     line_search_enabled: bool = False
     tolerance: float = 0.0  # early stop on gap, needs an optimum oracle
+    # the trace's xs; without it a run holds one block of iterates
+    keep_iterates: bool = True
 
     def __post_init__(self):
         check_step(self.eta0, "eta0")
@@ -78,25 +81,31 @@ IterationRecord = namedtuple("IterationRecord", "k x objective eta_used "
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """The accepted steps of one run as read-only columns, row k for step k
-    (row 0 is x0, with eta0, no backtrack and d_hk = 0): the iterates ``xs``,
-    F(x_k), the step that gave x_k, the candidates it rejected first,
-    D_{h_k}(x_k, x_{k-1}) at acceptance and the wall time since the start;
-    ``hypothesis_held``: every step passed the line search's test on it."""
+    (row 0 is x0, with eta0, no backtrack and d_hk = 0): F(x_k), the step
+    that gave x_k, the candidates it rejected first, D_{h_k}(x_k, x_{k-1})
+    at acceptance and the wall time since the start; ``hypothesis_held``:
+    every step passed the line search's test on it.  ``x0`` and ``x`` are
+    the first and the last iterate, and ``xs`` holds every iterate, row k
+    x_k, or is None where the run kept none (``SolverConfig.keep_iterates``).
+    """
 
-    xs: np.ndarray
+    x0: np.ndarray
+    x: np.ndarray
     objective: np.ndarray
     eta: np.ndarray
     backtracks: np.ndarray
     d_hk: np.ndarray
     elapsed_ms: np.ndarray
     hypothesis_held: bool
+    xs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for column in self._columns():
-            column.flags.writeable = False
+        for array in (self.x0, self.x, self.xs, *self._columns()):
+            if array is not None:
+                array.flags.writeable = False
 
     def _columns(self):
-        return (self.xs, self.objective, self.eta, self.backtracks, self.d_hk,
+        return (self.objective, self.eta, self.backtracks, self.d_hk,
                 self.elapsed_ms)
 
     def objectives(self) -> np.ndarray:
@@ -104,14 +113,16 @@ class IterationTrace:
 
     def final(self) -> IterationRecord:
         k = len(self.objective) - 1
-        return IterationRecord(k, self.xs[k],
-                               *(c[k].item() for c in self._columns()[1:]))
+        return IterationRecord(k, self.x,
+                               *(c[k].item() for c in self._columns()))
 
     @property
     def records(self) -> List[IterationRecord]:
-        """One record per row, built on each access."""
-        return list(map(IterationRecord, range(len(self.objective)), self.xs,
-                        *(c.tolist() for c in self._columns()[1:])))
+        """One record per row, built on each access; its x is None where
+        the run kept no iterates."""
+        xs = repeat(None) if self.xs is None else self.xs
+        return list(map(IterationRecord, range(len(self.objective)), xs,
+                        *(c.tolist() for c in self._columns())))
 
 
 def gppa_objective(p: CompositeProblem, h: BregmanGenerator, x: Vector,
@@ -133,9 +144,10 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     costs one gradient however many candidates the line search tries, and
     for least squares one pass over A for it and one per candidate.  The
     loop reads D_f only under line search and f only for the early stop;
-    f, D_f, g and, under a constant step, d_hk are completed by one hook,
-    ``complete``, once per block of the stepper's ``rows`` steps, one
-    stacked call each.
+    f, g and, under a constant step, D_f and d_hk are completed by one
+    hook, ``complete``, once per block of the stepper's ``rows`` steps, one
+    stacked call each.  Without ``cfg.keep_iterates`` the run holds that
+    block of iterates and no more: the trace keeps x0 and the final point.
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -163,10 +175,15 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         f_star, tol = p.optimum_oracle[1], cfg.tolerance
 
     start = time.perf_counter()
-    # the rows double in place by realloc, which copies no page of a large
-    # buffer, and build() trims them; complete() reads a copy of its rows,
-    # so no view of xs outlives a realloc
-    xs = np.array([x])
+    smooth = p.f.stepper(x)
+    # x_k sits in row k - off of xs.  Kept iterates stay at off = 0: the
+    # rows double in place by realloc, which copies no page of a large
+    # buffer, and build() trims them.  Otherwise xs holds one block of the
+    # stepper's rows after the point before it, and complete() moves the
+    # block's last row to row 0.  complete() reads a copy of its rows, so no
+    # view of xs outlives a realloc or a move
+    xs = np.empty((1 if cfg.keep_iterates else smooth.rows + 1, x.size))
+    xs[0], off, x0 = x, 0, x.copy()
     # eta, backtracks, d_hk under line search, and ms of each step
     steps = [(cfg.eta0, 0, 0.0, 0.0)]
     # F(x_k) and the constant-step d_hk of each completed block; steps lo
@@ -174,31 +191,36 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     objective, d_hks, lo, held = [np.array([obj0])], [], 1, True
 
     def complete() -> None:
-        """Finish steps lo, ..., len(steps) - 1: f and D_f from the stepper,
-        g and, under a constant step, d_hk and its test D_{h_k} >= 0, one
-        stacked call each, which give the bits of the calls on each row."""
-        nonlocal lo, held
-        block, lo = xs[lo - 1:len(steps)].copy(), len(steps)
-        f, d_f = smooth.flush(block)
-        # f + 0.0 keeps f's bits, and a stacked g equals its row calls
-        objective.append(f + p.g.value(block[1:]))
+        """Finish steps lo, ..., len(steps) - 1: f from the stepper, g and,
+        under a constant step, D_f, d_hk and its test D_{h_k} >= 0, one
+        stacked call each, which give the bits of the calls on each row.
+        The line search tested its d_hk in the loop and reads no D_f here."""
+        nonlocal lo, off, held
+        block, lo = xs[lo - 1 - off:len(steps) - off].copy(), len(steps)
+        if not cfg.keep_iterates:
+            xs[0], off = block[-1], lo - 1
         if not cfg.line_search_enabled:
+            # before the flush, which starts the stepper's next block
+            d_f = smooth.distances(block)
             d_H = H.distance(block[1:], block[:-1]) / cfg.eta0
             d_hks.append(d_H - d_f)
             held &= bool(np.all(accepts(d_H, d_f)))
+        # f + 0.0 keeps f's bits, and a stacked g equals its row calls
+        objective.append(smooth.flush(block) + p.g.value(block[1:]))
 
     def build() -> IterationTrace:
         if lo < len(steps):
             complete()
-        xs.resize((len(steps), x.size), refcheck=False)
+        if cfg.keep_iterates:
+            xs.resize((len(steps), x.size), refcheck=False)
         etas, bts, d_hk, ms = map(np.array, zip(*steps))
         if d_hks:
             d_hk[1:] = np.concatenate(d_hks)
-        return IterationTrace(xs, np.concatenate(objective), etas, bts, d_hk,
-                              ms, held)
+        return IterationTrace(x0, x.copy(), np.concatenate(objective), etas,
+                              bts, d_hk, ms, held,
+                              xs if cfg.keep_iterates else None)
 
     eta, d = cfg.eta0, 0.0
-    smooth = p.f.stepper(x)
     for k in range(1, cfg.max_iters + 1):
         v = smooth.grad()
         backtracks = 0
@@ -221,9 +243,9 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             eta *= cfg.alpha
         x = cand
         smooth.accept()
-        if k == len(xs):
+        if k - off == len(xs):
             xs.resize((min(2 * k, cfg.max_iters + 1), x.size), refcheck=False)
-        xs[k] = x
+        xs[k - off] = x
         steps.append((eta, backtracks, d,
                       (time.perf_counter() - start) * 1e3))
         if k - lo + 1 == smooth.rows:

@@ -355,17 +355,23 @@ class TestRunLasso:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be positive and finite\n"
 
-    @pytest.mark.parametrize("gamma", ["1e-320", "4e-309", "1e-307"])
-    def test_tiny_gamma_names_the_flag(self, capsys, gamma):
+    @pytest.mark.parametrize("gamma, message", [
+        ("1e-320", "gamma = 1e-320 is too small: 1 / gamma overflows"),
+        ("4e-309", "gamma = 4e-309 is too small: 1 / gamma overflows"),
+        ("1e-307",
+         "--gamma 1e-307 with --eta-ratio 1.0 overflows the one-step run"),
+    ], ids=["1e-320", "4e-309", "1e-307"])
+    def test_tiny_gamma_names_the_flag(self, capsys, gamma, message):
         # 1 / gamma or ||x0 - b||^2 / (2 gamma) overflows: these printed a
-        # numpy RuntimeWarning and then "x0 must have finite objective"
+        # numpy RuntimeWarning and then "x0 must have finite objective".  A
+        # gamma whose inverse overflows is rejected by shifted_quadratic, as
+        # a NaN gamma is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["run-lasso", "--gamma", gamma]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: --gamma {gamma} with --eta-ratio "
-                                "1.0 overflows the one-step run\n")
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("gamma, ratio", [
         ("1e-306", "2"), ("3e-307", "1"), ("1e-305", "0.01"),

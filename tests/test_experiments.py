@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,8 +14,10 @@ from bregprox import (
     build_simplex_ls,
     estimate_spectral_norm,
     evaluate_composite,
+    make_prox_map,
     reference_simplex_ls,
     run_experiment,
+    run_solver,
     simplex_projection,
 )
 
@@ -252,8 +256,18 @@ class TestRunExperiment:
             assert cert.margin >= 0.0
 
     def test_mirror_iterates_stay_interior(self, result):
+        # run_experiment keeps no iterates: each mirror variant runs again
+        # on its configuration, keeping them
+        configs = experiments.variant_configs(result.spec, result.gamma,
+                                              result.tolerance)
         for v in ("mirror-constant", "mirror-linesearch"):
-            for x in result.traces[v].xs:
+            H, cfg = configs[v]
+            trace = run_solver(result.problem, H,
+                               make_prox_map("simplex", H.kind), result.x0,
+                               dataclasses.replace(cfg, keep_iterates=True))
+            np.testing.assert_array_equal(trace.objective,
+                                          result.traces[v].objective)
+            for x in trace.xs:
                 assert np.min(x) > 0.0
                 assert abs(np.sum(x) - 1.0) <= 1e-9
 

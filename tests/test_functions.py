@@ -142,6 +142,18 @@ class TestNonsmoothTerm:
             assert NonsmoothTerm(kind, 3).value(x) == np.inf
 
 
+class TestShiftedQuadratic:
+    @pytest.mark.parametrize("gamma", [1e-320, 5e-309])
+    def test_gamma_whose_inverse_overflows_is_rejected(self, gamma):
+        # these built f with lipschitz_grad = inf and no error
+        with pytest.raises(ContractViolation, match="gamma"):
+            shifted_quadratic(np.ones(3), gamma)
+
+    def test_smallest_gamma_with_a_finite_inverse_builds(self):
+        f = shifted_quadratic(np.ones(3), 6e-309)
+        assert f.lipschitz_grad == 1.0 / 6e-309 < np.inf
+
+
 class TestCheckGradient:
     def test_exact_quadratic(self):
         f = half_sq_norm(4)

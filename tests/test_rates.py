@@ -365,8 +365,9 @@ class TestCertifyTrace:
                            np.full(40, 1.0 / 40),
                            SolverConfig(eta0=gamma, max_iters=1))
         partial = IterationTrace(
-            *(c[:1] for c in (trace.xs, trace.objective, trace.eta,
-                              trace.backtracks, trace.d_hk, trace.elapsed_ms)),
+            trace.x0, trace.x0,
+            *(c[:1] for c in (trace.objective, trace.eta, trace.backtracks,
+                              trace.d_hk, trace.elapsed_ms)),
             trace.hypothesis_held)
         cert = certify_trace(p, H, partial)
         assert cert.margin == np.inf

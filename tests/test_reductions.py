@@ -313,7 +313,12 @@ class TestReroutedOracles:
     def test_residual_stepper_blocks(self, m):
         # f and D_f of a block of steps, one row_sum each, against the old
         # per-row reductions of the carried residual; the stepper is
-        # flushed after each block of its rows, as run_solver does
+        # flushed after each block of its rows, as run_solver does, its
+        # D_f read before the flush starts the next block (xs unread)
+        def flush(stepper):
+            d_f = stepper.distances(None)
+            return stepper.flush(None), d_f
+
         r = rng(m)
         A, b = r.standard_normal((m, 6)), r.standard_normal(m)
         x = r.standard_normal(6)
@@ -329,8 +334,8 @@ class TestReroutedOracles:
             values.append(0.5 * np.add.reduce(np.square(res)))
             distances.append(0.5 * np.add.reduce(np.square(ad)))
             if k % stepper.rows == 0:
-                blocks.append(stepper.flush(None))  # xs unread
-        blocks.append(stepper.flush(None))
+                blocks.append(flush(stepper))
+        blocks.append(flush(stepper))
         got_values, got_distances = map(np.concatenate, zip(*blocks))
         same_bits(got_values, np.array(values))
         same_bits(got_distances, np.array(distances))

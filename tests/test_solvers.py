@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from bregprox import (
     zero_function,
 )
 from bregprox import solvers
-from bregprox.experiments import build_simplex_ls
+from bregprox.experiments import build_simplex_ls, variant_configs
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 ResidualStepper)
 from bregprox.prox import prox_objective
@@ -326,8 +327,9 @@ class TestRunSolver:
     def test_one_gradient_and_value_per_accepted_iterate(self, H_kind):
         # a smooth term without a stepper of its own goes through its
         # oracles: one gradient per step and one distance per candidate,
-        # then f and D_f of the accepted steps in one stacked call each
-        # (30 rows make one block); the first value is F(x0)
+        # then f of the accepted steps in one stacked call (30 rows make one
+        # block) and no stacked D_f, which nothing reads under line search;
+        # the first value is F(x0)
         base = shifted_quadratic(rng(11).standard_normal(40), 0.01)
         f, calls = counted_oracles(base)
         p = CompositeProblem(f, simplex_indicator(40))
@@ -340,7 +342,7 @@ class TestRunSolver:
         backtracks = sum(trace.backtracks)
         assert backtracks >= 10
         assert calls == {"grad": [1] * 30, "value": [1, 2],
-                         "distance": [1] * (30 + backtracks) + [2]}
+                         "distance": [1] * (30 + backtracks)}
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_constant_step_reads_no_value_or_distance(self, H_kind):
@@ -594,7 +596,8 @@ class TestRunSolver:
     def test_blocks_complete_during_the_run(self, line_search):
         # a smooth term without a stepper of its own gets its first stacked
         # value and distance calls right after step rows, before the next
-        # step's gradient, not after the loop
+        # step's gradient, not after the loop; a constant step reads D_f of
+        # the block before the flush, the line search no stacked D_f
         n = 100
         base = shifted_quadratic(rng(19).standard_normal(n), 0.01)
         log = []
@@ -615,12 +618,14 @@ class TestRunSolver:
                    squared_euclidean(n), make_prox_map("simplex", "quadratic"),
                    np.full(n, 1 / n), cfg)
         rows = FLUSH_ENTRIES // n
-        first = log.index(("value", 2))
+        stacked = [("value", 2)] if line_search \
+            else [("distance", 2), ("value", 2)]
+        first = log.index(stacked[0])
         assert log[:first].count(("grad", 1)) == rows == 81
-        assert log[first:first + 3] == [("value", 2), ("distance", 2),
-                                        ("grad", 1)]
+        assert log[first:first + len(stacked) + 1] == stacked + [("grad", 1)]
         # 200 steps make blocks of 81, 81 and 38 rows
-        assert log.count(("value", 2)) == log.count(("distance", 2)) == 3
+        assert log.count(("value", 2)) == 3
+        assert log.count(("distance", 2)) == (0 if line_search else 3)
 
     @pytest.mark.parametrize("line_search", [False, True])
     @pytest.mark.parametrize("m, n", [(20, 300), (150, 150), (400, 30)])
@@ -774,29 +779,43 @@ class TestColumnarTrace:
 
     def test_perfbench_reads_rows_that_match_the_columns(self, small):
         # the trace surface perfbench/workloads.py and perfbench/tracer.py
-        # read; a trace change that breaks it must fail here first
-        for trace in small.traces.values():
-            records = trace.records
-            assert len(records) == len(trace.objective) == len(trace.xs)
-            xs = np.array([r.x for r in trace.records])
-            np.testing.assert_array_equal(xs, trace.xs)
-            assert [r.k for r in records] == list(range(len(records)))
-            assert [r.backtracks for r in trace.records] \
-                == trace.backtracks.tolist()
-            assert all(type(r.backtracks) is int for r in records)
-            assert [r.eta_used for r in records] == trace.eta.tolist()
-            assert [r.d_hk_value for r in records] == trace.d_hk.tolist()
-            assert trace.objectives() is trace.objective
-            np.testing.assert_array_equal(
-                trace.objectives(), [r.objective for r in records])
-            final = trace.final()
-            assert final.k == len(records) - 1
-            np.testing.assert_array_equal(final.x, trace.xs[-1])
-            assert type(final.objective) is float
-            assert final.objective == trace.objective[-1]
-            for column in (trace.xs, trace.objective, trace.eta,
-                           trace.backtracks, trace.d_hk, trace.elapsed_ms):
-                assert not column.flags.writeable
+        # read; a trace change that breaks it must fail here first.
+        # run_experiment's traces (desk-compare) keep no iterates but give a
+        # row per step; paper-solve's default configuration keeps them
+        configs = variant_configs(small.spec, small.gamma, small.tolerance)
+        for variant, unkept in small.traces.items():
+            H, cfg = configs[variant]
+            kept = run_solver(small.problem, H,
+                              make_prox_map("simplex", H.kind), small.x0,
+                              dataclasses.replace(cfg, keep_iterates=True))
+            assert unkept.xs is None
+            assert [r.x for r in unkept.records] \
+                == [None] * len(unkept.objective)
+            xs = np.array([r.x for r in kept.records])
+            np.testing.assert_array_equal(xs, kept.xs)
+            np.testing.assert_array_equal(kept.x, kept.xs[-1])
+            for trace in (kept, unkept):
+                records = trace.records
+                assert len(records) == len(trace.objective)
+                assert [r.k for r in records] == list(range(len(records)))
+                assert [r.backtracks for r in trace.records] \
+                    == trace.backtracks.tolist()
+                assert all(type(r.backtracks) is int for r in records)
+                assert [r.eta_used for r in records] == trace.eta.tolist()
+                assert [r.d_hk_value for r in records] == trace.d_hk.tolist()
+                assert trace.objectives() is trace.objective
+                np.testing.assert_array_equal(
+                    trace.objectives(), [r.objective for r in records])
+                final = trace.final()
+                assert final.k == len(records) - 1
+                assert final.x is trace.x
+                assert type(final.objective) is float
+                assert final.objective == trace.objective[-1]
+                for column in (trace.x0, trace.x, trace.objective, trace.eta,
+                               trace.backtracks, trace.d_hk,
+                               trace.elapsed_ms):
+                    assert not column.flags.writeable
+            assert not kept.xs.flags.writeable
         assert sum(trace.backtracks.sum()
                    for trace in small.traces.values()) > 0
 
@@ -874,3 +893,126 @@ class TestColumnarTrace:
         assert len(trace.objective) - 1 == steps
         assert calls == [(100,)] + [(100,)] * (steps == 1) + blocks
         assert len(blocks) == -(-steps // block_rows)
+
+
+def kept_and_unkept(p, H, x0, cfg):
+    """The traces of one run with and without its iterates."""
+    return [run_solver(p, H, make_prox_map(p.g.kind, H.kind), x0,
+                       dataclasses.replace(cfg, keep_iterates=keep))
+            for keep in (True, False)]
+
+
+def assert_same_run(kept, unkept):
+    """Every column but the wall times, the verdict and both ends agree bit
+    for bit; only the kept trace holds the iterates."""
+    assert unkept.xs is None
+    assert len(kept.xs) == len(kept.objective)
+    for name in ("objective", "eta", "backtracks", "d_hk"):
+        a, b = getattr(kept, name), getattr(unkept, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert len(kept.elapsed_ms) == len(unkept.elapsed_ms)
+    assert kept.hypothesis_held is unkept.hypothesis_held
+    assert kept.x0.tobytes() == unkept.x0.tobytes() == kept.xs[0].tobytes()
+    assert kept.x.tobytes() == unkept.x.tobytes() == kept.xs[-1].tobytes()
+
+
+class TestIterateMemory:
+    N = 100
+    ROWS = FLUSH_ENTRIES // N  # 81, for both smooth terms below
+
+    def problem(self, smooth, line_search):
+        """A simplex problem with its generator and a configuration of 1
+        step; F* = 0 is a lower bound for the early stop."""
+        n, x0 = self.N, np.full(self.N, 1 / self.N)
+        if smooth == "least_squares":
+            base = simplex_ls_problem(20, n, seed=31)
+            f, H = base.f, squared_euclidean(n)
+        else:
+            # a euclidean step of 1/L would solve this f in one step
+            f = shifted_quadratic(rng(32).standard_normal(n), 0.01)
+            H = negative_entropy(n)
+        p = CompositeProblem(f, simplex_indicator(n),
+                             optimum_oracle=(x0, 0.0))
+        assert f.stepper(x0).rows == self.ROWS
+        cfg = SolverConfig(eta0=100.0 if line_search else 1 / f.lipschitz_grad,
+                           max_iters=1, line_search_enabled=line_search)
+        return p, H, x0, cfg
+
+    @pytest.mark.parametrize("steps", [50, ROWS, 3 * ROWS])
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("smooth", ["least_squares", "shifted_quadratic"])
+    def test_kept_and_unkept_runs_agree(self, smooth, line_search,
+                                        early_stop, steps):
+        p, H, x0, cfg = self.problem(smooth, line_search)
+        cfg = dataclasses.replace(cfg, max_iters=steps)
+        if early_stop:
+            # stop about two thirds in, off a block boundary
+            full = run_solver(p, H, make_prox_map("simplex", H.kind), x0,
+                              cfg)
+            cfg = dataclasses.replace(
+                cfg, tolerance=full.objective[2 * steps // 3 + 1])
+        kept, unkept = kept_and_unkept(p, H, x0, cfg)
+        assert_same_run(kept, unkept)
+        stopped = len(kept.objective) - 1
+        assert stopped < steps if early_stop else stopped == steps
+
+    @pytest.mark.parametrize("smooth", ["least_squares", "shifted_quadratic"])
+    def test_partial_traces_agree(self, smooth):
+        p, H, x0, cfg = self.problem(smooth, line_search=True)
+        if smooth == "least_squares":
+            # eta0 = 1e6 shrinks only to about 5e5 at alpha = 0.99 within
+            # the budget, so the first step fails
+            cfg = dataclasses.replace(cfg, eta0=1e6, alpha=0.99,
+                                      max_iters=10)
+            accepted = 0
+        else:
+            # D_f is reported huge from the 101st candidate on: 100 steps,
+            # more than a block, are accepted before the run fails
+            cfg = dataclasses.replace(cfg, eta0=0.005, max_iters=200)
+            accepted = 100
+
+            def fail_from_the_101st(f):
+                calls = []
+
+                def distance(x, y):
+                    calls.append(1)
+                    d = f.distance(x, y)
+                    return d if len(calls) <= 100 else np.full_like(d, 1e300)
+                return dataclasses.replace(f, distance=distance)
+        traces = []
+        for keep in (True, False):
+            q = p if smooth == "least_squares" else dataclasses.replace(
+                p, f=fail_from_the_101st(p.f))
+            with pytest.raises(SolverFailure) as exc_info:
+                run_solver(q, H, make_prox_map("simplex", H.kind), x0,
+                           dataclasses.replace(cfg, keep_iterates=keep))
+            traces.append(exc_info.value.partial_trace)
+        assert_same_run(*traces)
+        assert len(traces[0].objective) == accepted + 1
+
+    def test_unkept_run_holds_a_block_of_iterates(self):
+        # 2,000 steps at n = 1,000 keep an iterate matrix of 16 MB; without
+        # it the run allocates under a tenth of that at its peak
+        n, steps = 1000, 2000
+        p = CompositeProblem(
+            shifted_quadratic(rng(33).standard_normal(n), 0.01),
+            simplex_indicator(n))
+        H, x0 = squared_euclidean(n), np.full(n, 1 / n)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for keep in (True, False):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                trace = run_solver(p, H, make_prox_map("simplex", "quadratic"),
+                                   x0, SolverConfig(eta0=0.01, max_iters=steps,
+                                                    keep_iterates=keep))
+                peaks[keep] = tracemalloc.get_traced_memory()[1] - base
+                assert len(trace.objective) == steps + 1
+                del trace
+        finally:
+            tracemalloc.stop()
+        matrix = (steps + 1) * n * 8
+        assert peaks[True] >= matrix
+        assert peaks[False] < matrix / 10
