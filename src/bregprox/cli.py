@@ -80,7 +80,8 @@ def _report(result, line: str) -> int:
     status = 0
     for variant, cert in result.certificates.items():
         ok = _certified(cert)
-        print(line.format(variant=variant, k=result.iters_to_tol[variant],
+        print(line.format(variant=variant,
+                          k=result.traces[variant].iters_to_tol,
                           margin=cert.margin, verdict="ok" if ok else "FAIL"))
         status |= not ok
     for variant, msg in result.failures.items():
@@ -114,7 +115,7 @@ def cmd_run_simplex(args) -> int:
     for variant in variants:
         fields = ("", "false", "", "", "", "", "")  # failed, no trace
         if variant in result.traces:
-            k = result.iters_to_tol[variant]
+            k = result.traces[variant].iters_to_tol
             cert = result.certificates[variant]
             gap = result.traces[variant].objective[-1] - f_star
             fields = ("" if k is None else k, str(k is not None).lower(),

@@ -12,7 +12,7 @@ traces are bit-reproducible on a given platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class ExperimentResult:
     tolerance: float
     traces: Dict[str, IterationTrace]
     certificates: Dict[str, RateCertificate]
-    iters_to_tol: Dict[str, Optional[int]]
     failures: Dict[str, str]
 
 
@@ -234,7 +233,8 @@ def variant_configs(spec: ExperimentSpec, gamma: float, tol: float
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Build the problem, compute the reference optimum, run every variant,
-    and attach per-variant certificate checks and iterations-to-tolerance."""
+    and attach per-variant certificate checks; each trace records whether
+    it met the tolerance (``IterationTrace.iters_to_tol``)."""
     base = build_simplex_ls(spec)
     f = base.f
     gamma = 1.0 / f.lipschitz_grad
@@ -248,7 +248,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     traces: Dict[str, IterationTrace] = {}
     certs: Dict[str, RateCertificate] = {}
-    iters_to_tol: Dict[str, Optional[int]] = {}
     failures: Dict[str, str] = {}
     # every configuration is checked before the first solve: a bad setting
     # fails before any solver work, not after variants have finished
@@ -265,8 +264,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             trace = exc.partial_trace
         traces[variant] = trace
         certs[variant] = certify_trace(problem, H, trace)
-        reached = np.flatnonzero(trace.objective[1:] - f_star <= tol)
-        iters_to_tol[variant] = int(reached[0]) + 1 if reached.size else None
 
     return ExperimentResult(
         spec=spec,
@@ -278,6 +275,5 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         tolerance=tol,
         traces=traces,
         certificates=certs,
-        iters_to_tol=iters_to_tol,
         failures=failures,
     )

@@ -156,11 +156,7 @@ class DomainDescriptor:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dimension:
             return False
-        # one min over the whole stack: a per-row min over a short last
-        # axis costs far more, and a NaN row fails either way
-        return self.kind == "rn" or bool(
-            np.minimum.reduce(x, axis=None, initial=np.inf) >= floor
-            and (abs(row_sum(x) - 1.0) <= SIMPLEX_SUM_TOL).all())
+        return self.kind == "rn" or bool(on_simplex(x, floor).all())
 
 
 def euclidean_space(n: int) -> DomainDescriptor:
@@ -209,9 +205,10 @@ class OracleStepper:
 
     ``grad()`` is the gradient at the current point x.  ``propose(cand)``
     takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
-    ``accept()`` moves x to the candidate.  ``value(f_star, tol)`` is f at x
-    with the bits of the trace, or +inf where a cheaper test proves
-    f(x) - f_star > tol.  The steps accepted since the last flush, at most
+    ``accept()`` moves x to the candidate.  ``may_stop(f_star, tol)`` is
+    False only where f at x, with the bits of the trace, fails
+    f - f_star <= tol; here it tests that f.  The steps accepted since the
+    last flush, at most
     ``rows`` of them, make a block whose iterates are the rows of xs after
     its first, the point before them: ``distances(xs)`` gives their
     D_f(x_k, x_{k-1}), and ``flush(xs)`` their f and starts the next block;
@@ -235,8 +232,8 @@ class OracleStepper:
     def accept(self) -> None:
         self.x = self.cand
 
-    def value(self, f_star: float, tol: float) -> float:
-        return self.f.value(self.x)
+    def may_stop(self, f_star: float, tol: float) -> bool:
+        return self.f.value(self.x) - f_star <= tol
 
     def distances(self, xs: np.ndarray) -> np.ndarray:
         return _per_step("distance", self.f.distance(xs[1:], xs[:-1]), xs)
@@ -292,8 +289,8 @@ class ResidualStepper:
         # ads[j - 1] took rs[j - 1] to rs[j]
         self.rs, self.ads = np.empty((rows + 1, m)), np.empty((rows, m))
         self.rs[0] = A @ x0 - b
-        # value() skips the exact f only where r . r proves the test fails.
-        # Both r . r and the trace's sum of squares are within gamma_m =
+        # may_stop() is False only where r . r proves the test fails.  Both
+        # r . r and the trace's sum of squares are within gamma_m =
         # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
         # terms in any order, with or without FMA).  So where the trace's f
         # passes fl(f - f_star) <= tol with f_star >= 0, r . r / 2 is at most
@@ -319,12 +316,10 @@ class ResidualStepper:
         np.add(self.rs[j], self.ads[j], out=self.rs[j + 1])
         self.x, self.j = self.cand, j + 1
 
-    def value(self, f_star: float, tol: float) -> float:
+    def may_stop(self, f_star: float, tol: float) -> bool:
         r = self.rs[self.j]
-        if f_star >= 0.0 and \
-                0.5 * np.dot(r, r) > (f_star + tol) * self.slack + self.floor:
-            return np.inf
-        return float(0.5 * np.add.reduce(np.square(r)))
+        return not (f_star >= 0.0 and 0.5 * np.dot(r, r)
+                    > (f_star + tol) * self.slack + self.floor)
 
     def distances(self, xs: np.ndarray) -> np.ndarray:
         return 0.5 * row_sum(np.square(self.ads[:self.j]))

@@ -14,7 +14,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 import numpy as np
 
@@ -51,6 +51,10 @@ def accepts(d_H, d_f):
 # candidates a line-search step may reject before the run fails: at
 # alpha = 0.5, 60 halvings shrink eta by 2^-60 (about 1e-18)
 MAX_BACKTRACKS = 60
+# the smallest line-search step a run tries: a step below the smallest
+# normal float moves x by nothing or by rounding noise, and the
+# certificate's D_H(x*, x0) / eta_1 overflows
+NORMAL_MIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,12 @@ class IterationTrace:
     (row 0 is x0, with eta0, no backtrack and d_hk = 0): F(x_k), the step
     that gave x_k, the candidates it rejected first, D_{h_k}(x_k, x_{k-1})
     at acceptance and the wall time since the start; ``hypothesis_held``:
-    every step passed the line search's test on it.  ``x0`` and ``x`` are
-    the first and the last iterate, and ``xs`` holds every iterate, row k
-    x_k, or is None where the run kept none (``SolverConfig.keep_iterates``).
+    every step passed the line search's test on it.  ``stop_reason`` is why
+    the run ended: "tolerance" at the first step whose F met the early
+    stop, "max_iters" at the budget, or a partial trace's failure message.
+    ``x0`` and ``x`` are the first and the last iterate, and ``xs`` holds
+    every iterate, row k x_k, or is None where the run kept none
+    (``SolverConfig.keep_iterates``).
     """
 
     x0: np.ndarray
@@ -97,6 +104,7 @@ class IterationTrace:
     d_hk: np.ndarray
     elapsed_ms: np.ndarray
     hypothesis_held: bool
+    stop_reason: str
     xs: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -107,6 +115,14 @@ class IterationTrace:
     def _columns(self):
         return (self.objective, self.eta, self.backtracks, self.d_hk,
                 self.elapsed_ms)
+
+    @property
+    def iters_to_tol(self) -> Optional[int]:
+        """The step that met the tolerance, or None where the run ended for
+        another reason."""
+        if self.stop_reason != "tolerance":
+            return None
+        return len(self.objective) - 1
 
     def objectives(self) -> np.ndarray:
         return self.objective
@@ -143,11 +159,15 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     next iteration.  The smooth term is reached through its stepper: a step
     costs one gradient however many candidates the line search tries, and
     for least squares one pass over A for it and one per candidate.  The
-    loop reads D_f only under line search and f only for the early stop;
-    f, g and, under a constant step, D_f and d_hk are completed by one
-    hook, ``complete``, once per block of the stepper's ``rows`` steps, one
-    stacked call each.  Without ``cfg.keep_iterates`` the run holds that
-    block of iterates and no more: the trace keeps x0 and the final point.
+    loop reads D_f only under line search; f, g and, under a constant
+    step, D_f and d_hk are completed by one hook, ``complete``, once per
+    block of the stepper's ``rows`` steps, one stacked call each.  The
+    early stop reads the F that ``complete`` writes: after a step that the
+    stepper's ``may_stop`` cannot rule out, the block completes early, and
+    the run stops if that F meets the tolerance.  A line-search step below
+    the smallest normal float is never tried.  Without
+    ``cfg.keep_iterates`` the run holds one block of iterates and no more:
+    the trace keeps x0 and the final point.
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -167,6 +187,10 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             "constant step eta = %g exceeds gamma = %g; rate "
             "certificates may not hold", cfg.eta0, 1.0 / L,
         )
+    if cfg.line_search_enabled and cfg.eta0 < NORMAL_MIN:
+        raise ContractViolation(
+            f"eta0 = {cfg.eta0!r} is below the smallest normal float, the "
+            "smallest step a line search tries")
     early_stop = cfg.tolerance > 0
     if early_stop:
         if p.optimum_oracle is None:
@@ -208,7 +232,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         # f + 0.0 keeps f's bits, and a stacked g equals its row calls
         objective.append(smooth.flush(block) + p.g.value(block[1:]))
 
-    def build() -> IterationTrace:
+    def build(stop_reason: str) -> IterationTrace:
         if lo < len(steps):
             complete()
         if cfg.keep_iterates:
@@ -217,8 +241,11 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         if d_hks:
             d_hk[1:] = np.concatenate(d_hks)
         return IterationTrace(x0, x.copy(), np.concatenate(objective), etas,
-                              bts, d_hk, ms, held,
+                              bts, d_hk, ms, held, stop_reason,
                               xs if cfg.keep_iterates else None)
+
+    def fail(message: str) -> NoReturn:
+        raise SolverFailure(message, partial_trace=build(message))
 
     eta, d = cfg.eta0, 0.0
     for k in range(1, cfg.max_iters + 1):
@@ -236,11 +263,11 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                 break
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
-                raise SolverFailure(
-                    f"backtracking budget exhausted at iteration {k}",
-                    partial_trace=build(),
-                )
+                fail(f"backtracking budget exhausted at iteration {k}")
             eta *= cfg.alpha
+            if eta < NORMAL_MIN:
+                fail(f"line-search step {eta:.3g} fell below the smallest "
+                     f"normal float at iteration {k}")
         x = cand
         smooth.accept()
         if k - off == len(xs):
@@ -248,15 +275,14 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         xs[k - off] = x
         steps.append((eta, backtracks, d,
                       (time.perf_counter() - start) * 1e3))
-        if k - lo + 1 == smooth.rows:
+        # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
+        # meets the tolerance only where f does
+        if k - lo + 1 == smooth.rows or (
+                early_stop and smooth.may_stop(f_star, tol)):
             complete()
-        # every nonsmooth kind is >= 0, so F = f + g meets the tolerance only
-        # where f does; g is evaluated there alone
-        if early_stop:
-            f_k = smooth.value(f_star, tol)
-            if f_k - f_star <= tol and f_k + p.g.value(x) - f_star <= tol:
-                break
-    return build()
+            if early_stop and objective[-1][-1] - f_star <= tol:
+                return build("tolerance")
+    return build("max_iters")
 
 
 def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,

@@ -218,7 +218,7 @@ def test_criterion_6_faster_with_line_search(desk_experiment):
     res = desk_experiment
 
     def key(v):
-        k = res.iters_to_tol[v]
+        k = res.traces[v].iters_to_tol
         return np.inf if k is None else k
 
     assert key("pga-linesearch") <= key("pga-constant")

@@ -95,6 +95,33 @@ class TestRunSimplex:
             assert f"{variant}: solver failure: backtracking budget " \
                    "exhausted at iteration 1" in err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--eta0", "eta0 = 1e-310 is below the smallest normal float, the "
+                   "smallest step a line search tries"),
+        ("--alpha", "line-search step 1e-308 fell below the smallest normal "
+                    "float at iteration 1")])
+    def test_subnormal_line_search_step_fails_its_variant(
+            self, tmp_path, capsys, flag, message):
+        # a step below the smallest normal float moves no iterate: both line
+        # searches used to run every step at it, print a numpy overflow
+        # warning from the certificate, and exit 0 with cert_margin=inf [ok].
+        # The constant-step variants keep their CSVs
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(SMALL_SIMPLEX + [flag, "1e-310", "--out",
+                                        str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "".join(f"{variant}: solver failure: {message}\n"
+                              for variant in ("pga-linesearch",
+                                              "mirror-linesearch"))
+        assert run(SMALL_SIMPLEX + ["--variants",
+                                    "pga-constant,mirror-constant",
+                                    "--out", str(alone)]) == 0
+        for variant in ("pga-constant", "mirror-constant"):
+            assert (out / f"{variant}.csv").read_bytes() \
+                == (alone / f"{variant}.csv").read_bytes()
+
     @pytest.mark.parametrize("eta0", ["nan", "inf"])
     def test_non_finite_eta0_fails_before_any_solve(self, tmp_path, capsys,
                                                     eta0):

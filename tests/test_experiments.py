@@ -235,7 +235,7 @@ class TestRunExperiment:
 
     def test_line_search_not_slower(self, result):
         def key(v):
-            k = result.iters_to_tol[v]
+            k = result.traces[v].iters_to_tol
             return np.inf if k is None else k
         assert key("pga-linesearch") <= key("pga-constant")
         assert key("mirror-linesearch") <= key("mirror-constant")
@@ -254,6 +254,22 @@ class TestRunExperiment:
         for cert in res.certificates.values():
             assert cert.hypothesis_satisfied
             assert cert.margin >= 0.0
+
+    @pytest.mark.parametrize("seed", [*range(24), 42])
+    def test_stop_record_is_the_first_step_within_tolerance(self, seed):
+        # each trace's stop record replaces a rescan of its objective
+        # column: the first k >= 1 with F(x_k) - F* <= tol, or None
+        res = run_experiment(ExperimentSpec(name="desk", m=50, n=100,
+                                            seed=seed))
+        f_star = res.reference_optimum[1]
+        assert set(res.traces) == set(VARIANTS)
+        for trace in res.traces.values():
+            reached = np.flatnonzero(trace.objective[1:] - f_star
+                                     <= res.tolerance)
+            assert trace.iters_to_tol == (
+                int(reached[0]) + 1 if reached.size else None)
+            assert trace.stop_reason == (
+                "tolerance" if reached.size else "max_iters")
 
     def test_mirror_iterates_stay_interior(self, result):
         # run_experiment keeps no iterates: each mirror variant runs again

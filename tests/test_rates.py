@@ -368,7 +368,8 @@ class TestCertifyTrace:
             trace.x0, trace.x0,
             *(c[:1] for c in (trace.objective, trace.eta, trace.backtracks,
                               trace.d_hk, trace.elapsed_ms)),
-            trace.hypothesis_held)
+            trace.hypothesis_held, "backtracking budget exhausted at "
+                                   "iteration 1")
         cert = certify_trace(p, H, partial)
         assert cert.margin == np.inf
         assert cert.weight_sums.size == 0

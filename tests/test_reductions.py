@@ -416,10 +416,11 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
         ("stray.py", "f", "np.sum")}
 
 
-# Three more rules with one coding each: the acceptance test D_{h_k} >= 0
+# Four more rules with one coding each: the acceptance test D_{h_k} >= 0
 # of the line search and the certificates (solvers.accepts), the feasible
-# points of the randomized checks (functions.sample_feasible), and the test
-# of a step size (functions.check_step).
+# points of the randomized checks (functions.sample_feasible), the test of
+# a step size (functions.check_step), and the simplex's sum test
+# (functions.on_simplex, the one reader of SIMPLEX_SUM_TOL).
 def is_zero_or_inf(node):
     try:
         return ast.literal_eval(node) == 0
@@ -446,13 +447,14 @@ def is_step_check(node):
 
 def single_coding_sites(src=SRC):
     """(file, enclosing function or "<module>", what) of every read of
-    ACCEPT_TOL, every call of a ``dirichlet`` method and every step check
-    in ``src``."""
+    ACCEPT_TOL or SIMPLEX_SUM_TOL, every call of a ``dirichlet`` method and
+    every step check in ``src``."""
     found = set()
     for name, owner, node in owned_nodes(src):
-        if isinstance(node, ast.Name) and node.id == "ACCEPT_TOL" \
-                and isinstance(node.ctx, ast.Load):
-            found.add((name, owner, "ACCEPT_TOL"))
+        ident = getattr(node, NAMING.get(type(node), ""), None)
+        if ident in ("ACCEPT_TOL", "SIMPLEX_SUM_TOL") \
+                and isinstance(getattr(node, "ctx", None), ast.Load):
+            found.add((name, owner, ident))
         elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "dirichlet":
@@ -465,6 +467,7 @@ def single_coding_sites(src=SRC):
 def test_each_rule_has_one_coding():
     assert single_coding_sites() == {
         ("solvers.py", "accepts", "ACCEPT_TOL"),
+        ("functions.py", "on_simplex", "SIMPLEX_SUM_TOL"),
         ("functions.py", "sample_feasible", "dirichlet"),
         ("functions.py", "check_step", "step check")}
 
@@ -487,9 +490,13 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         "    # a chain with 0 and inf is the same test; other bounds are not\n"
         "    if not 0.0 < gamma < np.inf or y.min() < 0.0:\n"
         "        raise ValueError\n"
-        "    return eta_ratio >= 1.0 and gamma * eta_ratio <= 1.0\n")
+        "    return eta_ratio >= 1.0 and gamma * eta_ratio <= 1.0\n\n"
+        "def contains(x):\n"
+        "    return abs(x.sum() - 1.0) <= functions.SIMPLEX_SUM_TOL or \\\n"
+        "        abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL\n")
     assert single_coding_sites(tmp_path) == {
         ("second.py", "<module>", "ACCEPT_TOL"),
+        ("second.py", "contains", "SIMPLEX_SUM_TOL"),
         ("second.py", "draw", "dirichlet"),
         ("second.py", "draw", "ACCEPT_TOL"),
         ("second.py", "step", "step check"),

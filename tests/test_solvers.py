@@ -475,9 +475,9 @@ class TestRunSolver:
     @pytest.mark.parametrize("m", [1, 2, 7, 50, 500])
     def test_early_stop_bound_skips_no_step_that_stops(self, m, worst_dot,
                                                       monkeypatch):
-        # the stepper skips the exact f where r . r / 2 exceeds
+        # the stepper rules a stop out where r . r / 2 exceeds
         # (F* + tol)(1 + 4 m eps) + m tiny; with f a few ulps on either side
-        # of F* + tol, it must stop exactly where fl(f - F*) <= tol does.
+        # of F* + tol, it must never do so where fl(f - F*) <= tol holds.
         # worst_dot stands in for r . r the largest value that its rounding
         # allows, as another summation order or FMA could give: within
         # gamma_m of ||r||^2, each square off by up to one subnormal spacing
@@ -507,9 +507,8 @@ class TestRunSolver:
                 # A = 0, x0 = 0 and b = -res carry the residual res exactly
                 stepper = ResidualStepper(np.zeros((m, 1)), -res,
                                           np.zeros(1))
-                got = stepper.value(f_star, tol)
-                assert (got - f_star <= tol) == (f - f_star <= tol)
-                assert got == f or got == np.inf
+                assert stepper.may_stop(f_star, tol) \
+                    or not f - f_star <= tol
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_early_stop_is_the_exact_test_on_the_trace(self, H_kind):
@@ -820,7 +819,7 @@ class TestColumnarTrace:
                    for trace in small.traces.values()) > 0
 
     def test_nonsmooth_values_are_nonnegative(self):
-        # run_solver's early stop tests f alone before it evaluates g, which
+        # the steppers' may_stop filters the early stop on f alone, which
         # is sound only because no nonsmooth kind is negative
         r = rng(21)
         for n in (1, 3, 40):
@@ -843,7 +842,7 @@ class TestColumnarTrace:
         # go on
         p, tol = small.problem, small.tolerance
         f_star = p.optimum_oracle[1]
-        k_tol = small.iters_to_tol["pga-constant"]
+        k_tol = small.traces["pga-constant"].iters_to_tol
         calls = [0]
 
         def off_once(v, y, eta):
@@ -867,10 +866,10 @@ class TestColumnarTrace:
     def test_g_is_evaluated_once_per_block(self, monkeypatch, tolerance,
                                            steps):
         # with F* = 0 under objectives of about 0.2, tolerance 1e-12 is never
-        # met: all 5,000 steps take the f-only test, and g is evaluated at x0
-        # and once per block alone; tolerance 1.0 is met by f at the first
-        # step, so the loop evaluates g there once, F meets it too, and the
-        # run stops
+        # met: the stepper rules out the stop at all 5,000 steps, and g is
+        # evaluated at x0 and once per block alone; tolerance 1.0 is met by
+        # f at the first step, so its block of one step completes there, F
+        # meets the tolerance too, and the run stops
         base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
                                                seed=42))
         calls = []
@@ -891,8 +890,112 @@ class TestColumnarTrace:
         blocks = [(min(block_rows, steps - lo), 100)
                   for lo in range(0, steps, block_rows)]
         assert len(trace.objective) - 1 == steps
-        assert calls == [(100,)] + [(100,)] * (steps == 1) + blocks
+        assert calls == [(100,)] + blocks
         assert len(blocks) == -(-steps // block_rows)
+
+
+class TestStopRecord:
+    @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
+    def test_budget_and_a_last_step_that_meets_the_tolerance(self, H_kind):
+        # F decreases at every one of the 100 constant steps, so a tolerance
+        # that F(x_100) meets with no slack is met there first
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=3))
+        H = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        pm, x0 = make_prox_map("simplex", H_kind), np.full(100, 0.01)
+        cfg = SolverConfig(eta0=1.0 / base.f.lipschitz_grad, max_iters=100)
+        full = run_solver(base, H, pm, x0, cfg)
+        assert np.all(np.diff(full.objective) < 0)
+        assert full.stop_reason == "max_iters"
+        assert full.iters_to_tol is None
+        f_star = float(full.objective[-1]) * (1.0 - 1e-9)
+        p = dataclasses.replace(base, optimum_oracle=(None, f_star))
+        tol = full.objective[-1] - f_star
+        for tolerance, reason, k in [(tol, "tolerance", 100),
+                                     (np.nextafter(tol, 0.0), "max_iters",
+                                      None)]:
+            trace = run_solver(p, H, pm, x0,
+                               dataclasses.replace(cfg, tolerance=tolerance))
+            assert trace.stop_reason == reason
+            assert trace.iters_to_tol == k
+            assert trace.objective.tobytes() == full.objective.tobytes()
+
+    @pytest.mark.parametrize("alpha, message", [
+        (0.99, "backtracking budget exhausted at iteration 1"),
+        (1e-310, "line-search step 1e-308 fell below the smallest normal "
+                 "float at iteration 1")])
+    def test_partial_trace_records_its_failure(self, alpha, message):
+        # eta0 = 100 fails the first candidate; alpha = 0.99 shrinks it only
+        # to about 55 within the budget, alpha = 1e-310 to a subnormal step
+        p = simplex_ls_problem(6, 10, seed=13)
+        cfg = SolverConfig(eta0=100.0, alpha=alpha, max_iters=10,
+                           line_search_enabled=True)
+        with pytest.raises(SolverFailure, match=f"^{message}$") as exc_info:
+            run_solver(p, negative_entropy(10),
+                       make_prox_map("simplex", "entropy"),
+                       np.full(10, 0.1), cfg)
+        partial = exc_info.value.partial_trace
+        assert partial.stop_reason == message
+        assert partial.iters_to_tol is None
+
+    def test_subnormal_eta0_is_refused_by_the_line_search(self):
+        p = simplex_ls_problem(6, 10, seed=13)
+        cfg = SolverConfig(eta0=1e-310, max_iters=10,
+                           line_search_enabled=True)
+        with pytest.raises(ContractViolation,
+                           match="^eta0 = 1e-310 is below the smallest "
+                                 "normal float"):
+            run_solver(p, negative_entropy(10),
+                       make_prox_map("simplex", "entropy"),
+                       np.full(10, 0.1), cfg)
+
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("smooth", ["least_squares", "shifted_quadratic"])
+    def test_a_stop_ruled_in_but_not_met_changes_no_row(
+            self, monkeypatch, smooth, line_search):
+        # the tolerance sits a few ulps below the gap of the best step, so
+        # no step meets it.  Least squares: r . r cannot rule the stop out
+        # at the steps within its slack of the best.  l1: f alone falls
+        # below F*, so the stepper never rules it out.  Each such step
+        # completes its block early, and the run goes on to the budget with
+        # the rows of the run without an early stop
+        n, steps = 100, 400
+        x0 = np.full(n, 1.0 / n)
+        if smooth == "least_squares":
+            base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=n,
+                                                   seed=42))
+            H, kind = squared_euclidean(n), "simplex"
+        else:
+            f = shifted_quadratic(rng(34).standard_normal(n), 0.5)
+            base = CompositeProblem(f, l1_norm())
+            H, kind = squared_euclidean(n), "l1"
+        completions = []
+        value = NONSMOOTH_VALUES[kind]
+
+        def counting(x):
+            completions.append(np.ndim(x) == 2)
+            return value(x)
+
+        monkeypatch.setitem(NONSMOOTH_VALUES, kind, counting)
+        pm = make_prox_map(kind, "quadratic")
+        cfg = SolverConfig(
+            eta0=100.0 if line_search else 1.0 / base.f.lipschitz_grad,
+            max_iters=steps, line_search_enabled=line_search)
+        full = run_solver(base, H, pm, x0, cfg)
+        blocks = sum(completions)
+        f_star = float(np.min(full.objective)) * (1.0 - 1e-12)
+        gap = float(np.min(full.objective)) - f_star
+        p = dataclasses.replace(base, optimum_oracle=(None, f_star))
+        completions.clear()
+        trace = run_solver(p, H, pm, x0, dataclasses.replace(
+            cfg, tolerance=gap - 3 * np.spacing(gap)))
+        assert sum(completions) > blocks + 1
+        assert trace.stop_reason == full.stop_reason == "max_iters"
+        for name in ("objective", "eta", "backtracks", "d_hk", "x", "xs"):
+            assert getattr(trace, name).tobytes() \
+                == getattr(full, name).tobytes(), name
+        assert trace.hypothesis_held is full.hypothesis_held
 
 
 def kept_and_unkept(p, H, x0, cfg):
