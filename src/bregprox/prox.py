@@ -11,6 +11,7 @@ of any particular smooth function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,8 @@ GeneratorKind = str  # "quadratic" | "entropy"
 # the smallest normal float; mirror iterates hold no entry below it but 0
 SMALLEST_NORMAL = np.finfo(float).tiny
 
+FLOAT_MAX = float(np.finfo(float).max)
+
 
 def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer of ||x||_1 + <x, v> + 1/(2 eta) ||x - y||^2.
@@ -40,33 +43,60 @@ def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
 def simplex_projection(z: Vector) -> Vector:
     """Euclidean projection onto {x : sum x_i = 1, x >= 0} by sort-and-threshold."""
     z = np.asarray(z, dtype=float)
-    ks = np.arange(1.0, z.size + 1.0)
-    theta = _simplex_threshold(z, ks)
-    if theta is None:
+    x = _simplex_threshold(z)
+    if x is None:
         # Entries that dwarf 1 (z = [1e17, 0, -3]) round the 1 out of the
-        # cumsum and leave no index; the projection is shift-invariant, so
-        # retry (only then, so other inputs keep their exact result) from
-        # max(z) = 0.
-        z = z - np.max(z)
-        theta = _simplex_threshold(z, ks)
-        if theta is None:
+        # prefix sums and leave no index; the projection is shift-invariant,
+        # so retry (only then, so other inputs keep their exact result)
+        # from max(z) = 0.  An entry the shift takes below -FLOAT_MAX is
+        # -inf and projects to 0, and prefix sums that overflow are dropped
+        with np.errstate(over="ignore"):
+            x = _simplex_threshold(z - np.maximum.reduce(z))
+        if x is None:
             raise NumericalFailure(
                 "cannot project a non-finite point onto the simplex")
+    return x
+
+
+def _simplex_threshold(z: Vector):
+    """max(z - theta, 0), theta = css_rho / rho at the last rho with
+    u_rho - css_rho / rho > 0, u the entries of z in decreasing order and
+    css their prefix sums less 1; None where no rho has it."""
+    u = z.copy()
+    u.sort()
+    u = u[::-1]
+    # n entries below this magnitude sum to below FLOAT_MAX, rounding
+    # included, and z - theta stays below it; past it an overflow is handled
+    limit = FLOAT_MAX / (2 * u.size)
+    if u[0] < limit and u[-1] > -limit:
+        return _threshold_sorted(z, u)
+    with np.errstate(over="ignore"):
+        return _threshold_sorted(z, u)
+
+
+def _threshold_sorted(z: Vector, u: Vector):
+    """_simplex_threshold of z, given u."""
+    css = np.add.accumulate(u)
+    css -= 1.0
+    css /= np.arange(1.0, u.size + 1.0)
+    # with subnormals, fl(a - b) > 0 exactly where a > b
+    above = u > css
+    rho = above.nonzero()[0]
+    if not rho.size:
+        return None
+    theta = css[rho[-1]]
+    if not math.isfinite(theta):
+        # A prefix sum that overflowed to -inf passes every later test, but
+        # rho passes the exact test only where u_1, ..., u_rho lie within 1
+        # of u_rho in total, so |css_rho| <= rho (|u_1| + 1): never at an
+        # overflowed sum in the retry, where u_1 = 0.  Such sums are
+        # dropped, only here, so that other inputs pay nothing
+        rho = (above & np.isfinite(css)).nonzero()[0]
+        if not rho.size:
+            return None
+        theta = css[rho[-1]]
     x = z - theta
     return np.maximum(x, 0.0, out=x)
-
-
-def _simplex_threshold(z: Vector, ks: Vector):
-    """css_rho / rho at the last rho with u_rho - css_rho / rho > 0, u the
-    entries of z in decreasing order and css their cumulative sums less 1;
-    None where no rho has it."""
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    css -= 1.0
-    # with subnormals, fl(a - b) > 0 exactly where a > b
-    above = u > css / ks
-    last = ks.size - 1 - np.argmax(above[::-1])
-    return css[last] / ks[last] if above[last] else None
 
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:

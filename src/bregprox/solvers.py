@@ -228,7 +228,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             d_f = smooth.distances(block)
             d_H = H.distance(block[1:], block[:-1]) / cfg.eta0
             d_hks.append(d_H - d_f)
-            held &= bool(np.all(accepts(d_H, d_f)))
+            held &= bool(np.logical_and.reduce(accepts(d_H, d_f)))
         # f + 0.0 keeps f's bits, and a stacked g equals its row calls
         objective.append(smooth.flush(block) + p.g.value(block[1:]))
 

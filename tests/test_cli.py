@@ -95,6 +95,25 @@ class TestRunSimplex:
             assert f"{variant}: solver failure: backtracking budget " \
                    "exhausted at iteration 1" in err
 
+    @pytest.mark.parametrize("eta0", ["1e307", "1e308"])
+    def test_huge_eta0_projects_without_overflow(self, tmp_path, capsys,
+                                                 eta0):
+        # the first line-search candidate projects finite entries near
+        # 1e307, whose prefix sums used to overflow to -inf: the projection
+        # came out all inf, with numpy warnings from it and from the next
+        # matmul.  Both line searches still exhaust their budget
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-simplex", "--eta0", eta0, "--out",
+                        str(out)]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"{variant}: solver failure: backtracking budget exhausted at "
+            "iteration 1\n" for variant in ("pga-linesearch",
+                                            "mirror-linesearch"))
+        for variant in ("pga-constant", "mirror-constant"):
+            assert (out / f"{variant}.csv").is_file()
+
     @pytest.mark.parametrize("flag, message", [
         ("--eta0", "eta0 = 1e-310 is below the smallest normal float, the "
                    "smallest step a line search tries"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from bregprox import (
     CompositeProblem,
     ContractViolation,
     DomainError,
+    ExperimentSpec,
     NumericalFailure,
     composite_generator,
     entropic_update,
@@ -17,6 +19,7 @@ from bregprox import (
     make_prox_map,
     negative_entropy,
     project_simplex,
+    run_experiment,
     shifted_quadratic,
     simplex_indicator,
     simplex_projection,
@@ -25,6 +28,7 @@ from bregprox import (
     verify_prox_optimality,
     zero_term,
 )
+from bregprox import experiments
 from bregprox.functions import sample_feasible
 from bregprox.prox import _REGISTRY, SMALLEST_NORMAL, prox_objective
 
@@ -248,8 +252,10 @@ class TestKernelBits:
     """The kernels' fast paths change no output bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 1000),
            kind=st.sampled_from(PROJECTION_KINDS))
+    @example(seed=0, n=1000, kind="normal")
+    @example(seed=1, n=1000, kind="on_simplex")
     def test_simplex_projection_keeps_its_bits(self, seed, n, kind):
         z = projection_input(rng(seed), n, kind)
         got = simplex_projection(z)
@@ -271,6 +277,32 @@ class TestKernelBits:
         with pytest.raises(NumericalFailure):
             simplex_projection(np.array(z))
 
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec("desk", 50, 100, seed=42,
+                       variants=("pga-constant", "pga-linesearch")),
+        ExperimentSpec("wide", 20, 1000, seed=5,
+                       variants=("pga-constant", "pga-linesearch"))])
+    def test_pga_runs_keep_their_bits(self, monkeypatch, spec):
+        # both PGA variants as run-simplex runs them, against the same runs
+        # with each candidate projected by the reference body
+        def reference_prox_map(g_kind, H_kind):
+            return dataclasses.replace(
+                make_prox_map(g_kind, H_kind),
+                solve=lambda v, y, eta: reference_simplex_projection(
+                    np.asarray(y, dtype=float)
+                    - eta * np.asarray(v, dtype=float)))
+
+        got = run_experiment(spec)
+        monkeypatch.setattr(experiments, "make_prox_map", reference_prox_map)
+        want = run_experiment(spec)
+        assert not got.failures and not want.failures
+        for variant in spec.variants:
+            for name in ("objective", "eta", "backtracks", "d_hk"):
+                a = getattr(got.traces[variant], name)
+                b = getattr(want.traces[variant], name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    (variant, name)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
            zeros=st.booleans(), log_eta=st.floats(-3.0, 4.0),
@@ -291,6 +323,36 @@ class TestKernelBits:
         got = entropic_update(v, y, 10.0 ** log_eta)
         want = reference_entropic_update(v, y, 10.0 ** log_eta)
         assert got.tobytes() == want.tobytes()
+
+
+class TestProjectionOverflow:
+    """Finite input whose prefix sums overflow projects to a finite point:
+    an overflowed prefix sum used to pass every later test, and theta came
+    out -inf."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_huge_input_projects_to_the_vertex_of_its_largest_entry(
+            self, seed, scale):
+        z = scale * rng(seed).standard_normal(100)
+        vertex = np.zeros(100)
+        vertex[np.argmax(z)] = 1.0
+        assert simplex_projection(z).tobytes() == vertex.tobytes()
+
+    @pytest.mark.parametrize("z, want", [
+        # the first pass's prefix sums overflow
+        ([1.0, -1e308, -1e308], [1.0, 0.0, 0.0]),
+        # the retry's shift overflows
+        ([1e308, -1e308], [1.0, 0.0]),
+        ([-1e308, -1e308, -np.inf], [0.5, 0.5, 0.0])])
+    def test_overflow_at_the_edges(self, z, want):
+        assert simplex_projection(np.array(z)).tolist() == want
+
+    def test_huge_tie_projects_to_the_center(self):
+        # every rho that passes the first pass's test has an overflowed sum;
+        # with them dropped, no rho is left and the retry projects
+        np.testing.assert_allclose(simplex_projection(np.full(100, -1e307)),
+                                   np.full(100, 0.01), rtol=1e-15)
 
 
 class TestProxMapRegistry:

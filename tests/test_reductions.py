@@ -5,8 +5,9 @@ kernel, which must give the bits of numpy's ufunc reduction on every shape
 and layout.  The rerouted oracles are compared with their bodies as they
 were before the kernel (kept below as ``reference_*``), and each stacked
 call with its row-by-row calls.  A parse of the sources guards that no
-other reduction of the last axis appears, and that two more rules keep one
-coding each.
+other reduction of the last axis appears, that the code run per candidate
+or per block calls no numpy function whose Python wrapper costs more than
+its C entry point, and that four more rules keep one coding each.
 """
 
 import ast
@@ -25,7 +26,7 @@ from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 SIMPLEX_INTERIOR_MIN, SIMPLEX_MEMBER_MIN,
                                 SIMPLEX_SUM_TOL, on_simplex, per_row,
                                 row_min, row_sum)
-from bregprox.prox import make_prox_map, prox_objective
+from bregprox.prox import _REGISTRY, make_prox_map, prox_objective
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bregprox"
 
@@ -414,6 +415,81 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
         ("stray.py", "<module>", "np.abs(x).sum"),
         ("stray.py", "g", "np.add.reduce"),
         ("stray.py", "f", "np.sum")}
+
+
+# The code run per line-search candidate or per block of steps calls
+# numpy's C entry points: np.add.accumulate, ndarray.sort or argmax,
+# np.maximum.reduce, np.logical_and.reduce, ndarray.nonzero.  The Python
+# wrappers below cost 1-2 us a call at n = 100, as much as the work.
+WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
+           "np.min", "np.all", "np.any", "np.flatnonzero"}
+# the module-level definitions (functions, classes with their methods,
+# assigned names) that hold that code, closures included
+PER_STEP = {
+    "prox.py": {"soft_threshold", "simplex_projection", "_simplex_threshold",
+                "_threshold_sorted", "project_simplex", "entropic_update",
+                "gradient_step"},
+    "bregman.py": {"half_squared_distance", "kl_divergence", "_kl_series"},
+    "functions.py": {"row_sum", "row_min", "on_simplex", "NONSMOOTH_VALUES",
+                     "OracleStepper", "ResidualStepper"},
+    "solvers.py": {"accepts", "run_solver"},
+}
+
+
+def defined_name(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+            and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return None
+
+
+def wrapper_calls(src=SRC, scope=PER_STEP):
+    """(file, definition, callee) of every WRAPPED call inside the
+    definitions that ``scope`` names, and the names it finds defined."""
+    found, defined = set(), set()
+    for name, owners in scope.items():
+        for node in ast.parse((src / name).read_text()).body:
+            owner = defined_name(node)
+            if owner not in owners:
+                continue
+            defined.add((name, owner))
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) \
+                        and ast.unparse(call.func) in WRAPPED:
+                    found.add((name, owner, ast.unparse(call.func)))
+    return found, defined
+
+
+def test_per_step_code_calls_no_numpy_wrapper():
+    found, defined = wrapper_calls()
+    assert defined == {(name, owner) for name, owners in PER_STEP.items()
+                       for owner in owners}
+    assert {fn.__name__ for fn in _REGISTRY.values()} <= PER_STEP["prox.py"]
+    assert not found, f"call numpy's C entry points: {sorted(found)}"
+
+
+def test_the_guard_sees_a_numpy_wrapper(tmp_path):
+    (tmp_path / "step.py").write_text(
+        "import numpy as np\n\n"
+        "VALUES = {'l1': lambda x: np.max(np.abs(x))}\n"
+        "OTHER = np.min([1.0])\n\n"
+        "def run(x):\n"
+        "    def complete():\n"
+        "        return bool(np.all(x > 0))\n"
+        "    return np.sort(x)[::-1], complete()\n\n"
+        "class Stepper:\n"
+        "    def grad(self, x):\n"
+        "        return np.argmax(x), np.maximum.reduce(x), x.argmax()\n")
+    found, defined = wrapper_calls(
+        tmp_path, {"step.py": {"VALUES", "run", "Stepper", "missing"}})
+    assert found == {("step.py", "VALUES", "np.max"),
+                     ("step.py", "run", "np.all"),
+                     ("step.py", "run", "np.sort"),
+                     ("step.py", "Stepper", "np.argmax")}
+    assert defined == {("step.py", "VALUES"), ("step.py", "run"),
+                       ("step.py", "Stepper")}
 
 
 # Four more rules with one coding each: the acceptance test D_{h_k} >= 0
