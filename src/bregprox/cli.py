@@ -76,13 +76,16 @@ def _certified(cert) -> bool:
 
 def _report(result, line: str) -> int:
     """Print ``line`` with each certificate's variant, iterations to
-    tolerance k, margin and verdict, then each solver failure; 1 if any."""
+    tolerance k, margin and verdict, then each solver failure; 1 if any.
+    A certificate over no accepted step says so instead of ok."""
     status = 0
     for variant, cert in result.certificates.items():
         ok = _certified(cert)
+        verdict = ("ok" if ok else "FAIL") if cert.weight_sums.size \
+            else "covers no step"
         print(line.format(variant=variant,
                           k=result.traces[variant].iters_to_tol,
-                          margin=cert.margin, verdict="ok" if ok else "FAIL"))
+                          margin=cert.margin, verdict=verdict))
         status |= not ok
     for variant, msg in result.failures.items():
         print(f"{variant}: solver failure: {msg}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .functions import (
     CompositeProblem,
     Vector,
     estimate_spectral_norm,
+    first_order_gap,
     l1_norm,
     least_squares,
     shifted_quadratic,
@@ -118,13 +119,6 @@ def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
 REFERENCE_GAP_RTOL = 1e-13
 
 
-def frank_wolfe_gap(grad: Vector, x: Vector) -> float:
-    """Frank-Wolfe duality gap <grad, x> - min_i grad_i at a point x of the
-    simplex: an upper bound on F(x) - F* for a convex f over the simplex
-    (Jaggi 2013, "Revisiting Frank-Wolfe")."""
-    return float(grad @ x - np.min(grad))
-
-
 def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
                          iters: int = 100_000) -> Tuple[Vector, float]:
     """Reference optimum of 1/2 ||A x - b||^2 over the simplex, certified by
@@ -165,7 +159,7 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
         x[S] = w
         r = A @ x - b
         g = A.T @ r
-        gap = frank_wolfe_gap(g, x)
+        gap = first_order_gap("simplex", g, x)
         f_x = 0.5 * float(np.sum(r ** 2))
         threshold = REFERENCE_GAP_RTOL * (1.0 + abs(f_x))
         if gap <= threshold:
@@ -241,7 +235,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     x_star, f_star = reference_simplex_ls(f.A, f.b, iters=spec.ref_iters)
     # recomputed from the problem's own gradient oracle, as a check on x*
     # that does not rest on the reference run's corral arithmetic
-    reference_gap = frank_wolfe_gap(f.grad(x_star), x_star)
+    reference_gap = first_order_gap("simplex", f.grad(x_star), x_star)
     problem = CompositeProblem(f=f, g=base.g, optimum_oracle=(x_star, f_star))
     x0 = np.full(spec.n, 1.0 / spec.n)
     tol = 1e-6 * (1.0 + abs(f_star))

@@ -98,29 +98,12 @@ def blocks(samples: int):
             for start in range(0, samples, BLOCK_ROWS)]
 
 
-def sample_feasible(kind: str, n: int, rng, shape: tuple = (),
-                    around: Optional[Vector] = None) -> Vector:
+def sample_feasible(kind: str, n: int, rng, shape: tuple = ()) -> Vector:
     """Points of shape ``shape + (n,)``: uniform on the simplex for ``kind``
-    "simplex", else ``around`` plus noise at a random scale, or N(0, I)."""
+    "simplex", else N(0, I)."""
     if kind == "simplex":
         return rng.dirichlet(np.ones(n), size=shape)
-    if around is None:
-        return rng.standard_normal(shape + (n,))
-    scale = 1.0 + np.linalg.norm(around)
-    spread = 10.0 ** rng.uniform(-6, 0, size=shape + (1,))
-    return around + scale * spread * rng.standard_normal(shape + (n,))
-
-
-def worst_excess(objective: Callable, x: Vector, kind: str, rng,
-                 samples: int) -> float:
-    """max objective(x) - objective(z) over ``samples`` points z drawn
-    around x, in blocks of BLOCK_ROWS rows: <= 0 iff no z beats x."""
-    base = objective(x)
-    worst = -np.inf
-    for rows in blocks(samples):
-        z = sample_feasible(kind, x.size, rng, (rows,), x)
-        worst = np.max(base - objective(z), initial=worst)
-    return worst
+    return rng.standard_normal(shape + (n,))
 
 
 # the value of each nonsmooth kind at x, or at each row of a stack: the one
@@ -130,6 +113,29 @@ NONSMOOTH_VALUES = {
     "simplex": lambda x: per_row(np.where(on_simplex(x), 0.0, np.inf)),
     "zero": lambda x, y=None: per_row(np.zeros(np.shape(x)[:-1])),
 }
+
+
+def first_order_gap(kind: str, s: Vector, x: Vector,
+                    eta: Optional[float] = None) -> float:
+    """An upper bound on P(x) - min P, for P = g + q with g of the nonsmooth
+    ``kind`` and q convex and smooth with gradient s at x.
+
+    - "simplex": the Frank-Wolfe gap <s, x> - min_i s_i, +inf off the
+      simplex.  q(z) >= q(x) + <s, z - x>, whose minimum over the simplex
+      lies at a vertex (Jaggi 2013, "Revisiting Frank-Wolfe").
+    - "l1" and "zero", where q is (1/eta)-strongly convex: eta/2 rho^2,
+      rho the distance of 0 to s + dg(x).  For any u in that set,
+      P(z) >= P(x) + <u, z - x> + ||z - x||^2 / (2 eta), whose minimum over
+      z is P(x) - eta/2 ||u||^2.  Per entry of the l1 norm's subgradient,
+      the distance is |s_i + sign x_i| where x_i != 0 and
+      max(|s_i| - 1, 0) where x_i = 0.
+    """
+    if kind == "simplex":
+        return float(s @ x - s.min()) if on_simplex(x) else np.inf
+    if kind == "l1":
+        s = np.where(x != 0.0, s + np.sign(x),
+                     np.maximum(np.abs(s) - 1.0, 0.0))
+    return 0.5 * eta * float(s @ s)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,23 @@ class TestRunSimplex:
         for variant in ("pga-linesearch", "mirror-linesearch"):
             assert f"{variant}: solver failure: backtracking budget " \
                    "exhausted at iteration 1" in err
+
+    def test_certificate_over_no_step_is_not_ok(self, tmp_path, capsys):
+        # at alpha = 0.99 both line searches fail at iteration 1; their
+        # certificates, with margin inf, used to print [ok]
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX + ["--alpha", "0.99", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == list(VARIANTS)
+        for line in lines:
+            if "linesearch" in line:
+                assert line.endswith(
+                    "iters_to_tol=None cert_margin=inf [covers no step]")
+            else:
+                assert line.endswith("[ok]")
+        summary = (out / "summary.csv").read_text().split("\n")
+        assert summary[2].startswith("pga-linesearch,,false,")
+        assert summary[2].endswith(",gppa,inf,true")
 
     @pytest.mark.parametrize("eta0", ["1e307", "1e308"])
     def test_huge_eta0_projects_without_overflow(self, tmp_path, capsys,
@@ -595,6 +615,15 @@ class TestUsage:
         assert captured.err.endswith(
             f"verify-identities: error: argument --seed: invalid int "
             f"value: '{seed}'\n")
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "bregprox", "--help"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: bregprox ")
+        assert "verify-identities" in done.stdout
 
     def test_closed_output_stream_is_io_error(self, monkeypatch, capsys):
         # a report that cannot be printed, as into a closed pipe, exits 3

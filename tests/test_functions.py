@@ -19,7 +19,9 @@ from bregprox import (
     zero_function,
 )
 from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_INTERIOR_MIN,
-                                SIMPLEX_MEMBER_MIN, NonsmoothTerm, on_simplex)
+                                SIMPLEX_MEMBER_MIN, NonsmoothTerm,
+                                first_order_gap, on_simplex)
+from bregprox.prox import simplex_projection, soft_threshold
 
 
 def rng(seed=0):
@@ -140,6 +142,43 @@ class TestNonsmoothTerm:
         for kind, value in NONSMOOTH_VALUES.items():
             assert np.array_equal(NonsmoothTerm(kind).value(x), value(x))
             assert NonsmoothTerm(kind, 3).value(x) == np.inf
+
+
+class TestFirstOrderGap:
+    def test_values(self):
+        s = np.array([1.0, 2.0, 3.0])
+        assert first_order_gap("simplex", s, np.array([0.0, 0.0, 1.0])) == 2.0
+        # |s_i + sign x_i| off 0, max(|s_i| - 1, 0) at 0: rho^2 = 4.25
+        assert first_order_gap("l1", np.array([0.5, -1.0, 1.5, -3.0]),
+                               np.array([0.0, 2.0, -1.0, 0.0]), 2.0) == 4.25
+        assert first_order_gap("zero", np.array([3.0, 4.0]),
+                               np.zeros(2), 0.5) == 6.25
+
+    @pytest.mark.parametrize("x", [[0.5, 0.6], [1.5, -0.5], [1.0, np.nan]])
+    def test_off_the_simplex_is_infinite(self, x):
+        assert first_order_gap("simplex", np.zeros(2), np.array(x)) == np.inf
+
+    @pytest.mark.parametrize("kind", ["simplex", "l1", "zero"])
+    def test_bounds_the_excess_over_the_minimum(self, kind):
+        # P(z) = g(z) + ||z - w||^2 / (2 eta), whose minimizer is a prox
+        r = rng(3)
+        for _ in range(200):
+            n, eta = r.integers(1, 8), r.uniform(0.1, 2.0)
+            w = 3.0 * r.standard_normal(n)
+            g = NONSMOOTH_VALUES[kind]
+            x = {"simplex": r.dirichlet(np.ones(n)),
+                 "l1": np.where(r.random(n) < 0.4, 0.0,
+                                r.standard_normal(n)),
+                 "zero": r.standard_normal(n)}[kind]
+            x_star = {"simplex": simplex_projection(w),
+                      "l1": soft_threshold(np.zeros(n), w, eta),
+                      "zero": w}[kind]
+
+            def P(z):
+                return g(z) + float((z - w) @ (z - w)) / (2 * eta)
+
+            gap = first_order_gap(kind, (x - w) / eta, x, eta)
+            assert P(x) - P(x_star) <= gap * (1 + 1e-12) + 1e-12
 
 
 class TestShiftedQuadratic:

@@ -4,7 +4,7 @@ one row of one block must still fail its suite."""
 import numpy as np
 import pytest
 
-from bregprox import bregman, functions, identities, prox
+from bregprox import bregman, identities, prox
 
 FAULT = 1e-9  # above the three suites' thresholds (1e-10, 1e-12)
 
@@ -43,47 +43,19 @@ def test_one_faulty_row_fails_its_suite(monkeypatch, suite, name):
 
 
 def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
-    """The simplex-entropy map is off on one of its five calls, and only
-    one sampled row, the true minimizer, shows it."""
-    minimizer = {}
+    """The simplex-entropy map is 1% off on one of its five calls; its
+    optimality gap shows it with no point planted anywhere."""
     calls = [0]
 
     def off_once(v, y, eta):
         x = prox.entropic_update(v, y, eta)
         calls[0] += 1
-        if calls[0] != 3:
-            return x
-        minimizer["x"] = x
-        return 0.99 * x + 0.01 / x.size
+        return 0.99 * x + 0.01 / x.size if calls[0] == 3 else x
 
-    def plant(kind, n, rng, shape=(), around=None):
-        z = sample_feasible(kind, n, rng, shape, around=around)
-        if "x" in minimizer:
-            z[shape[0] // 2] = minimizer.pop("x")
-        return z
-
-    sample_feasible = functions.sample_feasible
     monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), off_once)
-    monkeypatch.setattr(functions, "sample_feasible", plant)
     results = {r.name: r for r in identities.prox_optimality_suite(10_000, 0)}
-    assert calls[0] == 5 and not minimizer
+    assert calls[0] == 5
     assert not results["prox_optimality_simplex_entropy"].passed
+    assert results["prox_optimality_simplex_entropy"].worst > 1e-3
     assert results["prox_optimality_l1_quadratic"].passed
     assert results["prox_optimality_simplex_quadratic"].passed
-
-
-def test_prox_optimality_evaluates_bounded_stacks(monkeypatch):
-    """At 100k samples each check draws 20k points; no call may see more
-    than a block of them."""
-    seen = []
-
-    def recorded(pm, x, v, y, eta):
-        seen.append(len(np.atleast_2d(x)))
-        return prox_objective(pm, x, v, y, eta)
-
-    prox_objective = prox.prox_objective
-    monkeypatch.setattr(prox, "prox_objective", recorded)
-    results = identities.prox_optimality_suite(100_000, 0)
-    assert all(r.passed for r in results)
-    assert max(seen) <= 1_000
-    assert sum(seen) == 3 * 5 * (20_000 + 1)

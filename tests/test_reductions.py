@@ -7,7 +7,8 @@ were before the kernel (kept below as ``reference_*``), and each stacked
 call with its row-by-row calls.  A parse of the sources guards that no
 other reduction of the last axis appears, that the code run per candidate
 or per block calls no numpy function whose Python wrapper costs more than
-its C entry point, and that four more rules keep one coding each.
+its C entry point, that four more rules keep one coding each, and that
+optimality is checked by one exact gap, not by a search of sampled points.
 """
 
 import ast
@@ -496,7 +497,9 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
 # of the line search and the certificates (solvers.accepts), the feasible
 # points of the randomized checks (functions.sample_feasible), the test of
 # a step size (functions.check_step), and the simplex's sum test
-# (functions.on_simplex, the one reader of SIMPLEX_SUM_TOL).
+# (functions.on_simplex).  The projection's retry bound reads
+# SIMPLEX_SUM_TOL too, as the sum its output must keep, and past that bound
+# it tests its output by on_simplex.
 def is_zero_or_inf(node):
     try:
         return ast.literal_eval(node) == 0
@@ -544,6 +547,7 @@ def test_each_rule_has_one_coding():
     assert single_coding_sites() == {
         ("solvers.py", "accepts", "ACCEPT_TOL"),
         ("functions.py", "on_simplex", "SIMPLEX_SUM_TOL"),
+        ("prox.py", "<module>", "SIMPLEX_SUM_TOL"),
         ("functions.py", "sample_feasible", "dirichlet"),
         ("functions.py", "check_step", "step check")}
 
@@ -578,6 +582,70 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         ("second.py", "step", "step check"),
         ("second.py", "check", "step check"),
         ("second.py", "scale", "step check")}
+
+
+# Optimality is checked by one exact gap, functions.first_order_gap, the
+# one place that subtracts a minimum (the Frank-Wolfe gap <s, x> - min s).
+# No check searches sampled points for a better one: the sampler takes no
+# point to draw around, and it is called by the identity and axiom checks
+# alone, the prox-optimality suite drawing with it only its single inputs.
+MINIMA = {"min", "np.min", "np.amin", "np.minimum.reduce", "row_min"}
+SAMPLER_CALLS = {
+    ("bregman.py", "verify_proximal_distance_axioms", "stack"),
+    ("bregman.py", "_bounded_level_sets", "point"),
+    ("identities.py", "three_point_suite", "stack"),
+    ("identities.py", "linearity_suite", "stack"),
+    ("identities.py", "nonnegativity_suite", "stack"),
+    ("identities.py", "offset_identity_suite", "point"),
+    ("identities.py", "offset_identity_suite", "stack"),
+    ("identities.py", "prox_optimality_suite", "point")}
+
+
+def gap_and_sampler_sites(src=SRC):
+    """(file, enclosing function or "<module>", what) of every subtraction
+    of a minimum, every sampler call (a "point" without a shape, else a
+    "stack") and the sampler's parameters in ``src``."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+                and isinstance(node.right, ast.Call):
+            callee = ast.unparse(node.right.func)
+            if callee in MINIMA or callee.endswith(".min"):
+                found.add((name, owner, "minimum subtracted"))
+        elif isinstance(node, ast.Call) \
+                and ast.unparse(node.func).endswith("sample_feasible"):
+            shaped = len(node.args) > 3 or any(
+                kw.arg == "shape" for kw in node.keywords)
+            found.add((name, owner, "stack" if shaped else "point"))
+        elif isinstance(node, ast.FunctionDef) \
+                and node.name == "sample_feasible":
+            found.add((name, node.name, ", ".join(
+                a.arg for a in node.args.args + node.args.kwonlyargs)))
+    return found
+
+
+def test_one_gap_and_no_sampled_search():
+    assert gap_and_sampler_sites() == SAMPLER_CALLS | {
+        ("functions.py", "first_order_gap", "minimum subtracted"),
+        ("functions.py", "sample_feasible", "kind, n, rng, shape")}
+
+
+def test_the_guard_sees_a_sampled_search(tmp_path):
+    (tmp_path / "search.py").write_text(
+        "import numpy as np\n"
+        "from .functions import sample_feasible\n\n"
+        "def sample_feasible(kind, n, rng, shape=(), around=None):\n"
+        "    return rng.standard_normal(shape + (n,))\n\n"
+        "def fw(s, x):\n"
+        "    return s @ x - np.min(s), s @ x - s.min()\n\n"
+        "def worst(objective, x, rng):\n"
+        "    z = sample_feasible('rn', x.size, rng, shape=(100,))\n"
+        "    return objective(x) - min(objective(z))\n")
+    assert gap_and_sampler_sites(tmp_path) == {
+        ("search.py", "sample_feasible", "kind, n, rng, shape, around"),
+        ("search.py", "fw", "minimum subtracted"),
+        ("search.py", "worst", "minimum subtracted"),
+        ("search.py", "worst", "stack")}
 
 
 # The trace's row view and the two rates aliases stay only while perfbench
