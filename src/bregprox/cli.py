@@ -30,7 +30,7 @@ from .experiments import (
     build_lasso_onestep,
     run_experiment,
 )
-from .functions import check_step
+from .functions import EPS, check_step
 from .identities import run_identity_suites
 from .prox import make_prox_map
 from .rates import certify_trace, classical_pga_bound
@@ -171,7 +171,7 @@ def cmd_run_lasso(args) -> int:
         # 4.5 eps max(|b|, |x0|) per entry, which the gap scales by 1/gamma
         scale = max(np.max(np.abs(b)), np.max(np.abs(x0)))
         error = np.max(np.abs(trace.x - x_star))
-        return 0 if error <= 8 * np.finfo(float).eps * scale else 1
+        return 0 if error <= 8 * EPS * scale else 1
     return 0 if _certified(cert) else 1
 
 

@@ -24,6 +24,7 @@ from .errors import (
     SolverFailure,
 )
 from .functions import (
+    SMALLEST_NORMAL,
     CompositeProblem,
     Vector,
     estimate_spectral_norm,
@@ -194,7 +195,7 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
             # step towards v until the first weight reaches 0, and drop it;
             # a weight that is 0 at both ends takes a step of 0
             out = np.flatnonzero(v <= 0.0)
-            ratio = w[out] / np.maximum(w[out] - v[out], np.finfo(float).tiny)
+            ratio = w[out] / np.maximum(w[out] - v[out], SMALLEST_NORMAL)
             w = w + ratio.min() * (v - w)
             w[out[np.argmin(ratio)]] = 0.0
             keep = w > 0.0

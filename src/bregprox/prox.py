@@ -11,6 +11,7 @@ of any particular smooth function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,13 +20,11 @@ import numpy as np
 
 from .bregman import DISTANCES
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import (NONSMOOTH_VALUES, SIMPLEX_SUM_TOL, Vector, check_step,
-                        first_order_gap, on_simplex, per_row, row_sum)
+from .functions import (EPS, NONSMOOTH_VALUES, SIMPLEX_SUM_TOL,
+                        SMALLEST_NORMAL, Vector, check_step, first_order_gap,
+                        on_simplex, per_row, row_sum)
 
 GeneratorKind = str  # "quadratic" | "entropy"
-
-# the smallest normal float; mirror iterates hold no entry below it but 0
-SMALLEST_NORMAL = np.finfo(float).tiny
 
 FLOAT_MAX = float(np.finfo(float).max)
 
@@ -72,7 +71,7 @@ def simplex_projection(z: Vector) -> Vector:
 # other input keeps the first pass's bits and pays one test.  The bound
 # stays below that half for rho up to about 3000 / sqrt(M): 3000 in the
 # retry, and past it the retry's output is not tested.
-SUM_DRIFT_MAX = 2 * SIMPLEX_SUM_TOL / np.finfo(float).eps
+SUM_DRIFT_MAX = 2 * SIMPLEX_SUM_TOL / EPS
 
 
 def _simplex_threshold(z: Vector, drift_max: float):
@@ -97,7 +96,7 @@ def _threshold_sorted(z: Vector, u: Vector, drift_max: float):
     """_simplex_threshold of z, given u."""
     css = np.add.accumulate(u)
     css -= 1.0
-    css /= np.arange(1.0, u.size + 1.0)
+    css /= _counts(u.size)
     # with subnormals, fl(a - b) > 0 exactly where a > b
     above = u > css
     rho = above.nonzero()[0]
@@ -118,6 +117,14 @@ def _threshold_sorted(z: Vector, u: Vector, drift_max: float):
     np.maximum(x, 0.0, out=x)
     drift = (rho.item(-1) + 4) ** 2 * (abs(u.item(0)) + 1.0)
     return None if drift > drift_max and not on_simplex(x) else x
+
+
+@functools.lru_cache(maxsize=8)
+def _counts(n: int) -> Vector:
+    """1.0, 2.0, ..., n, read-only: made once per size, not per projection."""
+    counts = np.arange(1.0, n + 1.0)
+    counts.flags.writeable = False
+    return counts
 
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:

@@ -21,8 +21,8 @@ import numpy as np
 from .bregman import (BregmanGenerator, bregman_distance, composite_generator,
                       step_within_hypothesis)
 from .errors import ConfigurationError, ContractViolation, SolverFailure
-from .functions import (CompositeProblem, Vector, check_step,
-                        evaluate_composite, first_order_gap)
+from .functions import (SMALLEST_NORMAL, CompositeProblem, Vector,
+                        check_step, evaluate_composite, first_order_gap)
 from .prox import ProxMap
 
 logger = logging.getLogger(__name__)
@@ -51,10 +51,6 @@ def accepts(d_H, d_f):
 # candidates a line-search step may reject before the run fails: at
 # alpha = 0.5, 60 halvings shrink eta by 2^-60 (about 1e-18)
 MAX_BACKTRACKS = 60
-# the smallest line-search step a run tries: a step below the smallest
-# normal float moves x by nothing or by rounding noise, and the
-# certificate's D_H(x*, x0) / eta_1 overflows
-NORMAL_MIN = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             "constant step eta = %g exceeds gamma = %g; rate "
             "certificates may not hold", cfg.eta0, 1.0 / L,
         )
-    if cfg.line_search_enabled and cfg.eta0 < NORMAL_MIN:
+    if cfg.line_search_enabled and cfg.eta0 < SMALLEST_NORMAL:
         raise ContractViolation(
             f"eta0 = {cfg.eta0!r} is below the smallest normal float, the "
             "smallest step a line search tries")
@@ -247,17 +243,22 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     def fail(message: str) -> NoReturn:
         raise SolverFailure(message, partial_trace=build(message))
 
+    # the loop's callees and flags, looked up once per run
+    grad, propose, distance = smooth.grad, smooth.propose, smooth.distance
+    accept, may_stop, rows = smooth.accept, smooth.may_stop, smooth.rows
+    solve, line_search = pm.solve, cfg.line_search_enabled
+    record, clock = steps.append, time.perf_counter
     eta, d = cfg.eta0, 0.0
     for k in range(1, cfg.max_iters + 1):
-        v = smooth.grad()
+        v = grad()
         backtracks = 0
         while True:
-            cand = pm.solve(v, x, eta)
-            smooth.propose(cand)
-            if not cfg.line_search_enabled:
+            cand = solve(v, x, eta)
+            propose(cand)
+            if not line_search:
                 break
             d_H = H.distance(cand, x) / eta
-            d_f = smooth.distance()
+            d_f = distance()
             d = d_H - d_f
             if accepts(d_H, d_f):
                 break
@@ -265,20 +266,18 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             if backtracks > MAX_BACKTRACKS:
                 fail(f"backtracking budget exhausted at iteration {k}")
             eta *= cfg.alpha
-            if eta < NORMAL_MIN:
+            if eta < SMALLEST_NORMAL:
                 fail(f"line-search step {eta:.3g} fell below the smallest "
                      f"normal float at iteration {k}")
         x = cand
-        smooth.accept()
+        accept()
         if k - off == len(xs):
             xs.resize((min(2 * k, cfg.max_iters + 1), x.size), refcheck=False)
         xs[k - off] = x
-        steps.append((eta, backtracks, d,
-                      (time.perf_counter() - start) * 1e3))
+        record((eta, backtracks, d, (clock() - start) * 1e3))
         # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
         # meets the tolerance only where f does
-        if k - lo + 1 == smooth.rows or (
-                early_stop and smooth.may_stop(f_star, tol)):
+        if k - lo + 1 == rows or (early_stop and may_stop(f_star, tol)):
             complete()
             if early_stop and objective[-1][-1] - f_star <= tol:
                 return build("tolerance")

@@ -546,7 +546,7 @@ class TestProxMapRegistry:
 
 
 class TestStacks:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
            n=st.integers(1, 40))
     def test_stacked_objective_equals_rows(self, seed, rows, n):

@@ -342,6 +342,44 @@ class TestReroutedOracles:
         same_bits(got_values, np.array(values))
         same_bits(got_distances, np.array(distances))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60),
+           n=st.integers(1, 60))
+    @example(seed=0, m=1, n=1)
+    @example(seed=1, m=1, n=40)
+    @example(seed=2, m=40, n=1)
+    @example(seed=3, m=60, n=7)
+    @example(seed=4, m=500, n=1000)
+    def test_residual_stepper_passes_give_the_matmul_bits(self, layout, seed,
+                                                          m, n):
+        # the starting residual, grad(), each candidate's A d and
+        # may_stop's r . r go through ndarray.dot; on a C or F matrix they
+        # must give the bits of A @ x0 - b, A.T @ r, np.matmul(A, d) and
+        # np.dot(r, r).  numpy's own matmul loop for a strided matrix need
+        # not round as BLAS does, so there ndarray.dot's bits stand
+        r = rng(seed)
+        A = laid_out(r.standard_normal((m, n)), layout)
+        b, x = r.standard_normal(m), r.standard_normal(n)
+        matvec = np.dot if layout == "strided" else np.matmul
+        stepper = least_squares(A, b).stepper(x)
+        assert stepper.A is A
+        same_bits(stepper.rs[0], matvec(A, x) - b)
+        # with no slack, may_stop(0, tol) is r . r / 2 <= tol: true at
+        # np.dot's value and false just below it only where they are equal
+        stepper.slack, stepper.floor = 1.0, 0.0
+        for _ in range(3):
+            res = stepper.rs[stepper.j]
+            same_bits(stepper.grad(), matvec(A.T, res))
+            half = 0.5 * np.dot(res, res)
+            assert stepper.may_stop(0.0, half)
+            assert not stepper.may_stop(0.0, np.nextafter(half, -np.inf))
+            cand = x + r.standard_normal(n)
+            stepper.propose(cand)
+            same_bits(stepper.ads[stepper.j], matvec(A, cand - x))
+            stepper.accept()
+            x = cand
+
 
 # numpy's norms in verify_proximal_distance_axioms and _bounded_level_sets
 # measure how far apart the sampled points lie, the test geometry of the
@@ -420,10 +458,13 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
 
 # The code run per line-search candidate or per block of steps calls
 # numpy's C entry points: np.add.accumulate, ndarray.sort or argmax,
-# np.maximum.reduce, np.logical_and.reduce, ndarray.nonzero.  The Python
-# wrappers below cost 1-2 us a call at n = 100, as much as the work.
+# np.maximum.reduce, np.logical_and.reduce, ndarray.nonzero, ndarray.dot.
+# The Python wrappers below cost 1-2 us a call at n = 100, as much as the
+# work; np.matmul and the @ operator (flagged as "@") cost 0.7-1.3 us more
+# than ndarray.dot per pass over A at 50x100, for the same BLAS call.
 WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
-           "np.min", "np.all", "np.any", "np.flatnonzero"}
+           "np.min", "np.all", "np.any", "np.flatnonzero", "np.dot",
+           "np.matmul"}
 # the module-level definitions (functions, classes with their methods,
 # assigned names) that hold that code, closures included
 PER_STEP = {
@@ -447,8 +488,9 @@ def defined_name(node):
 
 
 def wrapper_calls(src=SRC, scope=PER_STEP):
-    """(file, definition, callee) of every WRAPPED call inside the
-    definitions that ``scope`` names, and the names it finds defined."""
+    """(file, definition, callee) of every WRAPPED call and every @ or @=
+    (callee "@") inside the definitions that ``scope`` names, and the names
+    it finds defined."""
     found, defined = set(), set()
     for name, owners in scope.items():
         for node in ast.parse((src / name).read_text()).body:
@@ -460,6 +502,9 @@ def wrapper_calls(src=SRC, scope=PER_STEP):
                 if isinstance(call, ast.Call) \
                         and ast.unparse(call.func) in WRAPPED:
                     found.add((name, owner, ast.unparse(call.func)))
+                elif isinstance(call, (ast.BinOp, ast.AugAssign)) \
+                        and isinstance(call.op, ast.MatMult):
+                    found.add((name, owner, "@"))
     return found, defined
 
 
@@ -482,15 +527,27 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
         "    return np.sort(x)[::-1], complete()\n\n"
         "class Stepper:\n"
         "    def grad(self, x):\n"
-        "        return np.argmax(x), np.maximum.reduce(x), x.argmax()\n")
-    found, defined = wrapper_calls(
-        tmp_path, {"step.py": {"VALUES", "run", "Stepper", "missing"}})
+        "        return np.argmax(x), np.maximum.reduce(x), x.argmax()\n\n"
+        "    def propose(self, A, d, out):\n"
+        "        np.matmul(A, d, out=out)\n"
+        "        return np.dot(d, d), A.dot(d), A.T.dot(out)\n\n"
+        "def passes(A, r):\n"
+        "    g = A.T @ r\n"
+        "    g @= A\n"
+        "    return g\n\n"
+        "def setup(A):\n"
+        "    return A @ A.T\n")
+    found, defined = wrapper_calls(tmp_path, {
+        "step.py": {"VALUES", "run", "Stepper", "passes", "missing"}})
     assert found == {("step.py", "VALUES", "np.max"),
                      ("step.py", "run", "np.all"),
                      ("step.py", "run", "np.sort"),
-                     ("step.py", "Stepper", "np.argmax")}
+                     ("step.py", "Stepper", "np.argmax"),
+                     ("step.py", "Stepper", "np.matmul"),
+                     ("step.py", "Stepper", "np.dot"),
+                     ("step.py", "passes", "@")}
     assert defined == {("step.py", "VALUES"), ("step.py", "run"),
-                       ("step.py", "Stepper")}
+                       ("step.py", "Stepper"), ("step.py", "passes")}
 
 
 # Four more rules with one coding each: the acceptance test D_{h_k} >= 0

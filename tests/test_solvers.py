@@ -269,7 +269,7 @@ class TestRunSolver:
         assert len(trace.objective) == 2  # one-step regime stops at once
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 60),
            n=st.integers(5, 120))
     @example(seed=42, m=50, n=100)
@@ -381,8 +381,13 @@ class TestRunSolver:
                 passes.append(1)
                 return np.asarray(self) @ other
 
-            # np.matmul(A, d, out=...) reaches the matrix as a ufunc, not
-            # through __matmul__
+            # the residual stepper's passes: A.dot(d, out=...) and A.T.dot(r)
+            def dot(self, other, out=None):
+                passes.append(1)
+                return np.asarray(self).dot(other, out=out)
+
+            # np.matmul(A, d) would reach the matrix as a ufunc, not through
+            # __matmul__; any other ufunc on A fails the test
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 assert ufunc is np.matmul and method == "__call__"
                 passes.append(1)
