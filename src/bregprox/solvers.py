@@ -196,14 +196,13 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
 
     start = time.perf_counter()
     smooth = p.f.stepper(x)
-    # x_k sits in row k - off of xs.  Kept iterates stay at off = 0: the
-    # rows double in place by realloc, which copies no page of a large
-    # buffer, and build() trims them.  Otherwise xs holds one block of the
-    # stepper's rows after the point before it, and complete() moves the
-    # block's last row to row 0.  complete() reads a copy of its rows, so no
-    # view of xs outlives a realloc or a move
-    xs = np.empty((1 if cfg.keep_iterates else smooth.rows + 1, x.size))
-    xs[0], off, x0 = x, 0, x.copy()
+    # xs holds one block of the stepper's rows after the point before it:
+    # x_k sits in row k - lo + 1.  complete() reads the block in place and
+    # then moves its last row to row 0; kept iterates grow by each finished
+    # block by realloc, which copies no page once they are mapped apart
+    xs = np.empty((smooth.rows + 1, x.size))
+    xs[0], x0 = x, x.copy()
+    kept = x0[None].copy() if cfg.keep_iterates else None
     # eta, backtracks, d_hk under line search, and ms of each step
     steps = [(cfg.eta0, 0, 0.0, 0.0)]
     # F(x_k) and the constant-step d_hk of each completed block; steps lo
@@ -215,10 +214,11 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         under a constant step, D_f, d_hk and its test D_{h_k} >= 0, one
         stacked call each, which give the bits of the calls on each row.
         The line search tested its d_hk in the loop and reads no D_f here."""
-        nonlocal lo, off, held
-        block, lo = xs[lo - 1 - off:len(steps) - off].copy(), len(steps)
-        if not cfg.keep_iterates:
-            xs[0], off = block[-1], lo - 1
+        nonlocal lo, held
+        block, lo = xs[:len(steps) - lo + 1], len(steps)
+        if kept is not None:
+            kept.resize((lo, x.size), refcheck=False)
+            kept[1 - len(block):] = block[1:]
         if not cfg.line_search_enabled:
             # before the flush, which starts the stepper's next block
             d_f = smooth.distances(block)
@@ -227,18 +227,16 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             held &= bool(np.logical_and.reduce(accepts(d_H, d_f)))
         # f + 0.0 keeps f's bits, and a stacked g equals its row calls
         objective.append(smooth.flush(block) + p.g.value(block[1:]))
+        xs[0] = block[-1]
 
     def build(stop_reason: str) -> IterationTrace:
         if lo < len(steps):
             complete()
-        if cfg.keep_iterates:
-            xs.resize((len(steps), x.size), refcheck=False)
         etas, bts, d_hk, ms = map(np.array, zip(*steps))
         if d_hks:
             d_hk[1:] = np.concatenate(d_hks)
         return IterationTrace(x0, x.copy(), np.concatenate(objective), etas,
-                              bts, d_hk, ms, held, stop_reason,
-                              xs if cfg.keep_iterates else None)
+                              bts, d_hk, ms, held, stop_reason, kept)
 
     def fail(message: str) -> NoReturn:
         raise SolverFailure(message, partial_trace=build(message))
@@ -271,9 +269,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
                      f"normal float at iteration {k}")
         x = cand
         accept()
-        if k - off == len(xs):
-            xs.resize((min(2 * k, cfg.max_iters + 1), x.size), refcheck=False)
-        xs[k - off] = x
+        xs[k - lo + 1] = x
         record((eta, backtracks, d, (clock() - start) * 1e3))
         # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
         # meets the tolerance only where f does
@@ -302,7 +298,8 @@ def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,
     raises ``DomainError`` elsewhere.
     """
     h = composite_generator(H, p.f, eta)
-    xs = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=iters)).xs
+    xs = run_solver(p, H, pm, x0, SolverConfig(
+        eta0=eta, max_iters=iters, keep_iterates=True)).xs
     return float(np.max([first_order_gap(
         p.g.kind, p.f.grad(x) + h.grad(x) - h.grad(anchor), x, eta)
         for anchor, x in zip(xs, xs[1:])]))

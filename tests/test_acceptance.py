@@ -139,7 +139,8 @@ def _offset_spread(p, H, pm, x0, eta, sampler, steps=10, points=100, seed=0):
     ``points`` sampled points."""
     r = rng(seed)
     h = composite_generator(H, p.f, eta)
-    trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=steps))
+    trace = run_solver(p, H, pm, x0, SolverConfig(eta0=eta, max_iters=steps,
+                                                  keep_iterates=True))
     worst = 0.0
     for x in trace.xs[:-1]:
         z = sampler(r, points)

@@ -89,7 +89,7 @@ class TestGppaBound:
         etas = trace.eta[1:]
         assert len(np.unique(etas)) > 1
         x_star, _ = p.optimum_oracle
-        x0 = trace.xs[0]
+        x0 = trace.x0
         c = (bregman_distance(H, x_star, x0) / etas[0]
              - p.f.distance(x_star, x0))
         for k in (1, 2, 10, len(etas)):
@@ -256,7 +256,7 @@ class TestLineSearchBound:
         x_star = p.optimum_oracle[0]
         for alpha, eta0 in ((0.5, 100.0), (0.3, 100.0), (0.5, 0.5 * gamma)):
             trace, cert = line_search_run(simplex_instance, H, eta0, alpha)
-            x0 = trace.xs[0]
+            x0 = trace.x0
             for k in range(1, len(trace.objective)):
                 assert cert.bound_at(k) <= eta_min_bound(
                     H, alpha, gamma, eta0, x_star, x0, k)
@@ -272,7 +272,7 @@ class TestLineSearchBound:
                                       max_iters=50)
         assert all(trace.backtracks == 0)
         np.testing.assert_array_equal(cert.weight_sums, np.arange(1, 51))
-        x_star, x0 = p.optimum_oracle[0], trace.xs[0]
+        x_star, x0 = p.optimum_oracle[0], trace.x0
         assert cert.constant == (bregman_distance(H, x_star, x0)
                                  / (0.5 * gamma) - p.f.distance(x_star, x0))
 

@@ -88,7 +88,8 @@ def assert_row_updates(p, H, trace, steps):
 
 def one_step(p, H, pm, x, eta):
     """x_1 of a one-iteration constant-step run from x."""
-    trace = run_solver(p, H, pm, x, SolverConfig(eta0=eta, max_iters=1))
+    trace = run_solver(p, H, pm, x, SolverConfig(eta0=eta, max_iters=1,
+                                                 keep_iterates=True))
     return trace.xs[-1]
 
 
@@ -212,7 +213,7 @@ class TestRunSolver:
     def test_ppa_on_l1_contracts_to_origin(self):
         p = CompositeProblem(zero_function(3), l1_norm())
         pm = make_prox_map("l1", "quadratic")
-        cfg = SolverConfig(eta0=0.5, max_iters=30)
+        cfg = SolverConfig(eta0=0.5, max_iters=30, keep_iterates=True)
         trace = run_solver(p, squared_euclidean(3), pm,
                            np.array([5.0, -3.0, 1.0]), cfg)
         np.testing.assert_allclose(trace.xs[-1], np.zeros(3), atol=1e-12)
@@ -291,7 +292,7 @@ class TestRunSolver:
                               lipschitz=base.f.lipschitz_grad * s * s)
             p = CompositeProblem(f, base.g)
             cfg = SolverConfig(eta0=100.0 / s**2, max_iters=200,
-                               line_search_enabled=True)
+                               line_search_enabled=True, keep_iterates=True)
             trace = run_solver(p, H, pm, np.full(n, 1.0 / n), cfg)
             assert len(trace.objective) - 1 == 200
             moves = np.max(np.abs(np.diff(trace.xs, axis=0)), axis=1)
@@ -311,7 +312,7 @@ class TestRunSolver:
         p = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
                                             seed=42))
         cfg = SolverConfig(eta0=100.0, alpha=0.5, max_iters=1000,
-                           line_search_enabled=True)
+                           line_search_enabled=True, keep_iterates=True)
         trace = run_solver(p, negative_entropy(100),
                            make_prox_map("simplex", "entropy"),
                            np.full(100, 0.01), cfg)
@@ -358,7 +359,8 @@ class TestRunSolver:
             else negative_entropy(40)
         trace = run_solver(p, H, make_prox_map("simplex", H_kind),
                            np.full(40, 1 / 40),
-                           SolverConfig(eta0=0.01, max_iters=500))
+                           SolverConfig(eta0=0.01, max_iters=500,
+                                        keep_iterates=True))
         assert FLUSH_ENTRIES // 40 == 204  # 500 steps make 3 blocks
         assert calls == {"grad": [1] * 500, "value": [1, 2, 2, 2],
                          "distance": [2, 2, 2]}
@@ -425,9 +427,11 @@ class TestRunSolver:
         gamma = 1.0 / p.f.lipschitz_grad
         for H in (squared_euclidean(100), negative_entropy(100)):
             pm = make_prox_map("simplex", H.kind)
-            for cfg in (SolverConfig(eta0=gamma, max_iters=5000),
+            for cfg in (SolverConfig(eta0=gamma, max_iters=5000,
+                                     keep_iterates=True),
                         SolverConfig(eta0=100.0, max_iters=5000,
-                                     line_search_enabled=True)):
+                                     line_search_enabled=True,
+                                     keep_iterates=True)):
                 trace = run_solver(p, H, pm, np.full(100, 0.01), cfg)
                 fresh = evaluate_composite(p, trace.xs)
                 np.testing.assert_allclose(trace.objective, fresh,
@@ -453,7 +457,8 @@ class TestRunSolver:
         rows = FLUSH_ENTRIES // 100
         trace = run_solver(p, H, make_prox_map("simplex", H_kind),
                            np.full(100, 0.01),
-                           SolverConfig(eta0=eta, max_iters=3 * rows + 7))
+                           SolverConfig(eta0=eta, max_iters=3 * rows + 7,
+                                        keep_iterates=True))
         assert calls == [rows, rows, rows, 7]
         for prev, x, d_hk in zip(trace.xs, trace.xs[1:], trace.d_hk[1:]):
             assert d_hk == (base.distance(x, prev) / eta
@@ -474,7 +479,8 @@ class TestRunSolver:
         trace = run_solver(p, H, make_prox_map("simplex", H_kind),
                            np.full(100, 0.01),
                            SolverConfig(eta0=eta, max_iters=steps,
-                                        line_search_enabled=line_search))
+                                        line_search_enabled=line_search,
+                                        keep_iterates=True))
         assert_row_updates(p, H, trace, steps)
 
     @pytest.mark.parametrize("worst_dot", [False, True])
@@ -583,7 +589,7 @@ class TestRunSolver:
         for f in (base, dataclasses.replace(base, distance=failing)):
             p = CompositeProblem(f, simplex_indicator(n))
             cfg = SolverConfig(eta0=0.005, max_iters=200,
-                               line_search_enabled=True)
+                               line_search_enabled=True, keep_iterates=True)
             try:
                 runs.append(run_solver(p, H, pm, np.full(n, 1 / n), cfg))
             except SolverFailure as exc:
@@ -648,7 +654,8 @@ class TestRunSolver:
         eta = 100.0 if line_search else 1.0 / p.f.lipschitz_grad
         trace = run_solver(p, H, make_prox_map("simplex", "quadratic"), x0,
                            SolverConfig(eta0=eta, max_iters=steps,
-                                        line_search_enabled=line_search))
+                                        line_search_enabled=line_search,
+                                        keep_iterates=True))
         assert_row_updates(p, H, trace, steps)
 
     @pytest.mark.parametrize("oracle", ["value", "distance"])
@@ -874,7 +881,8 @@ class TestColumnarTrace:
 
         pm = dataclasses.replace(make_prox_map("simplex", "quadratic"),
                                  solve=off_once)
-        cfg = SolverConfig(eta0=small.gamma, max_iters=300, tolerance=tol)
+        cfg = SolverConfig(eta0=small.gamma, max_iters=300, tolerance=tol,
+                           keep_iterates=True)
         trace = run_solver(p, squared_euclidean(30), pm, small.x0, cfg)
         assert p.f.value(trace.xs[k_tol]) - f_star <= tol
         assert trace.objective[k_tol] == np.inf
@@ -1001,7 +1009,8 @@ class TestStopRecord:
         pm = make_prox_map(kind, "quadratic")
         cfg = SolverConfig(
             eta0=100.0 if line_search else 1.0 / base.f.lipschitz_grad,
-            max_iters=steps, line_search_enabled=line_search)
+            max_iters=steps, line_search_enabled=line_search,
+            keep_iterates=True)
         full = run_solver(base, H, pm, x0, cfg)
         blocks = sum(completions)
         f_star = float(np.min(full.objective)) * (1.0 - 1e-12)
@@ -1043,20 +1052,23 @@ class TestIterateMemory:
     N = 100
     ROWS = FLUSH_ENTRIES // N  # 81, for both smooth terms below
 
-    def problem(self, smooth, line_search):
+    def problem(self, smooth, line_search, wide=False):
         """A simplex problem with its generator and a configuration of 1
-        step; F* = 0 is a lower bound for the early stop."""
-        n, x0 = self.N, np.full(self.N, 1 / self.N)
+        step; F* = 0 is a lower bound for the early stop.  A wide one has
+        5,000 rows of A or entries of x, and blocks of one step."""
         if smooth == "least_squares":
-            base = simplex_ls_problem(20, n, seed=31)
+            m, n = (5000, 10) if wide else (20, self.N)
+            base = simplex_ls_problem(m, n, seed=31)
             f, H = base.f, squared_euclidean(n)
         else:
             # a euclidean step of 1/L would solve this f in one step
+            n = 5000 if wide else self.N
             f = shifted_quadratic(rng(32).standard_normal(n), 0.01)
             H = negative_entropy(n)
+        x0 = np.full(n, 1 / n)
         p = CompositeProblem(f, simplex_indicator(n),
                              optimum_oracle=(x0, 0.0))
-        assert f.stepper(x0).rows == self.ROWS
+        assert f.stepper(x0).rows == (1 if wide else self.ROWS)
         cfg = SolverConfig(eta0=100.0 if line_search else 1 / f.lipschitz_grad,
                            max_iters=1, line_search_enabled=line_search)
         return p, H, x0, cfg
@@ -1079,6 +1091,25 @@ class TestIterateMemory:
         assert_same_run(kept, unkept)
         stopped = len(kept.objective) - 1
         assert stopped < steps if early_stop else stopped == steps
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("smooth", ["least_squares", "shifted_quadratic"])
+    def test_kept_rows_are_the_ends_of_shorter_runs(self, smooth,
+                                                    line_search, wide):
+        # row k of a kept run is, bit for bit, x of the same run cut at k
+        # steps: at both edges of the first two blocks, and where each
+        # block is one step
+        p, H, x0, cfg = self.problem(smooth, line_search, wide)
+        rows = p.f.stepper(x0).rows
+        cuts = sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1} - {0})
+        pm = make_prox_map("simplex", H.kind)
+        kept = run_solver(p, H, pm, x0, dataclasses.replace(
+            cfg, max_iters=cuts[-1] + rows, keep_iterates=True))
+        for k in cuts:
+            cut = run_solver(p, H, pm, x0, dataclasses.replace(
+                cfg, max_iters=k, keep_iterates=False))
+            assert kept.xs[k].tobytes() == cut.x.tobytes(), k
 
     @pytest.mark.parametrize("smooth", ["least_squares", "shifted_quadratic"])
     def test_partial_traces_agree(self, smooth):
@@ -1116,7 +1147,9 @@ class TestIterateMemory:
 
     def test_unkept_run_holds_a_block_of_iterates(self):
         # 2,000 steps at n = 1,000 keep an iterate matrix of 16 MB; without
-        # it the run allocates under a tenth of that at its peak
+        # it the run allocates under a tenth of that at its peak.  With it
+        # the run holds the matrix on top of that and at most three blocks
+        # of 9 rows more: a store that held the iterates twice would not fit
         n, steps = 1000, 2000
         p = CompositeProblem(
             shifted_quadratic(rng(33).standard_normal(n), 0.01),
@@ -1136,6 +1169,6 @@ class TestIterateMemory:
                 del trace
         finally:
             tracemalloc.stop()
-        matrix = (steps + 1) * n * 8
-        assert peaks[True] >= matrix
+        matrix, block = (steps + 1) * n * 8, (FLUSH_ENTRIES // n + 1) * n * 8
+        assert matrix <= peaks[True] <= matrix + peaks[False] + 3 * block
         assert peaks[False] < matrix / 10
