@@ -90,24 +90,20 @@ def kl_divergence(x: Vector, y: Vector) -> float:
         xs, ys = np.where(s, x, 2.0), np.where(s, y, 1.0)
     d = xs - ys
     t = d / ys
-    # for |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its series,
-    # whose first omitted term is below 1e-16 relative
+    # ln(x/y) loses the digits of t when x is near y, log1p(t) those of x/y
+    # when x << y; either way x ln(x/y) - (x - y) is exact to about
+    # eps |x - y|, which near a tie is a relative error of about eps / |t|
+    above = t > -0.5
+    log_ratio = np.log1p(np.maximum(t, -0.5))
+    if np.count_nonzero(above) < above.size:
+        log_ratio = np.where(above, log_ratio, np.log(xs / ys))
+    term = xs * log_ratio - d
+    # so where |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its
+    # series instead, whose first omitted term is below 1e-16 relative
     near = np.abs(t) < 1e-3
-    n_near = np.count_nonzero(near)
-    if n_near == near.size:
-        term = ys * t * t * _kl_series(t)
-    else:
-        # ln(x/y) loses the digits of t when x is near y, log1p(t) those of
-        # x/y when x << y; either way x ln(x/y) - (x - y) is exact to about
-        # eps |x - y|, which near a tie is a relative error of about eps / |t|
-        above = t > -0.5
-        log_ratio = np.log1p(np.maximum(t, -0.5))
-        if np.count_nonzero(above) < above.size:
-            log_ratio = np.where(above, log_ratio, np.log(xs / ys))
-        term = xs * log_ratio - d
-        if n_near:
-            tn = t[near]
-            term[near] = (ys * t)[near] * tn * _kl_series(tn)
+    if np.count_nonzero(near):
+        tn = t[near]
+        term[near] = (ys * t)[near] * tn * _kl_series(tn)
     if s is not None:
         term = np.where(s, term, y)
     return per_row(row_sum(term))

@@ -11,7 +11,7 @@ traces are bit-reproducible on a given platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -28,13 +28,14 @@ from .functions import (
     CompositeProblem,
     Vector,
     estimate_spectral_norm,
+    evaluate_composite,
     first_order_gap,
     l1_norm,
     least_squares,
     shifted_quadratic,
     simplex_indicator,
 )
-from .prox import make_prox_map
+from .prox import make_prox_map, soft_threshold
 from .rates import RateCertificate, certify_trace
 from .solvers import IterationTrace, SolverConfig, run_solver
 
@@ -104,11 +105,9 @@ def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
     """f = 1/(2 gamma) ||x - b||^2 plus the l1 norm, with the closed-form
     optimum (componentwise shrink of b by gamma) attached; shifted_quadratic
     rejects a gamma that is not positive and finite."""
-    b = np.asarray(b, dtype=float)
-    f = shifted_quadratic(b, gamma)
-    x_star = np.sign(b) * np.maximum(np.abs(b) - gamma, 0.0)
-    f_star = f.value(x_star) + float(np.sum(np.abs(x_star)))
-    return CompositeProblem(f=f, g=l1_norm(), optimum_oracle=(x_star, f_star))
+    p = CompositeProblem(f=shifted_quadratic(b, gamma), g=l1_norm())
+    x_star = soft_threshold(0.0, b, gamma)
+    return replace(p, optimum_oracle=(x_star, evaluate_composite(p, x_star)))
 
 
 # The reference stops once the Frank-Wolfe gap certifies
@@ -234,8 +233,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     f = base.f
     gamma = 1.0 / f.lipschitz_grad
     x_star, f_star = reference_simplex_ls(f.A, f.b, iters=spec.ref_iters)
-    # recomputed from the problem's own gradient oracle, as a check on x*
-    # that does not rest on the reference run's corral arithmetic
+    # the reference's own stopping gap, recomputed through the problem's
+    # gradient oracle: f.grad(x*) forms the same A^T (A x* - b) as the
+    # reference's last cycle, so it gives that gap bit for bit
     reference_gap = first_order_gap("simplex", f.grad(x_star), x_star)
     problem = CompositeProblem(f=f, g=base.g, optimum_oracle=(x_star, f_star))
     x0 = np.full(spec.n, 1.0 / spec.n)

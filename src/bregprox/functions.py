@@ -21,12 +21,12 @@ Vector = np.ndarray
 
 SIMPLEX_SUM_TOL = 1e-9
 SIMPLEX_MEMBER_MIN = -1e-12
-SIMPLEX_INTERIOR_MIN = 1e-300
 
 EPS = np.finfo(float).eps
 # the smallest normal float: mirror iterates hold no entry below it but 0,
-# and a line search tries no step below it, which would move x by nothing or
-# by rounding noise and overflow the certificate's D_H(x*, x0) / eta_1
+# so a point of the simplex is interior where every entry reaches it, and a
+# line search tries no step below it, which would move x by nothing or by
+# rounding noise and overflow the certificate's D_H(x*, x0) / eta_1
 SMALLEST_NORMAL = np.finfo(float).tiny
 
 # rows per stacked call of the randomized checks: one call per block, with
@@ -161,7 +161,7 @@ class DomainDescriptor:
         return self._contains(x, SIMPLEX_MEMBER_MIN)
 
     def interior(self, x: Vector) -> bool:
-        return self._contains(x, SIMPLEX_INTERIOR_MIN)
+        return self._contains(x, SMALLEST_NORMAL)
 
     def _contains(self, x: Vector, floor: float) -> bool:
         """x, or every row of a (rows, n) stack, lies inside."""
@@ -462,10 +462,10 @@ def evaluate_composite(p: CompositeProblem, x: Vector) -> float:
     return per_row(p.f.value(x) + p.g.value(x))
 
 
-def check_gradient(f: SmoothFunction, x: Vector, h: float = 1e-6) -> float:
-    """Max relative mismatch between the gradient oracle and central differences."""
-    if h <= 0:
-        raise ContractViolation("finite-difference step must be positive")
+def check_gradient(f: SmoothFunction, x: Vector) -> float:
+    """Max relative mismatch between the gradient oracle and central
+    differences of step 1e-6."""
+    h = 1e-6
     x = np.asarray(x, dtype=float)
     g = np.asarray(f.grad(x), dtype=float)
     if not np.all(np.isfinite(g)):

@@ -9,7 +9,7 @@ maps.  The CLI and the test suite both run them.
 The identity suites hold each identity on ``samples`` random points.  The
 optimality suite draws five (v, y, eta) inputs per prox map and bounds each
 output's suboptimality by an exact first-order gap
-(``prox.verify_prox_optimality``), so ``samples`` does not set its work.
+(``prox.verify_prox_optimality``), so it takes no sample count.
 """
 
 from __future__ import annotations
@@ -132,9 +132,8 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     return [_result("theorem_offset_spread", spread, 1e-10)]
 
 
-def prox_optimality_suite(samples: int, seed: int) -> List[SuiteResult]:
-    """The largest optimality gap of each prox map over five random inputs;
-    ``samples`` is not read."""
+def prox_optimality_suite(seed: int) -> List[SuiteResult]:
+    """The largest optimality gap of each prox map over five random inputs."""
     rng = np.random.Generator(np.random.Philox(seed + 2))
     results = []
     for g_kind, H_kind, n in (
@@ -160,5 +159,5 @@ def run_identity_suites(samples: int = 10_000, seed: int = 0,
     results += linearity_suite(samples, seed)
     results += nonnegativity_suite(samples, seed, inject_fault=inject_fault)
     results += offset_identity_suite(samples, seed)
-    results += prox_optimality_suite(samples, seed)
+    results += prox_optimality_suite(seed)
     return results

@@ -29,13 +29,19 @@ GeneratorKind = str  # "quadratic" | "entropy"
 FLOAT_MAX = float(np.finfo(float).max)
 
 
+def gradient_step(v: Vector, y: Vector, eta: float) -> Vector:
+    """Minimizer of <x, v> + 1/(2 eta) ||x - y||^2 (g identically zero):
+    the forward step y - eta v, which the other quadratic maps start from."""
+    check_step(eta)
+    return np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
+
+
 def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer of ||x||_1 + <x, v> + 1/(2 eta) ||x - y||^2.
 
     Componentwise shrink of y - eta v by eta.
     """
-    check_step(eta)
-    z = np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
+    z = gradient_step(v, y, eta)
     return np.sign(z) * np.maximum(np.abs(z) - eta, 0.0)
 
 
@@ -129,9 +135,7 @@ def _counts(n: int) -> Vector:
 
 def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
     """Minimizer over the simplex of <x, v> + 1/(2 eta) ||x - y||^2."""
-    check_step(eta)
-    return simplex_projection(np.asarray(y, dtype=float)
-                              - eta * np.asarray(v, dtype=float))
+    return simplex_projection(gradient_step(v, y, eta))
 
 
 def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
@@ -158,12 +162,6 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     # which stay zero
     x[x < SMALLEST_NORMAL] = 0.0
     return x
-
-
-def gradient_step(v: Vector, y: Vector, eta: float) -> Vector:
-    """Minimizer of <x, v> + 1/(2 eta) ||x - y||^2 (g identically zero)."""
-    check_step(eta)
-    return np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,22 +6,28 @@ from bregprox import (
     CompositeProblem,
     ContractViolation,
     DegenerateInput,
+    DomainError,
     SmoothFunction,
+    SolverConfig,
+    bregman_distance,
     check_gradient,
     estimate_spectral_norm,
     euclidean_space,
     evaluate_composite,
     l1_norm,
     least_squares,
+    make_prox_map,
+    negative_entropy,
     probability_simplex,
+    run_solver,
     shifted_quadratic,
     simplex_indicator,
     zero_function,
 )
-from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_INTERIOR_MIN,
-                                SIMPLEX_MEMBER_MIN, NonsmoothTerm,
+from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_MEMBER_MIN,
+                                SMALLEST_NORMAL, NonsmoothTerm,
                                 first_order_gap, on_simplex)
-from bregprox.prox import simplex_projection, soft_threshold
+from bregprox.prox import entropic_update, simplex_projection, soft_threshold
 
 
 def rng(seed=0):
@@ -112,9 +118,60 @@ class TestDomainMembership:
         assert domain.member(x) == bool(
             on_simplex(x, SIMPLEX_MEMBER_MIN).all())
         assert domain.interior(x) == bool(
-            on_simplex(x, SIMPLEX_INTERIOR_MIN).all())
+            on_simplex(x, SMALLEST_NORMAL).all())
         for row in x:
             assert domain.member(row) == bool(on_simplex(row))
+
+
+class TestInteriorFloor:
+    """The simplex's interior is where every entry reaches the smallest
+    normal float, the floor below which the mirror step flushes an entry to
+    0: a point that step keeps with no zero entry is interior."""
+
+    n = 5
+
+    def point(self, entry):
+        x = np.full(self.n, (1.0 - entry) / (self.n - 1))
+        x[0] = entry
+        return x
+
+    def solve(self, x0):
+        r = rng(3)
+        A = r.standard_normal((4, self.n))
+        p = CompositeProblem(
+            f=least_squares(A, r.standard_normal(4),
+                            lipschitz=estimate_spectral_norm(A)),
+            g=simplex_indicator(self.n))
+        return run_solver(p, negative_entropy(self.n),
+                          make_prox_map("simplex", "entropy"), x0,
+                          SolverConfig(eta0=1.0 / p.f.lipschitz_grad,
+                                       max_iters=3))
+
+    def test_a_tiny_normal_entry_is_interior(self):
+        x = self.point(1e-305)
+        assert x[0] == 1e-305 and SMALLEST_NORMAL < 1e-305
+        # the mirror step keeps the entry
+        np.testing.assert_array_equal(
+            entropic_update(np.zeros(self.n), x, 1.0), x)
+        H = negative_entropy(self.n)
+        np.testing.assert_array_equal(H.grad(x), 1.0 + np.log(x))
+        d = bregman_distance(H, np.full(self.n, 1.0 / self.n), x)
+        assert 0.0 < d < np.inf
+        trace = self.solve(x)
+        np.testing.assert_array_equal(trace.x0, x)
+        assert np.all(np.isfinite(trace.objective))
+
+    def test_a_subnormal_entry_is_not(self):
+        x = self.point(1e-310)
+        assert 0.0 < x[0] < SMALLEST_NORMAL
+        assert probability_simplex(self.n).member(x)
+        H = negative_entropy(self.n)
+        with pytest.raises(DomainError, match="strictly positive"):
+            H.grad(x)
+        with pytest.raises(DomainError, match="second argument"):
+            bregman_distance(H, np.full(self.n, 1.0 / self.n), x)
+        with pytest.raises(ContractViolation, match="x0 must be interior"):
+            self.solve(x)
 
 
 class TestSimplexIndicator:

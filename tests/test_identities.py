@@ -53,7 +53,7 @@ def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
         return 0.99 * x + 0.01 / x.size if calls[0] == 3 else x
 
     monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), off_once)
-    results = {r.name: r for r in identities.prox_optimality_suite(10_000, 0)}
+    results = {r.name: r for r in identities.prox_optimality_suite(0)}
     assert calls[0] == 5
     assert not results["prox_optimality_simplex_entropy"].passed
     assert results["prox_optimality_simplex_entropy"].worst > 1e-3

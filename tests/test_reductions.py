@@ -7,7 +7,8 @@ were before the kernel (kept below as ``reference_*``), and each stacked
 call with its row-by-row calls.  A parse of the sources guards that no
 other reduction of the last axis appears, that the code run per candidate
 or per block calls no numpy function whose Python wrapper costs more than
-its C entry point, that four more rules keep one coding each, and that
+its C entry point, that six more rules and values keep one coding each
+(among them the forward step and the positivity floor), and that
 optimality is checked by one exact gap, not by a search of sampled points.
 """
 
@@ -24,8 +25,8 @@ from bregprox import (check_three_point, least_squares, negative_entropy,
 from bregprox.bregman import (DISTANCES, half_squared_distance,
                               reference_distance)
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
-                                SIMPLEX_INTERIOR_MIN, SIMPLEX_MEMBER_MIN,
-                                SIMPLEX_SUM_TOL, on_simplex, per_row,
+                                SIMPLEX_MEMBER_MIN, SIMPLEX_SUM_TOL,
+                                SMALLEST_NORMAL, on_simplex, per_row,
                                 row_min, row_sum)
 from bregprox.prox import _REGISTRY, make_prox_map, prox_objective
 
@@ -223,12 +224,12 @@ class TestReroutedOracles:
         x = laid_out(simplex_points(r, rows, n), layout)
         if rows:
             x[r.integers(rows), r.integers(n)] = r.choice(SPECIALS)
-        for floor in (SIMPLEX_MEMBER_MIN, SIMPLEX_INTERIOR_MIN):
+        for floor in (SIMPLEX_MEMBER_MIN, SMALLEST_NORMAL):
             same_bits(on_simplex(x, floor), reference_on_simplex(x, floor))
         domain = probability_simplex(n)
         assert domain.member(x) == reference_contains(x, SIMPLEX_MEMBER_MIN)
         assert domain.interior(x) == \
-            reference_contains(x, SIMPLEX_INTERIOR_MIN)
+            reference_contains(x, SMALLEST_NORMAL)
         rows_match(on_simplex, x)
         rows_match(NONSMOOTH_VALUES["simplex"], x)
 
@@ -550,13 +551,16 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
                        ("step.py", "Stepper"), ("step.py", "passes")}
 
 
-# Four more rules with one coding each: the acceptance test D_{h_k} >= 0
-# of the line search and the certificates (solvers.accepts), the feasible
-# points of the randomized checks (functions.sample_feasible), the test of
-# a step size (functions.check_step), and the simplex's sum test
-# (functions.on_simplex).  The projection's retry bound reads
-# SIMPLEX_SUM_TOL too, as the sum its output must keep, and past that bound
-# it tests its output by on_simplex.
+# More rules and values with one coding each: the acceptance test
+# D_{h_k} >= 0 of the line search and the certificates (solvers.accepts),
+# the feasible points of the randomized checks (functions.sample_feasible),
+# the test of a step size (functions.check_step), the simplex's sum test
+# (functions.on_simplex), the forward step y - eta v (prox.gradient_step,
+# which the other quadratic prox maps call) and the positivity floor
+# (functions.SMALLEST_NORMAL, the one read of the smallest normal float:
+# no float literal below 1e-100 stands in for it).  The projection's retry
+# bound reads SIMPLEX_SUM_TOL too, as the sum its output must keep, and
+# past that bound it tests its output by on_simplex.
 def is_zero_or_inf(node):
     try:
         return ast.literal_eval(node) == 0
@@ -581,14 +585,29 @@ def is_step_check(node):
                              or len(bounds) == 2)
 
 
+def is_forward_step(node):
+    """A subtraction whose right operand multiplies a step (a name starting
+    with "eta"): y - eta * v."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+        and isinstance(node.right, ast.BinOp) \
+        and isinstance(node.right.op, ast.Mult) \
+        and (names_a_step(node.right.left) or names_a_step(node.right.right))
+
+
+def is_tiny_literal(node):
+    return isinstance(node, ast.Constant) and type(node.value) is float \
+        and 0.0 < node.value < 1e-100
+
+
 def single_coding_sites(src=SRC):
     """(file, enclosing function or "<module>", what) of every read of
-    ACCEPT_TOL or SIMPLEX_SUM_TOL, every call of a ``dirichlet`` method and
-    every step check in ``src``."""
+    ACCEPT_TOL, SIMPLEX_SUM_TOL or a ``tiny`` attribute, every call of a
+    ``dirichlet`` method, every step check, every forward step and every
+    float literal below 1e-100 in ``src``."""
     found = set()
     for name, owner, node in owned_nodes(src):
         ident = getattr(node, NAMING.get(type(node), ""), None)
-        if ident in ("ACCEPT_TOL", "SIMPLEX_SUM_TOL") \
+        if ident in ("ACCEPT_TOL", "SIMPLEX_SUM_TOL", "tiny") \
                 and isinstance(getattr(node, "ctx", None), ast.Load):
             found.add((name, owner, ident))
         elif isinstance(node, ast.Call) \
@@ -597,6 +616,10 @@ def single_coding_sites(src=SRC):
             found.add((name, owner, "dirichlet"))
         elif is_step_check(node):
             found.add((name, owner, "step check"))
+        elif is_forward_step(node):
+            found.add((name, owner, "forward step"))
+        elif is_tiny_literal(node):
+            found.add((name, owner, "tiny literal"))
     return found
 
 
@@ -606,7 +629,9 @@ def test_each_rule_has_one_coding():
         ("functions.py", "on_simplex", "SIMPLEX_SUM_TOL"),
         ("prox.py", "<module>", "SIMPLEX_SUM_TOL"),
         ("functions.py", "sample_feasible", "dirichlet"),
-        ("functions.py", "check_step", "step check")}
+        ("functions.py", "check_step", "step check"),
+        ("prox.py", "gradient_step", "forward step"),
+        ("functions.py", "<module>", "tiny")}
 
 
 def test_the_guard_sees_a_second_coding(tmp_path):
@@ -630,15 +655,32 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         "    return eta_ratio >= 1.0 and gamma * eta_ratio <= 1.0\n\n"
         "def contains(x):\n"
         "    return abs(x.sum() - 1.0) <= functions.SIMPLEX_SUM_TOL or \\\n"
-        "        abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL\n")
+        "        abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL\n\n"
+        "def shrink(v, y, eta_k):\n"
+        "    return y - v * eta_k\n\n"
+        "def mirror(v, y, eta):\n"
+        "    # an exponent, a scaled distance and an unscaled step are not it\n"
+        "    return y * np.exp(-eta * v), 0.5 * eta * (y - v) @ (y - v), \\\n"
+        "        y - 2.0 * v\n\n"
+        "def interior(x):\n"
+        "    return x.min() >= 1e-300\n\n"
+        "def normal(x):\n"
+        "    return x.min() >= np.finfo(float).tiny\n\n"
+        "def finite(x):\n"
+        "    # 1e-100 itself and the top of a float's range are no floor\n"
+        "    return x.min() >= -1e-100 and x.max() < 1e308\n")
     assert single_coding_sites(tmp_path) == {
         ("second.py", "<module>", "ACCEPT_TOL"),
         ("second.py", "contains", "SIMPLEX_SUM_TOL"),
         ("second.py", "draw", "dirichlet"),
         ("second.py", "draw", "ACCEPT_TOL"),
         ("second.py", "step", "step check"),
+        ("second.py", "step", "forward step"),
         ("second.py", "check", "step check"),
-        ("second.py", "scale", "step check")}
+        ("second.py", "scale", "step check"),
+        ("second.py", "shrink", "forward step"),
+        ("second.py", "interior", "tiny literal"),
+        ("second.py", "normal", "tiny")}
 
 
 # Optimality is checked by one exact gap, functions.first_order_gap, the
