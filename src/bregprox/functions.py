@@ -41,6 +41,14 @@ BLOCK_ROWS = 1_000
 # the problem: 81 iterate rows at n = 100, 8 at n = 1000.
 FLUSH_ENTRIES = 8192
 
+# Least squares runs A d over A's row blocks of at most PASS_ENTRIES entries,
+# the last block first, where A's size is in PLAN_ENTRIES: in BENCH_25.json's
+# sweep at one BLAS thread, 250x600 and 300x600, which fit a core's 2 MB L2,
+# and 1000x1500, 1000x2000 and 2000x1000 read no faster in blocks, while
+# 333x777 read 12% faster and 1200x1000 9%.
+PASS_ENTRIES = 1 << 17
+PLAN_ENTRIES = range(200_000, 1_250_000)
+
 
 # numpy sums a row shorter than its 8-wide pairwise block one entry at a
 # time from 0.0, but it runs its inner loop once per row: the minimum of a
@@ -276,14 +284,35 @@ class LeastSquaresFunction(SmoothFunction):
         return ResidualStepper(self.A, self.b, x0)
 
 
+def pass_plan(A: np.ndarray):
+    """A's row blocks, the last first, each with the rows of A d it gives;
+    None, for one call, where A is not C-contiguous, has one column or one
+    block, has a size outside PLAN_ENTRIES, or misses the call's bits in
+    blocks on a probe with distinct entries.  A block holds a multiple of
+    8 rows, so the m mod 8 tail rows stay last, as gemv groups them."""
+    m, n = A.shape
+    rows = max(8, PASS_ENTRIES // n // 8 * 8)
+    if not (A.flags.c_contiguous and A.size in PLAN_ENTRIES and 1 < n
+            and rows < m):
+        return None
+    plan = [(A[i:i + rows], slice(i, i + rows)) for i in range(0, m, rows)]
+    probe, (one, blocked) = 1.0 / np.arange(1.0, n + 1.0), np.empty((2, m))
+    A.dot(probe, out=one)
+    for block, out in plan:
+        block.dot(probe, out=blocked[out])
+    return plan[::-1] if one.tobytes() == blocked.tobytes() else None
+
+
 class ResidualStepper:
     """``OracleStepper``'s operations for least squares, with the residual
     r = A x - b at the current point x carried along: the gradient is
     A^T r, D_f(cand, x) = 1/2 ||A d||^2 with d = cand - x, and accepting
     the candidate updates r to r + A d.  A step costs one pass over A for
-    the gradient and one per candidate.  The carried r drifts from A x - b
-    only by rounding: over 5,000 steps the objective stays within a few
-    1e-15 relative of a fresh evaluation, so it is never recomputed.
+    the gradient and one per candidate, which ``plan`` starts on the rows
+    that the gradient's pass has just left in cache, where that keeps the
+    bits of one call.  The carried r drifts from A x - b only by rounding:
+    over 5,000 steps the objective stays within a few 1e-15 relative of a
+    fresh evaluation, so it is never recomputed.
 
     The residual rows and each accepted A d go into a block of ``rows``
     steps; ``distances`` reduces D_f = 1/2 ||A d||^2 of the block and
@@ -305,6 +334,7 @@ class ResidualStepper:
         self.rs, self.ads = np.empty((2, rows + 1, m))
         self.rs[0] = A.dot(x0) - b
         self.r, self.ad = self.rs[0], self.ads[0]
+        self.plan = pass_plan(A)
         # may_stop() is False only where r . r proves the test fails.  Both
         # r . r and the trace's sum of squares are within gamma_m =
         # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
@@ -324,8 +354,12 @@ class ResidualStepper:
         return self.At.dot(self.r)
 
     def propose(self, cand: Vector) -> None:
-        self.cand = cand
-        self.A.dot(cand - self.x, out=self.ad)
+        self.cand, d = cand, cand - self.x
+        if self.plan is None:
+            self.A.dot(d, out=self.ad)
+        else:
+            for block, rows in self.plan:
+                block.dot(d, out=self.ad[rows])
 
     def distance(self) -> float:
         return float(0.5 * np.add.reduce(np.square(self.ad)))

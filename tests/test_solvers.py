@@ -1,6 +1,11 @@
+import ast
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +39,7 @@ from bregprox import (
 from bregprox import solvers
 from bregprox.experiments import build_simplex_ls, variant_configs
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
-                                ResidualStepper)
+                                ResidualStepper, pass_plan)
 from bregprox.prox import prox_objective
 
 
@@ -51,6 +56,96 @@ def simplex_ls_problem(m, n, seed):
     L = float(np.linalg.eigvalsh(A.T @ A)[-1])
     return CompositeProblem(f=least_squares(A, b, lipschitz=L),
                             g=simplex_indicator(n))
+
+
+def at_one_blas_thread(code):
+    """The Python value that ``code`` prints, run in a new interpreter whose
+    BLAS runs on one thread, with src and this directory on its path."""
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(here.parent / "src"), str(here)])}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        env[name] = "1"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def rows_read(m, n, H_kind):
+    """The rows of A that a 30-step line-search run reads on an m x n
+    simplex least-squares problem, the rows it should read, its backtracks
+    and the blocks of its stepper's pass plan (0 for one call).
+
+    F(x0) and the starting residual take one pass each, and a plan's probe
+    two; then a step costs A^T r and one A d per candidate, the residual
+    moving by A d.  Each pass reads m rows, in one call or in blocks.
+    """
+    base = simplex_ls_problem(m, n, seed=11)
+    rows = []
+
+    class CountedMatrix(np.ndarray):
+        def __matmul__(self, other):
+            rows.append(self.size // n)
+            return np.asarray(self) @ other
+
+        # the residual stepper's passes: A.dot(d, out=...), or each block's
+        # part of it, and A.T.dot(r)
+        def dot(self, other, out=None):
+            rows.append(self.size // n)
+            return np.asarray(self).dot(other, out=out)
+
+        # np.matmul(A, d) would reach the matrix as a ufunc, not through
+        # __matmul__; any other ufunc on A fails the test
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            assert ufunc is np.matmul and method == "__call__"
+            rows.append(self.size // n)
+            return ufunc(*(np.asarray(a) for a in inputs), **kwargs)
+
+    def counted(oracle, cost):
+        def wrapper(*args):
+            rows.append(cost * m)
+            return oracle(*args)
+        return wrapper
+
+    # the oracles count the rows of what they cost (a gradient is two
+    # passes), the matrix those of every pass made with it directly
+    f = dataclasses.replace(
+        base.f, A=base.f.A.view(CountedMatrix),
+        grad=counted(base.f.grad, 2), value=counted(base.f.value, 1),
+        distance=counted(base.f.distance, 1))
+    p = CompositeProblem(f, base.g)
+    H = squared_euclidean(n) if H_kind == "quadratic" \
+        else negative_entropy(n)
+    cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
+                       line_search_enabled=True)
+    trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                       np.full(n, 1 / n), cfg)
+    backtracks = int(sum(trace.backtracks))
+    blocks = len(pass_plan(base.f.A) or ())
+    passes = 2 + 2 * bool(blocks) + 2 * 30 + backtracks
+    return sum(rows), m * passes, backtracks, blocks
+
+
+def planned_proposals(m, n):
+    """The blocks of an m x n least-squares stepper's pass plan (0 for one
+    call), and whether each A d that its ``propose`` wrote over 3 steps of
+    3 candidates each, as a line search tries them, has the bits of
+    ``A.dot(d)`` and of ``np.matmul(A, d)``."""
+    r = rng(m * n)
+    A, b = r.standard_normal((m, n)), r.standard_normal(m)
+    stepper = ResidualStepper(A, b, np.full(n, 1 / n))
+    same = True
+    for _ in range(3):
+        for _ in range(3):
+            cand = r.dirichlet(np.ones(n))
+            stepper.propose(cand)
+            d = cand - stepper.x
+            same &= stepper.ad.tobytes() == A.dot(d).tobytes() \
+                == np.matmul(A, d).tobytes()
+        stepper.accept()
+    return len(stepper.plan or ()), same
 
 
 def counted_oracles(f):
@@ -373,50 +468,20 @@ class TestRunSolver:
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
     def test_least_squares_step_makes_two_passes_over_A(self, H_kind):
-        # F(x0) and the starting residual take one pass each; then a step
-        # costs A^T r and one A d per candidate, the residual moving by A d
-        base = simplex_ls_problem(20, 40, seed=11)
-        passes = []
+        read, expected, backtracks, blocks = rows_read(20, 40, H_kind)
+        assert blocks == 0 and backtracks >= 10
+        assert read == expected
 
-        class CountedMatrix(np.ndarray):
-            def __matmul__(self, other):
-                passes.append(1)
-                return np.asarray(self) @ other
-
-            # the residual stepper's passes: A.dot(d, out=...) and A.T.dot(r)
-            def dot(self, other, out=None):
-                passes.append(1)
-                return np.asarray(self).dot(other, out=out)
-
-            # np.matmul(A, d) would reach the matrix as a ufunc, not through
-            # __matmul__; any other ufunc on A fails the test
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                assert ufunc is np.matmul and method == "__call__"
-                passes.append(1)
-                return ufunc(*(np.asarray(a) for a in inputs), **kwargs)
-
-        def counted(oracle, cost):
-            def wrapper(*args):
-                passes.extend([1] * cost)
-                return oracle(*args)
-            return wrapper
-
-        # the oracles count what they cost (a gradient is two passes), the
-        # matrix every pass made with it directly
-        f = dataclasses.replace(
-            base.f, A=base.f.A.view(CountedMatrix),
-            grad=counted(base.f.grad, 2), value=counted(base.f.value, 1),
-            distance=counted(base.f.distance, 1))
-        p = CompositeProblem(f, base.g)
-        H = squared_euclidean(40) if H_kind == "quadratic" \
-            else negative_entropy(40)
-        cfg = SolverConfig(eta0=1e6, alpha=0.5, max_iters=30,
-                           line_search_enabled=True)
-        trace = run_solver(p, H, make_prox_map("simplex", H_kind),
-                           np.full(40, 1 / 40), cfg)
-        backtracks = sum(trace.backtracks)
-        assert backtracks >= 10
-        assert len(passes) == 2 + 2 * 30 + backtracks
+    def test_a_planned_pass_reads_each_row_once(self):
+        # A d in blocks still reads m rows a candidate, at one BLAS thread,
+        # where the 333x777 pass plan holds 2 blocks
+        runs = at_one_blas_thread(
+            "from test_solvers import rows_read\n"
+            "print([rows_read(333, 777, H) for H in ('quadratic', "
+            "'entropy')])")
+        for read, expected, backtracks, blocks in runs:
+            assert blocks >= 2 and backtracks >= 10
+            assert read == expected
 
     @pytest.mark.parametrize("seed", [42, 3])
     def test_carried_objective_stays_exact(self, seed):
@@ -731,6 +796,59 @@ class TestRunSolver:
         cfg = SolverConfig(eta0=0.1, max_iters=5)
         with pytest.raises(ContractViolation):
             run_solver(p, squared_euclidean(6), pm, np.ones(6), cfg)
+
+
+class TestPassPlan:
+    """Least squares runs each candidate's A d over A's row blocks, the last
+    first, where that keeps the bits of one call (``functions.pass_plan``).
+    """
+
+    def test_planned_passes_keep_the_bits_at_one_blas_thread(self):
+        # the default thread count threads the one call at 500x1000 with
+        # other bits, so the plan is off there; at one thread it is on
+        got = at_one_blas_thread(
+            "from test_solvers import planned_proposals\n"
+            "print([planned_proposals(m, n) for m, n in "
+            "((500, 1000), (1000, 500), (333, 777))])")
+        assert [same for _, same in got] == [True] * 3
+        assert min(blocks for blocks, _ in got) >= 2
+
+    @pytest.mark.parametrize("shape, order", [
+        ((50, 100), "C"),  # the desk problem: one block
+        ((500, 1000), "F"),
+        ((1000, 2000), "strided"),  # every other column: 1000x1000
+        ((1, 400_000), "C"),
+        ((400_000, 1), "C"),
+        ((2000, 1000), "C"),  # past the sizes that gain
+    ], ids=["desk", "F-order", "strided", "one-row", "one-column", "large"])
+    def test_one_call_stays_and_nothing_is_probed(self, shape, order):
+        A = np.zeros(shape, order="F" if order == "F" else "C")
+        if order == "strided":
+            A = A[:, ::2]
+        probes = []
+
+        class CountedMatrix(np.ndarray):
+            def dot(self, other, out=None):
+                probes.append(self.shape)
+                return np.asarray(self).dot(other, out=out)
+
+        assert pass_plan(A.view(CountedMatrix)) is None
+        assert probes == []
+
+    def test_a_block_off_by_one_ulp_keeps_one_call(self):
+        # 333x777 is below the 460,800 entries from which OpenBLAS threads
+        # a gemv, so its one call and its blocks share bits at any count
+        A = rng(7).standard_normal((333, 777))
+        assert len(pass_plan(A)) == 2
+
+        class OffByOneUlp(np.ndarray):
+            def dot(self, other, out=None):
+                got = np.asarray(self).dot(other, out=out)
+                if len(self) < len(A):
+                    np.nextafter(got, np.inf, out=got)
+                return got
+
+        assert pass_plan(A.view(OffByOneUlp)) is None
 
 
 class TestTheorem2Equivalence:
