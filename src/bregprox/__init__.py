@@ -4,14 +4,12 @@ backtracking line-search variant."""
 
 from .bregman import (
     BregmanGenerator,
-    ProximalDistanceAxioms,
     bregman_distance,
     check_linearity,
     check_three_point,
     composite_generator,
     negative_entropy,
     squared_euclidean,
-    verify_proximal_distance_axioms,
 )
 from .errors import (
     BregProxError,
@@ -36,7 +34,6 @@ from .functions import (
     DomainDescriptor,
     NonsmoothTerm,
     SmoothFunction,
-    check_gradient,
     estimate_spectral_norm,
     evaluate_composite,
     euclidean_space,

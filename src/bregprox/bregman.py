@@ -34,7 +34,6 @@ from .functions import (
     per_row,
     probability_simplex,
     row_sum,
-    sample_feasible,
 )
 
 
@@ -52,24 +51,6 @@ class BregmanGenerator:
     def __post_init__(self):
         if self.kind not in ("quadratic", "entropy", "composite"):
             raise ContractViolation(f"unknown generator kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class ProximalDistanceAxioms:
-    """Outcome of the randomized axiom checks for a candidate distance."""
-
-    nonnegativity_holds: bool
-    identity_of_indiscernibles_holds: bool
-    convex_in_first_arg_holds: bool
-    bounded_level_set_holds: bool
-
-    def all_hold(self) -> bool:
-        return (
-            self.nonnegativity_holds
-            and self.identity_of_indiscernibles_holds
-            and self.convex_in_first_arg_holds
-            and self.bounded_level_set_holds
-        )
 
 
 def half_squared_distance(x: Vector, y: Vector) -> float:
@@ -250,53 +231,3 @@ def check_linearity(h1: BregmanGenerator, h2: BregmanGenerator, a: Vector,
     r2 = reference_distance(h2, a, b)
     return float(np.max(np.maximum(np.abs(d1 + d2 - (r1 + r2)),
                                    np.abs(d1 - d2 - (r1 - r2)))))
-
-
-def verify_proximal_distance_axioms(h: BregmanGenerator, samples: int = 1000,
-                                    seed: int = 0) -> ProximalDistanceAxioms:
-    """Randomized check of the proximal-distance axioms for D_h, each axiom
-    in one stacked call over ``samples`` rows.
-
-    Failures are reported in the returned record, never raised: degenerate
-    composite generators (flat in some directions) legitimately fail the
-    identity-of-indiscernibles and bounded-level-set checks.
-    """
-    if samples < 100:
-        raise ContractViolation("samples must be >= 100")
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = h.domain.ambient_dimension
-    points = sample_feasible(h.domain.kind, n, rng, (4, samples))
-    if h.domain.kind == "simplex" and n > 1:
-        # exercise the boundary of the closed simplex: one entry of about a
-        # fifth of the first arguments set to zero
-        members = points[:2]
-        hit = rng.random(members.shape[:2]) < 0.2
-        members[hit, rng.integers(n, size=np.count_nonzero(hit))] = 0.0
-        members /= row_sum(members)[..., None]
-    x, x2, y, y2 = points
-
-    d = bregman_distance(h, x, y)
-    apart = np.linalg.norm(x - y, axis=-1) >= 1e-4
-    nonneg = bool(np.all(d >= -1e-12))
-    identity = bool(np.all(d[apart] >= 1e-8)
-                    and np.all(bregman_distance(h, y2, y2) <= 1e-12))
-    lam = rng.uniform(0.05, 0.95, size=samples)
-    mid = lam[:, None] * x + (1.0 - lam[:, None]) * x2
-    if h.domain.kind == "simplex":
-        mid = mid / row_sum(mid)[:, None]
-    convex = bool(np.all(bregman_distance(h, mid, y) <= lam * d + (1.0 - lam)
-                         * bregman_distance(h, x2, y) + 1e-10))
-
-    bounded = _bounded_level_sets(h, rng)
-    return ProximalDistanceAxioms(nonneg, identity, convex, bounded)
-
-
-def _bounded_level_sets(h: BregmanGenerator, rng) -> bool:
-    # the simplex is bounded; on R^n, D_h(., y) must grow along random rays
-    if h.domain.kind == "simplex":
-        return True
-    n = h.domain.ambient_dimension
-    y = sample_feasible(h.domain.kind, n, rng)
-    u = rng.standard_normal((50, n))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return bool(np.all(bregman_distance(h, y + 1e4 * u, y) >= 1.0))

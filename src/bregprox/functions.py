@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateInput, NumericalFailure
+from .errors import ContractViolation, DegenerateInput
 
 Vector = np.ndarray
 
@@ -28,10 +28,6 @@ EPS = np.finfo(float).eps
 # line search tries no step below it, which would move x by nothing or by
 # rounding noise and overflow the certificate's D_H(x*, x0) / eta_1
 SMALLEST_NORMAL = np.finfo(float).tiny
-
-# rows per stacked call of the randomized checks: one call per block, with
-# memory bounded at any sample count
-BLOCK_ROWS = 1_000
 
 # What nothing in an iteration reads at once is completed in blocks of
 # steps, one stacked call per block, which gives the bits of one call per
@@ -103,21 +99,6 @@ def per_row(r):
     """A result with one entry per row: a Python float for a single vector,
     the array for a stack."""
     return r if isinstance(r, np.ndarray) and r.ndim else float(r)
-
-
-def blocks(samples: int):
-    """Row counts of the blocks that make up ``samples`` samples; the last
-    block is partial."""
-    return [min(BLOCK_ROWS, samples - start)
-            for start in range(0, samples, BLOCK_ROWS)]
-
-
-def sample_feasible(kind: str, n: int, rng, shape: tuple = ()) -> Vector:
-    """Points of shape ``shape + (n,)``: uniform on the simplex for ``kind``
-    "simplex", else N(0, I)."""
-    if kind == "simplex":
-        return rng.dirichlet(np.ones(n), size=shape)
-    return rng.standard_normal(shape + (n,))
 
 
 # the value of each nonsmooth kind at x, or at each row of a stack: the one
@@ -494,25 +475,6 @@ def evaluate_composite(p: CompositeProblem, x: Vector) -> float:
             f"(rows, {p.f.dimension})"
         )
     return per_row(p.f.value(x) + p.g.value(x))
-
-
-def check_gradient(f: SmoothFunction, x: Vector) -> float:
-    """Max relative mismatch between the gradient oracle and central
-    differences of step 1e-6."""
-    h = 1e-6
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(f.grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NumericalFailure("gradient oracle returned non-finite values")
-    worst = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd = (f.value(x + e) - f.value(x - e)) / (2.0 * h)
-        if not np.isfinite(fd):
-            raise NumericalFailure("finite difference produced non-finite value")
-        worst = max(worst, abs(fd - g[i]) / (1.0 + abs(g[i])))
-    return worst
 
 
 def estimate_spectral_norm(A: np.ndarray) -> float:

@@ -9,7 +9,9 @@ maps.  The CLI and the test suite both run them.
 The identity suites hold each identity on ``samples`` random points.  The
 optimality suite draws five (v, y, eta) inputs per prox map and bounds each
 output's suboptimality by an exact first-order gap
-(``prox.verify_prox_optimality``), so it takes no sample count.
+(``prox.verify_prox_optimality``), so it takes no sample count.  They are the
+only checks that rest on random points, so the one feasible-point sampler,
+``sample_feasible``, lives here; the solvers test their hypotheses exactly.
 """
 
 from __future__ import annotations
@@ -31,14 +33,33 @@ from .bregman import (
 from .errors import ContractViolation
 from .functions import (
     CompositeProblem,
-    blocks,
+    Vector,
     estimate_spectral_norm,
     least_squares,
-    sample_feasible,
     simplex_indicator,
 )
 from .prox import make_prox_map, prox_objective, verify_prox_optimality
 from .solvers import gppa_objective
+
+# rows per stacked call of the identity suites: the sampled suites make one
+# call per block and the offset suite draws one block at most, so memory is
+# bounded at any sample count
+BLOCK_ROWS = 1_000
+
+
+def blocks(samples: int):
+    """Row counts of the blocks that make up ``samples`` samples; the last
+    block is partial."""
+    return [min(BLOCK_ROWS, samples - start)
+            for start in range(0, samples, BLOCK_ROWS)]
+
+
+def sample_feasible(kind: str, n: int, rng, shape: tuple = ()) -> Vector:
+    """Points of shape ``shape + (n,)``: uniform on the simplex for ``kind``
+    "simplex", else N(0, I)."""
+    if kind == "simplex":
+        return rng.dirichlet(np.ones(n), size=shape)
+    return rng.standard_normal(shape + (n,))
 
 
 @dataclass(frozen=True)
@@ -126,7 +147,7 @@ def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     x_k = sample_feasible(p.g.kind, n, rng)
     v = np.asarray(p.f.grad(x_k))
     pm = make_prox_map("simplex", "quadratic")
-    x = sample_feasible(p.g.kind, n, rng, (min(samples, 1000),))
+    x = sample_feasible(p.g.kind, n, rng, (min(samples, BLOCK_ROWS),))
     offsets = gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
     spread = float(np.std(offsets))
     return [_result("theorem_offset_spread", spread, 1e-10)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from bregprox import (
     SmoothFunction,
     SolverConfig,
     bregman_distance,
-    check_gradient,
     estimate_spectral_norm,
     euclidean_space,
     evaluate_composite,
@@ -22,6 +23,7 @@ from bregprox import (
     run_solver,
     shifted_quadratic,
     simplex_indicator,
+    squared_euclidean,
     zero_function,
 )
 from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_MEMBER_MIN,
@@ -250,36 +252,48 @@ class TestShiftedQuadratic:
         assert f.lipschitz_grad == 1.0 / 6e-309 < np.inf
 
 
-class TestCheckGradient:
-    def test_exact_quadratic(self):
-        f = half_sq_norm(4)
-        assert check_gradient(f, rng().standard_normal(4)) <= 1e-5
+def definition_residual(f, x, y) -> float:
+    """|f(x) - f(y) - <x - y, grad f(y)> - D_f(x, y)| relative to the sum of
+    the magnitudes of the four terms (0 where all four are 0)."""
+    fx, fy = f.value(x), f.value(y)
+    inner = float(np.dot(x - y, f.grad(y)))
+    d = f.distance(x, y)
+    scale = abs(fx) + abs(fy) + abs(inner) + abs(d)
+    err = abs(fx - fy - inner - d)
+    return err / scale if scale else err
 
-    def test_random_least_squares(self):
-        r = rng(1)
-        f = least_squares(r.standard_normal((10, 20)), r.standard_normal(10))
-        assert check_gradient(f, r.standard_normal(20)) <= 1e-5
 
-    def test_detects_wrong_gradient(self):
-        f = SmoothFunction(
-            value=lambda x: 0.5 * float(np.dot(x, x)),
-            grad=lambda x: 2.0 * np.asarray(x),  # off by a factor of 2
-            dimension=3,
-        )
-        assert check_gradient(f, np.array([3.0, 2.0, -1.0])) >= 0.4
+SMOOTH_TERMS = {
+    "least_squares": lambda r: least_squares(r.standard_normal((8, 6)),
+                                             r.standard_normal(8)),
+    "shifted_quadratic": lambda r: shifted_quadratic(r.standard_normal(6),
+                                                     0.7),
+    "zero_function": lambda r: zero_function(6),
+    "squared_euclidean": lambda r: squared_euclidean(6),
+}
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_registered_functions_at_random_points(self, seed):
-        r = rng(seed + 10)
-        fns = [
-            half_sq_norm(6),
-            least_squares(r.standard_normal((8, 6)), r.standard_normal(8)),
-            shifted_quadratic(r.standard_normal(6), 0.7),
-            zero_function(6),
-        ]
-        for f in fns:
-            for _ in range(20):
-                assert check_gradient(f, r.standard_normal(6)) <= 1e-5
+
+class TestOracleDefinition:
+    """Each smooth term's value, gradient and closed-form distance satisfy
+    the definition D_f(x, y) = f(x) - f(y) - <x - y, grad f(y)> exactly, up
+    to rounding, at points over six decades of scale."""
+
+    @pytest.mark.parametrize("name", SMOOTH_TERMS)
+    def test_distance_is_the_definition(self, name):
+        r = rng(11)
+        f = SMOOTH_TERMS[name](r)
+        for _ in range(200):
+            x, y = 10.0 ** r.uniform(-3, 3, (2, 1)) * r.standard_normal((2, 6))
+            assert definition_residual(f, x, y) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["least_squares", "shifted_quadratic",
+                                      "squared_euclidean"])
+    def test_a_gradient_off_by_two_fails(self, name):
+        r = rng(12)
+        f = SMOOTH_TERMS[name](r)
+        wrong = dataclasses.replace(f, grad=lambda x: 2.0 * f.grad(x))
+        x, y = r.standard_normal((2, 6))
+        assert definition_residual(wrong, x, y) > 1e-3
 
 
 class TestConvexity:

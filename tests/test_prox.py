@@ -29,8 +29,8 @@ from bregprox import (
     zero_term,
 )
 from bregprox import experiments
-from bregprox.functions import (SIMPLEX_SUM_TOL, first_order_gap, on_simplex,
-                               sample_feasible)
+from bregprox.functions import SIMPLEX_SUM_TOL, first_order_gap, on_simplex
+from bregprox.identities import sample_feasible
 from bregprox.prox import (_REGISTRY, SMALLEST_NORMAL, SUM_DRIFT_MAX, ProxMap,
                            _simplex_threshold, prox_objective)
 

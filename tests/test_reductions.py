@@ -8,11 +8,14 @@ call with its row-by-row calls.  A parse of the sources guards that no
 other reduction of the last axis appears, that the code run per candidate
 or per block calls no numpy function whose Python wrapper costs more than
 its C entry point, that six more rules and values keep one coding each
-(among them the forward step and the positivity floor), and that
-optimality is checked by one exact gap, not by a search of sampled points.
+(among them the forward step and the positivity floor), that
+optimality is checked by one exact gap, not by a search of sampled points,
+that random draws are made only by the identity suites and the problem
+builders, and that every definition nothing calls is named public API.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -382,14 +385,6 @@ class TestReroutedOracles:
             x = cand
 
 
-# numpy's norms in verify_proximal_distance_axioms and _bounded_level_sets
-# measure how far apart the sampled points lie, the test geometry of the
-# axiom checks, not a value, a distance or a domain check of the solvers;
-# np.linalg.norm takes its own square root of its own sum
-LAST_AXIS_EXCEPTIONS = {
-    ("bregman.py", "verify_proximal_distance_axioms", "np.linalg.norm"),
-    ("bregman.py", "_bounded_level_sets", "np.linalg.norm"),
-}
 KERNEL = {("functions.py", "row_sum"), ("functions.py", "row_min")}
 
 
@@ -437,8 +432,7 @@ def last_axis_calls(src=SRC):
 def test_last_axis_reductions_go_through_the_kernel():
     calls = last_axis_calls()
     assert {c[:2] for c in calls} >= KERNEL
-    stray = {c for c in calls if c[:2] not in KERNEL
-             and c not in LAST_AXIS_EXCEPTIONS}
+    stray = {c for c in calls if c[:2] not in KERNEL}
     assert not stray, f"reduce the last axis with row_sum/row_min: {stray}"
 
 
@@ -553,7 +547,7 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
 
 # More rules and values with one coding each: the acceptance test
 # D_{h_k} >= 0 of the line search and the certificates (solvers.accepts),
-# the feasible points of the randomized checks (functions.sample_feasible),
+# the feasible points of the identity suites (identities.sample_feasible),
 # the test of a step size (functions.check_step), the simplex's sum test
 # (functions.on_simplex), the forward step y - eta v (prox.gradient_step,
 # which the other quadratic prox maps call) and the positivity floor
@@ -628,7 +622,7 @@ def test_each_rule_has_one_coding():
         ("solvers.py", "accepts", "ACCEPT_TOL"),
         ("functions.py", "on_simplex", "SIMPLEX_SUM_TOL"),
         ("prox.py", "<module>", "SIMPLEX_SUM_TOL"),
-        ("functions.py", "sample_feasible", "dirichlet"),
+        ("identities.py", "sample_feasible", "dirichlet"),
         ("functions.py", "check_step", "step check"),
         ("prox.py", "gradient_step", "forward step"),
         ("functions.py", "<module>", "tiny")}
@@ -686,12 +680,10 @@ def test_the_guard_sees_a_second_coding(tmp_path):
 # Optimality is checked by one exact gap, functions.first_order_gap, the
 # one place that subtracts a minimum (the Frank-Wolfe gap <s, x> - min s).
 # No check searches sampled points for a better one: the sampler takes no
-# point to draw around, and it is called by the identity and axiom checks
-# alone, the prox-optimality suite drawing with it only its single inputs.
+# point to draw around, and it is called by the identity suites alone, the
+# prox-optimality suite drawing with it only its single inputs.
 MINIMA = {"min", "np.min", "np.amin", "np.minimum.reduce", "row_min"}
 SAMPLER_CALLS = {
-    ("bregman.py", "verify_proximal_distance_axioms", "stack"),
-    ("bregman.py", "_bounded_level_sets", "point"),
     ("identities.py", "three_point_suite", "stack"),
     ("identities.py", "linearity_suite", "stack"),
     ("identities.py", "nonnegativity_suite", "stack"),
@@ -726,7 +718,7 @@ def gap_and_sampler_sites(src=SRC):
 def test_one_gap_and_no_sampled_search():
     assert gap_and_sampler_sites() == SAMPLER_CALLS | {
         ("functions.py", "first_order_gap", "minimum subtracted"),
-        ("functions.py", "sample_feasible", "kind, n, rng, shape")}
+        ("identities.py", "sample_feasible", "kind, n, rng, shape")}
 
 
 def test_the_guard_sees_a_sampled_search(tmp_path):
@@ -807,3 +799,131 @@ def test_the_guard_sees_a_row_view_reader(tmp_path):
         ("reader.py", "objs", "final"),
         ("reader.py", "objs", "constant_step_certificate"),
         ("reader.py", "objs", "objectives")}
+
+
+# Random draws are made in three places: the identity suites, which own the
+# one sampler, and the two problem builders, build_simplex_ls and run-lasso's
+# command.  No certificate, verifier or oracle rests on samples.
+DRAWS_OUTSIDE_IDENTITIES = {("experiments.py", "build_simplex_ls"),
+                            ("cli.py", "cmd_run_lasso")}
+
+
+def random_draw_sites(src=SRC):
+    """(file, enclosing function or "<module>", callee) of every call in
+    ``src`` of a ``random`` module's function (np.random.Philox) or of a
+    method of a generator named ``rng`` (rng.standard_normal,
+    self.rng.uniform)."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = ast.unparse(func)
+        holder = getattr(func, "value", None)
+        if "random" in callee.split(".")[:-1] or getattr(
+                holder, NAMING.get(type(holder), ""), None) == "rng":
+            found.add((name, owner, callee))
+    return found
+
+
+def test_random_draws_live_in_one_place():
+    sites = random_draw_sites()
+    assert {s[:2] for s in sites if s[0] != "identities.py"} \
+        == DRAWS_OUTSIDE_IDENTITIES
+    assert ("identities.py", "sample_feasible", "rng.dirichlet") in sites
+
+
+def test_the_guard_sees_a_random_draw(tmp_path):
+    (tmp_path / "draws.py").write_text(
+        "import random\n"
+        "import numpy as np\n\n"
+        "def fd(f, x, rng):\n"
+        "    return f(x + 1e-6 * rng.standard_normal(x.size))\n\n"
+        "def seeded(seed):\n"
+        "    return np.random.Generator(np.random.Philox(seed))\n\n"
+        "class Checker:\n"
+        "    def sample(self, n):\n"
+        "        return self.rng.uniform(size=n), random.random()\n\n"
+        "def exact(x, rngs, random_x):\n"
+        "    # a norm, a count of generators and a random-named array are not\n"
+        "    return np.linalg.norm(x), len(rngs), random_x.sum()\n")
+    assert random_draw_sites(tmp_path) == {
+        ("draws.py", "fd", "rng.standard_normal"),
+        ("draws.py", "seeded", "np.random.Generator"),
+        ("draws.py", "seeded", "np.random.Philox"),
+        ("draws.py", "sample", "self.rng.uniform"),
+        ("draws.py", "sample", "random.random")}
+
+
+# Code that nothing calls is deleted.  A module-level def or class that no
+# module of the package (past its own definition and __init__'s export)
+# and no perfbench file names is public library API, kept for users:
+# - verify_theorem2_equivalence: the paper's theorem 2, that each BPGA
+#   iterate solves its generalized proximal point subproblem, as a check a
+#   user runs on a problem of their own;
+# - zero_function and zero_term: f = 0 and g = 0, which build the pure
+#   proximal point and the pure gradient problems from the other terms.
+UNCALLED_API = {"verify_theorem2_equivalence", "zero_function", "zero_term"}
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def names_in(tree):
+    """Every name, attribute and import of ``tree``; not its defs' names."""
+    return {getattr(node, NAMING.get(type(node), ""), None)
+            for node in ast.walk(tree)
+            if not isinstance(node, ast.FunctionDef)}
+
+
+def uncalled_definitions(src=SRC, bench=PERFBENCH):
+    """The module-level defs and classes of ``src`` whose names appear
+    nowhere in ``src`` outside their definitions and __init__.py, nor in a
+    name or a string of ``bench``'s files (the tracer looks functions up
+    by "module.name" strings)."""
+    defined, named = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))}
+        if path.name != "__init__.py":
+            named |= names_in(tree)
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named |= names_in(tree)
+        named.update(*(re.findall(r"\w+", node.value)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant)
+                       and isinstance(node.value, str)))
+    return defined - named
+
+
+def test_nothing_defined_goes_uncalled():
+    assert uncalled_definitions() == UNCALLED_API
+
+
+def test_the_guard_sees_an_uncalled_definition(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "__init__.py").write_text("from .mod import exported, used\n")
+    (src / "mod.py").write_text(
+        "def used(x):\n"
+        "    return _helper(x)\n\n"
+        "def _helper(x):\n"
+        "    return x\n\n"
+        "def unused():\n"
+        "    return None\n\n"
+        "def exported():\n"
+        "    return None\n\n"
+        "class Traced:\n"
+        "    pass\n")
+    (src / "cli.py").write_text(
+        "from . import mod\n\n"
+        "def main():\n"
+        "    return mod.used(1)\n")
+    # a def of the same name in a bench file does not call the package's
+    (bench / "run.py").write_text(
+        "import cli\n\n"
+        "SPANS = ('mod.Traced',)\n\n"
+        "def exported():\n"
+        "    return cli.main()\n")
+    assert uncalled_definitions(src, bench) == {"unused", "exported"}
