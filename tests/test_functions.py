@@ -266,6 +266,10 @@ def definition_residual(f, x, y) -> float:
 SMOOTH_TERMS = {
     "least_squares": lambda r: least_squares(r.standard_normal((8, 6)),
                                              r.standard_normal(8)),
+    # fewer rows than columns: A^T A is singular, so D_f vanishes on a
+    # 2-dimensional subspace and the definition must hold there too
+    "wide_least_squares": lambda r: least_squares(r.standard_normal((4, 6)),
+                                                  r.standard_normal(4)),
     "shifted_quadratic": lambda r: shifted_quadratic(r.standard_normal(6),
                                                      0.7),
     "zero_function": lambda r: zero_function(6),
@@ -286,7 +290,8 @@ class TestOracleDefinition:
             x, y = 10.0 ** r.uniform(-3, 3, (2, 1)) * r.standard_normal((2, 6))
             assert definition_residual(f, x, y) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["least_squares", "shifted_quadratic",
+    @pytest.mark.parametrize("name", ["least_squares", "wide_least_squares",
+                                      "shifted_quadratic",
                                       "squared_euclidean"])
     def test_a_gradient_off_by_two_fails(self, name):
         r = rng(12)
