@@ -61,7 +61,19 @@ def half_squared_distance(x: Vector, y: Vector) -> float:
 def kl_divergence(x: Vector, y: Vector) -> float:
     """sum_i x_i ln(x_i / y_i) - x_i + y_i with 0 ln 0 = 0, the distance of
     negative entropy: the log runs over supp(x) only, so the value is finite
-    whenever y > 0 on supp(x), exact zeros of x included."""
+    whenever y > 0 on supp(x), exact zeros of x included.
+
+    A stack is worked on as one flat vector.  One reduction finds that
+    every t = x / y - 1 exceeds -0.5, and the near ties that take the
+    series are reached through flat indices, so an input without them pays
+    for neither.  Support is found by a mask and a count: that mask is
+    needed wherever x has zeros, and a reduction costs as much as both on
+    a vector."""
+    shape = None
+    if x.ndim > 1 or y.ndim > 1:
+        if x.shape != y.shape:  # a vector against a stack is tiled
+            x, y = np.broadcast_arrays(x, y)
+        shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
     s = x > 0.0
     if np.count_nonzero(s) == s.size:
         s, xs, ys = None, x, y
@@ -73,21 +85,25 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     t = d / ys
     # ln(x/y) loses the digits of t when x is near y, log1p(t) those of x/y
     # when x << y; either way x ln(x/y) - (x - y) is exact to about
-    # eps |x - y|, which near a tie is a relative error of about eps / |t|
-    above = t > -0.5
-    log_ratio = np.log1p(np.maximum(t, -0.5))
-    if np.count_nonzero(above) < above.size:
-        log_ratio = np.where(above, log_ratio, np.log(xs / ys))
+    # eps |x - y|, which near a tie is a relative error of about eps / |t|.
+    # Below -0.5 ln(x/y) is taken over the whole vector: under line search,
+    # where a vector has such entries a third of the time, flat indices
+    # cost more than the logs they save
+    if np.minimum.reduce(t, initial=np.inf) > -0.5:
+        log_ratio = np.log1p(t)
+    else:
+        log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
+                             np.log(xs / ys))
     term = xs * log_ratio - d
     # so where |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its
     # series instead, whose first omitted term is below 1e-16 relative
-    near = np.abs(t) < 1e-3
-    if np.count_nonzero(near):
-        tn = t[near]
-        term[near] = (ys * t)[near] * tn * _kl_series(tn)
+    i = (np.abs(t) < 1e-3).nonzero()[0]
+    if i.size:
+        tn = t.take(i)
+        term[i] = ys.take(i) * tn * tn * _kl_series(tn)
     if s is not None:
         term = np.where(s, term, y)
-    return per_row(row_sum(term))
+    return per_row(row_sum(term if shape is None else term.reshape(shape)))
 
 
 def _kl_series(t: Vector) -> Vector:

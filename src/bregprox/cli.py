@@ -39,7 +39,9 @@ from .solvers import SolverConfig, run_solver
 
 CSV_HEADER = ("iter,objective,gap,eta,backtracks,d_hk,"
               "bound_classical,bound_gppa,elapsed_ms")
-CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
+# eta comes formatted: a run holds one value of it under a constant step and
+# a few under line search, and %.17g costs about 0.5 us a float
+CSV_ROW = "%d,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%.17g\n"
 CSV_CHUNK_ROWS = 1024
 SUMMARY_HEADER = ("variant,iters_to_tol,reached,tolerance,final_gap,"
                   "cert_kind,cert_margin,hypothesis_satisfied\n")
@@ -52,8 +54,10 @@ REF_ITERS_HELP = ("cap on the major cycles of Wolfe's method for the "
 def _write_variant_csv(path: Path, trace, f_star: float, cert, gamma: float,
                        x_star, x0, timing: bool) -> None:
     k = np.arange(len(trace.objective))
+    etas, at = np.unique(trace.eta, return_inverse=True)
     columns = (
-        k, trace.objective, trace.objective - f_star, trace.eta,
+        k, trace.objective, trace.objective - f_star,
+        np.array(["%.17g" % eta for eta in etas.tolist()], dtype=object)[at],
         trace.backtracks, trace.d_hk,
         np.concatenate(([np.inf],
                         classical_pga_bound(gamma, x_star, x0, k[1:]))),

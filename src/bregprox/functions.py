@@ -10,7 +10,10 @@ Values and distances take a vector (giving a float) or a (rows, n) stack
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -44,6 +47,12 @@ FLUSH_ENTRIES = 8192
 # 333x777 read 12% faster and 1200x1000 9%.
 PASS_ENTRIES = 1 << 17
 PLAN_ENTRIES = range(200_000, 1_250_000)
+# OpenBLAS runs a gemv of this many entries or more on every thread it has
+# (BENCH_27.json's sweep at 2 threads: 479x962 = 460,798 entries ran as at
+# one thread, 480x960 = 460,800 three times as fast), so there the one
+# call's threads beat the blocks; below it, and at one thread, the blocks
+# run on one thread as the one call does
+GEMV_THREADED_ENTRIES = 460_800
 
 
 # numpy sums a row shorter than its 8-wide pairwise block one entry at a
@@ -206,10 +215,11 @@ class OracleStepper:
 
     ``grad()`` is the gradient at the current point x.  ``propose(cand)``
     takes the next candidate, ``distance()`` is D_f(cand, x) at once, and
-    ``accept()`` moves x to the candidate.  ``may_stop(f_star, tol)`` is
-    False only where f at x, with the bits of the trace, fails
-    f - f_star <= tol; here it tests that f.  The steps accepted since the
-    last flush, at most
+    ``accept()`` moves x to the candidate; the attribute ``x`` may be
+    rebound to an equal array held elsewhere.  ``stop_test(f_star, tol)``
+    gives, once per run, the predicate ``may_stop()``: False only where f
+    at x, with the bits of the trace, fails f - f_star <= tol; here it
+    tests that f.  The steps accepted since the last flush, at most
     ``rows`` of them, make a block whose iterates are the rows of xs after
     its first, the point before them: ``distances(xs)`` gives their
     D_f(x_k, x_{k-1}), and ``flush(xs)`` their f and starts the next block;
@@ -233,8 +243,8 @@ class OracleStepper:
     def accept(self) -> None:
         self.x = self.cand
 
-    def may_stop(self, f_star: float, tol: float) -> bool:
-        return self.f.value(self.x) - f_star <= tol
+    def stop_test(self, f_star: float, tol: float) -> Callable[[], bool]:
+        return lambda: self.f.value(self.x) - f_star <= tol
 
     def distances(self, xs: np.ndarray) -> np.ndarray:
         return _per_step("distance", self.f.distance(xs[1:], xs[:-1]), xs)
@@ -265,16 +275,35 @@ class LeastSquaresFunction(SmoothFunction):
         return ResidualStepper(self.A, self.b, x0)
 
 
+@functools.lru_cache(maxsize=None)
+def blas_threads() -> Optional[int]:
+    """The thread count of numpy's bundled OpenBLAS, read once from its
+    ``scipy_openblas_get_num_threads64_``; None where numpy bundles no such
+    library or it exports no such symbol."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def pass_plan(A: np.ndarray):
     """A's row blocks, the last first, each with the rows of A d it gives;
     None, for one call, where A is not C-contiguous, has one column or one
-    block, has a size outside PLAN_ENTRIES, or misses the call's bits in
-    blocks on a probe with distinct entries.  A block holds a multiple of
-    8 rows, so the m mod 8 tail rows stay last, as gemv groups them."""
+    block, has a size outside PLAN_ENTRIES, reaches GEMV_THREADED_ENTRIES
+    with a BLAS thread count other than 1 (or unknown), or misses the
+    call's bits in blocks on a probe with distinct entries.  A block holds
+    a multiple of 8 rows, so the m mod 8 tail rows stay last, as gemv
+    groups them."""
     m, n = A.shape
     rows = max(8, PASS_ENTRIES // n // 8 * 8)
     if not (A.flags.c_contiguous and A.size in PLAN_ENTRIES and 1 < n
-            and rows < m):
+            and rows < m and (A.size < GEMV_THREADED_ENTRIES
+                              or blas_threads() == 1)):
         return None
     plan = [(A[i:i + rows], slice(i, i + rows)) for i in range(0, m, rows)]
     probe, (one, blocked) = 1.0 / np.arange(1.0, n + 1.0), np.empty((2, m))
@@ -300,7 +329,9 @@ class ResidualStepper:
     ``flush`` f = 1/2 ||r||^2, one stacked reduction each, which gives the
     bits of one reduction per row; xs is not read.  The block holds at most
     FLUSH_ENTRIES entries of A d and of the iterates, so a step past the
-    ``rows``-th must wait for a flush.
+    ``rows``-th must wait for a flush.  ``stop_test`` folds f*, tol and the
+    rounding of r . r into one bound per run, so that ``may_stop()`` costs
+    a step one ddot and one comparison.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, x0: Vector):
@@ -316,17 +347,6 @@ class ResidualStepper:
         self.rs[0] = A.dot(x0) - b
         self.r, self.ad = self.rs[0], self.ads[0]
         self.plan = pass_plan(A)
-        # may_stop() is False only where r . r proves the test fails.  Both
-        # r . r and the trace's sum of squares are within gamma_m =
-        # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
-        # terms in any order, with or without FMA).  So where the trace's f
-        # passes fl(f - f_star) <= tol with f_star >= 0, r . r / 2 is at most
-        # (f_star + tol)(1 + 2 m u + u) to first order, and the bound as
-        # computed is at least (f_star + tol)(1 + 8 m u - 3 u): 4 m eps =
-        # 8 m u covers both for every m >= 1.  m tiny covers squares that
-        # underflow, each off by at most half the subnormal spacing.
-        self.slack = 1.0 + 4 * m * EPS
-        self.floor = m * SMALLEST_NORMAL
 
     # ndarray.dot reaches the BLAS gemv and ddot that np.matmul and np.dot
     # reach, with the same bits on a C or F matrix, and saves 0.5-1.3 us of
@@ -351,10 +371,25 @@ class ResidualStepper:
         np.add(self.r, self.ad, out=r)
         self.x, self.j, self.r, self.ad = self.cand, j, r, self.ads[j]
 
-    def may_stop(self, f_star: float, tol: float) -> bool:
-        r = self.r
-        return not (f_star >= 0.0 and 0.5 * r.dot(r)
-                    > (f_star + tol) * self.slack + self.floor)
+    def stop_test(self, f_star: float, tol: float) -> Callable[[], bool]:
+        m = len(self.r)
+        if not f_star >= 0.0:
+            return lambda: True
+        # may_stop() is False only where r . r proves the test fails.  Both
+        # r . r and the trace's sum of squares are within gamma_m =
+        # m u / (1 - m u), u = eps / 2, of the exact ||r||^2 (m nonnegative
+        # terms in any order, with or without FMA).  So where the trace's f
+        # passes fl(f - f_star) <= tol with f_star >= 0, r . r / 2 is at most
+        # (f_star + tol)(1 + 2 m u + u) to first order, and the bound as
+        # computed is at least (f_star + tol)(1 + 8 m u - 3 u): 4 m eps =
+        # 8 m u covers both for every m >= 1.  m tiny covers squares that
+        # underflow, each off by at most half the subnormal spacing.
+        bound = (f_star + tol) * (1.0 + 4 * m * EPS) + m * SMALLEST_NORMAL
+
+        def may_stop() -> bool:
+            r = self.r
+            return not 0.5 * r.dot(r) > bound
+        return may_stop
 
     def distances(self, xs: np.ndarray) -> np.ndarray:
         return 0.5 * row_sum(np.square(self.ads[:self.j]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,26 +29,34 @@ GeneratorKind = str  # "quadratic" | "entropy"
 FLOAT_MAX = float(np.finfo(float).max)
 
 
-def gradient_step(v: Vector, y: Vector, eta: float) -> Vector:
+# Every map takes an optional ``out``, an array of y's shape that shares no
+# memory with v or y, and then writes its minimizer there and returns it:
+# run_solver passes the row of its iterate ring that the candidate takes.
+
+
+def gradient_step(v: Vector, y: Vector, eta: float,
+                  out: Optional[Vector] = None) -> Vector:
     """Minimizer of <x, v> + 1/(2 eta) ||x - y||^2 (g identically zero):
     the forward step y - eta v, which the other quadratic maps start from."""
     check_step(eta)
-    return np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float)
+    return np.subtract(y, eta * np.asarray(v, dtype=float), out=out)
 
 
-def soft_threshold(v: Vector, y: Vector, eta: float) -> Vector:
+def soft_threshold(v: Vector, y: Vector, eta: float,
+                   out: Optional[Vector] = None) -> Vector:
     """Minimizer of ||x||_1 + <x, v> + 1/(2 eta) ||x - y||^2.
 
     Componentwise shrink of y - eta v by eta.
     """
     z = gradient_step(v, y, eta)
-    return np.sign(z) * np.maximum(np.abs(z) - eta, 0.0)
+    return np.multiply(np.sign(z), np.maximum(np.abs(z) - eta, 0.0), out=out)
 
 
-def simplex_projection(z: Vector) -> Vector:
-    """Euclidean projection onto {x : sum x_i = 1, x >= 0} by sort-and-threshold."""
+def simplex_projection(z: Vector, out: Optional[Vector] = None) -> Vector:
+    """Euclidean projection onto {x : sum x_i = 1, x >= 0} by
+    sort-and-threshold, into ``out`` where given (not overlapping z)."""
     z = np.asarray(z, dtype=float)
-    x = _simplex_threshold(z, SUM_DRIFT_MAX)
+    x = _simplex_threshold(z, SUM_DRIFT_MAX, out)
     if x is None:
         # Entries that dwarf 1 (z = [1e17, 0, -3]) round the 1 out of the
         # prefix sums and leave no index, and large near-tied entries round
@@ -57,7 +65,7 @@ def simplex_projection(z: Vector) -> Vector:
         # max(z) = 0.  An entry the shift takes below -FLOAT_MAX is -inf and
         # projects to 0, and prefix sums that overflow are dropped
         with np.errstate(over="ignore"):
-            x = _simplex_threshold(z - np.maximum.reduce(z), np.inf)
+            x = _simplex_threshold(z - np.maximum.reduce(z), np.inf, out)
         if x is None:
             raise NumericalFailure(
                 "cannot project a non-finite point onto the simplex")
@@ -80,12 +88,12 @@ def simplex_projection(z: Vector) -> Vector:
 SUM_DRIFT_MAX = 2 * SIMPLEX_SUM_TOL / EPS
 
 
-def _simplex_threshold(z: Vector, drift_max: float):
+def _simplex_threshold(z: Vector, drift_max: float, out=None):
     """max(z - theta, 0), theta = css_rho / rho at the last rho with
     u_rho - css_rho / rho > 0, u the entries of z in decreasing order and
-    css their prefix sums less 1; None where no rho has it, or where
-    (rho + 3)^2 (|u_0| + 1) exceeds ``drift_max`` and x is off the
-    simplex."""
+    css their prefix sums less 1, in ``out`` where given; None where no rho
+    has it, or where (rho + 3)^2 (|u_0| + 1) exceeds ``drift_max`` and x is
+    off the simplex."""
     u = z.copy()
     u.sort()
     u = u[::-1]
@@ -93,12 +101,12 @@ def _simplex_threshold(z: Vector, drift_max: float):
     # included, and z - theta stays below it; past it an overflow is handled
     limit = FLOAT_MAX / (2 * u.size)
     if u[0] < limit and u[-1] > -limit:
-        return _threshold_sorted(z, u, drift_max)
+        return _threshold_sorted(z, u, drift_max, out)
     with np.errstate(over="ignore"):
-        return _threshold_sorted(z, u, drift_max)
+        return _threshold_sorted(z, u, drift_max, out)
 
 
-def _threshold_sorted(z: Vector, u: Vector, drift_max: float):
+def _threshold_sorted(z: Vector, u: Vector, drift_max: float, out):
     """_simplex_threshold of z, given u."""
     css = np.add.accumulate(u)
     css -= 1.0
@@ -119,7 +127,7 @@ def _threshold_sorted(z: Vector, u: Vector, drift_max: float):
         if not rho.size:
             return None
         theta = css[rho[-1]]
-    x = z - theta
+    x = np.subtract(z, theta, out=out)
     np.maximum(x, 0.0, out=x)
     drift = (rho.item(-1) + 4) ** 2 * (abs(u.item(0)) + 1.0)
     return None if drift > drift_max and not on_simplex(x) else x
@@ -133,12 +141,14 @@ def _counts(n: int) -> Vector:
     return counts
 
 
-def project_simplex(v: Vector, y: Vector, eta: float) -> Vector:
+def project_simplex(v: Vector, y: Vector, eta: float,
+                    out: Optional[Vector] = None) -> Vector:
     """Minimizer over the simplex of <x, v> + 1/(2 eta) ||x - y||^2."""
-    return simplex_projection(gradient_step(v, y, eta))
+    return simplex_projection(gradient_step(v, y, eta), out)
 
 
-def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
+def entropic_update(v: Vector, y: Vector, eta: float,
+                    out: Optional[Vector] = None) -> Vector:
     """Mirror step on the simplex: x_i = y_i exp(-eta v_i) / normalization.
 
     Exponents are shifted by their maximum over supp(y) before
@@ -151,9 +161,9 @@ def entropic_update(v: Vector, y: Vector, eta: float) -> Vector:
     y_min = np.minimum.reduce(y)
     if y_min < 0.0:
         raise DomainError("mirror step undefined for negative components")
-    x = -eta * np.asarray(v, dtype=float)
+    x = np.multiply(-eta, np.asarray(v, dtype=float), out=out)
     if not y_min > 0.0:
-        x = np.where(y > 0.0, x, -np.inf)
+        np.copyto(x, -np.inf, where=np.logical_not(y > 0.0))
     x -= np.maximum.reduce(x)
     np.multiply(np.exp(x, out=x), y, out=x)  # y exp(x - max x), in place
     x /= np.add.reduce(x)
@@ -170,7 +180,7 @@ class ProxMap:
 
     g_kind: str  # "l1" | "simplex" | "zero"
     H_kind: GeneratorKind
-    solve: Callable[[Vector, Vector, float], Vector]
+    solve: Callable[..., Vector]  # (v, y, eta, out=None)
 
 
 _REGISTRY = {

@@ -160,10 +160,16 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     block of the stepper's ``rows`` steps, one stacked call each.  The
     early stop reads the F that ``complete`` writes: after a step that the
     stepper's ``may_stop`` cannot rule out, the block completes early, and
-    the run stops if that F meets the tolerance.  A line-search step below
-    the smallest normal float is never tried.  Without
-    ``cfg.keep_iterates`` the run holds one block of iterates and no more:
-    the trace keeps x0 and the final point.
+    the run stops if that F meets the tolerance; the stepper's
+    ``stop_test`` fixes that predicate's bound once per run.  A line-search
+    step below the smallest normal float is never tried, and a candidate
+    whose eta max |v_i| overflows counts as a rejection without being
+    formed.  Without ``cfg.keep_iterates`` the run holds one block of
+    iterates and no more: the trace keeps x0 and the final point.
+
+    The prox map writes each candidate straight into the iterate ring (its
+    ``out``).  Under a constant step the loop records only the clock, and
+    ``build`` makes the eta, backtracks and d_hk columns once.
     """
     if (p.g.kind, H.kind) != (pm.g_kind, pm.H_kind):
         raise ContractViolation("prox map does not match (g, H)")
@@ -197,25 +203,29 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     start = time.perf_counter()
     smooth = p.f.stepper(x)
     # xs holds one block of the stepper's rows after the point before it:
-    # x_k sits in row k - lo + 1.  complete() reads the block in place and
-    # then moves its last row to row 0; kept iterates grow by each finished
-    # block by realloc, which copies no page once they are mapped apart
+    # x_k sits in row k - lo + 1, where the prox map writes each candidate
+    # for step k.  complete() reads the block in place and then moves its
+    # last row to row 0, where the anchor and the stepper's point follow
+    # it, so that no candidate is written over its own anchor.  Kept
+    # iterates grow by each finished block by realloc, which copies no page
+    # once they are mapped apart
     xs = np.empty((smooth.rows + 1, x.size))
     xs[0], x0 = x, x.copy()
     kept = x0[None].copy() if cfg.keep_iterates else None
-    # eta, backtracks, d_hk under line search, and ms of each step
-    steps = [(cfg.eta0, 0, 0.0, 0.0)]
+    # ms of each step, and under line search eta, backtracks and d_hk;
+    # a constant step's eta and backtracks are columns of one value
+    ms, steps = [0.0], [(cfg.eta0, 0, 0.0)]
     # F(x_k) and the constant-step d_hk of each completed block; steps lo
     # on are not completed yet
     objective, d_hks, lo, held = [np.array([obj0])], [], 1, True
 
     def complete() -> None:
-        """Finish steps lo, ..., len(steps) - 1: f from the stepper, g and,
+        """Finish steps lo, ..., len(ms) - 1: f from the stepper, g and,
         under a constant step, D_f, d_hk and its test D_{h_k} >= 0, one
         stacked call each, which give the bits of the calls on each row.
         The line search tested its d_hk in the loop and reads no D_f here."""
         nonlocal lo, held
-        block, lo = xs[:len(steps) - lo + 1], len(steps)
+        block, lo = xs[:len(ms) - lo + 1], len(ms)
         if kept is not None:
             kept.resize((lo, x.size), refcheck=False)
             kept[1 - len(block):] = block[1:]
@@ -228,38 +238,54 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         # f + 0.0 keeps f's bits, and a stacked g equals its row calls
         objective.append(smooth.flush(block) + p.g.value(block[1:]))
         xs[0] = block[-1]
+        smooth.x = xs[0]
 
     def build(stop_reason: str) -> IterationTrace:
-        if lo < len(steps):
+        if lo < len(ms):
             complete()
-        etas, bts, d_hk, ms = map(np.array, zip(*steps))
-        if d_hks:
-            d_hk[1:] = np.concatenate(d_hks)
+        if cfg.line_search_enabled:
+            etas, bts, d_hk = map(np.array, zip(*steps))
+        else:
+            etas, bts = np.full(len(ms), cfg.eta0), np.zeros(len(ms), int)
+            d_hk = np.concatenate(([0.0], *d_hks))
         return IterationTrace(x0, x.copy(), np.concatenate(objective), etas,
-                              bts, d_hk, ms, held, stop_reason, kept)
+                              bts, d_hk, np.array(ms), held, stop_reason,
+                              kept)
 
     def fail(message: str) -> NoReturn:
         raise SolverFailure(message, partial_trace=build(message))
 
     # the loop's callees and flags, looked up once per run
     grad, propose, distance = smooth.grad, smooth.propose, smooth.distance
-    accept, may_stop, rows = smooth.accept, smooth.may_stop, smooth.rows
-    solve, line_search = pm.solve, cfg.line_search_enabled
-    record, clock = steps.append, time.perf_counter
-    eta, d = cfg.eta0, 0.0
+    accept, rows, solve = smooth.accept, smooth.rows, pm.solve
+    line_search = cfg.line_search_enabled
+    # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
+    # meets the tolerance only where f does
+    may_stop = smooth.stop_test(f_star, tol) if early_stop else None
+    record, tick, clock = steps.append, ms.append, time.perf_counter
+    eta, reach = cfg.eta0, 0.0
     for k in range(1, cfg.max_iters + 1):
-        v = grad()
+        v, row = grad(), xs[k - lo + 1]
+        if line_search:
+            # a candidate with eta max |v_i| past the largest float is not
+            # formed (y - eta v or -eta v would overflow): it is rejected.
+            # For finite v that takes eta > 1, so a step starting at
+            # eta <= 1 skips the reduction
+            reach = float(np.maximum.reduce(np.abs(v))) if eta > 1.0 else 0.0
         backtracks = 0
         while True:
-            cand = solve(v, x, eta)
-            propose(cand)
-            if not line_search:
-                break
-            d_H = H.distance(cand, x) / eta
-            d_f = distance()
-            d = d_H - d_f
-            if accepts(d_H, d_f):
-                break
+            if eta * reach < np.inf:
+                cand = solve(v, x, eta, row)
+                if cand is not row:  # a map that ignored ``out``
+                    row[...] = cand
+                propose(row)
+                if not line_search:
+                    break
+                d_H = H.distance(row, x) / eta
+                d_f = distance()
+                d = d_H - d_f
+                if accepts(d_H, d_f):
+                    break
             backtracks += 1
             if backtracks > MAX_BACKTRACKS:
                 fail(f"backtracking budget exhausted at iteration {k}")
@@ -267,14 +293,14 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             if eta < SMALLEST_NORMAL:
                 fail(f"line-search step {eta:.3g} fell below the smallest "
                      f"normal float at iteration {k}")
-        x = cand
+        x = row
         accept()
-        xs[k - lo + 1] = x
-        record((eta, backtracks, d, (clock() - start) * 1e3))
-        # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
-        # meets the tolerance only where f does
-        if k - lo + 1 == rows or (early_stop and may_stop(f_star, tol)):
+        if line_search:
+            record((eta, backtracks, d))
+        tick((clock() - start) * 1e3)
+        if k - lo + 1 == rows or (early_stop and may_stop()):
             complete()
+            x = xs[0]
             if early_stop and objective[-1][-1] - f_star <= tol:
                 return build("tolerance")
     return build("max_iters")

@@ -127,6 +127,25 @@ class TestKlBits:
         assert type(kl_divergence(x, y)) is type(reference_kl_divergence(x, y))
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           rows=st.integers(2, 12))
+    @example(seed=3, n=100, rows=10)
+    def test_mixed_rows_of_a_stack_keep_their_bits(self, seed, n, rows):
+        # a stack is worked on as one flat vector: zeros of x, near ties
+        # and t <= -0.5 sit in different rows, and each row's series terms
+        # must go back to that row, as the reference and the row calls give
+        r = rng(seed)
+        kinds = [KL_KINDS[i % len(KL_KINDS)] for i in range(rows)]
+        r.shuffle(kinds)
+        x, y = np.empty((2, rows, n))
+        for i, kind in enumerate(kinds):
+            x[i], y[i] = kl_input(r, (n,), kind)
+        got = kl_divergence(x, y)
+        assert got.tobytes() == reference_kl_divergence(x, y).tobytes()
+        assert got.tobytes() == np.array(
+            [kl_divergence(a, b) for a, b in zip(x, y)]).tobytes()
+
     def test_zeros_of_y_under_zeros_of_x_keep_their_bits(self):
         # mirror iterates hold exact zeros that stay zero, so a distance
         # between two of them meets x = y = 0 entries

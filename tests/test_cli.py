@@ -134,6 +134,30 @@ class TestRunSimplex:
         for variant in ("pga-constant", "mirror-constant"):
             assert (out / f"{variant}.csv").is_file()
 
+    def test_overflowing_line_search_candidate_is_never_formed(
+            self, tmp_path, capsys):
+        # eta max |v_i| overflows on the first candidates: y - eta v and
+        # -eta v printed four RuntimeWarnings, and pga-linesearch failed
+        # with "cannot project a non-finite point".  Those candidates are
+        # rejected unformed, so pga-linesearch accepts after 11 backtracks,
+        # and mirror-linesearch, which rejected them after the warnings,
+        # keeps its bytes
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-simplex", "--rows", "1", "--cols", "2",
+                        "--seed", "13", "--eta0", "1e308", "--alpha",
+                        "0.99", "--max-iters", "1", "--ref-iters", "3",
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        first = "0,2,0,1e+308,0,0,inf,inf,0\n"
+        assert (out / "mirror-linesearch.csv").read_text() == (
+            CSV_HEADER + "\n" + first + "1,2,0,8.9533825425871633e+307,11,"
+            "0,0.5,7.7417353415087505e-309,0\n")
+        assert (out / "pga-linesearch.csv").read_text() == (
+            CSV_HEADER + "\n" + first + "1,2,0,8.9533825425871633e+307,11,"
+            "0,0.5,2.7922407962673753e-309,0\n")
+
     @pytest.mark.parametrize("flag, message", [
         ("--eta0", "eta0 = 1e-310 is below the smallest normal float, the "
                    "smallest step a line search tries"),
@@ -259,7 +283,7 @@ class TestRunSimplex:
             self, monkeypatch, tmp_path, capsys):
         # a prox map that raises before the first step leaves no partial
         # trace: the mirror variants write no CSV but keep a summary row
-        def refuse(v, y, eta):
+        def refuse(v, y, eta, out=None):
             raise DomainError("no mirror step here")
 
         monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), refuse)
@@ -384,8 +408,8 @@ class TestRunLasso:
         # x_1 one ulp off x* still passes; 1e-12 of the data's scale fails
         solve = prox._REGISTRY[("l1", "quadratic")]
 
-        def perturbed(v, y, eta):
-            x = solve(v, y, eta)
+        def perturbed(v, y, eta, out=None):
+            x = solve(v, y, eta, out)
             if shift == 1:
                 x[0] = np.nextafter(x[0], np.inf)
             else:
@@ -521,7 +545,7 @@ class TestCertify:
     def test_solver_failure_is_reported(self, monkeypatch, capsys):
         # certify used to skip its variants' failures: a mirror map that
         # raises left one [ok] line and exit 0
-        def refuse(v, y, eta):
+        def refuse(v, y, eta, out=None):
             raise DomainError("no mirror step here")
 
         monkeypatch.setitem(prox._REGISTRY, ("simplex", "entropy"), refuse)

@@ -339,12 +339,13 @@ class TestKernelBits:
     def test_pga_runs_keep_their_bits(self, monkeypatch, spec):
         # both PGA variants as run-simplex runs them, against the same runs
         # with each candidate projected by the reference body
+        def reference_solve(v, y, eta, out=None):
+            return reference_simplex_projection(
+                np.asarray(y, dtype=float) - eta * np.asarray(v, dtype=float))
+
         def reference_prox_map(g_kind, H_kind):
-            return dataclasses.replace(
-                make_prox_map(g_kind, H_kind),
-                solve=lambda v, y, eta: reference_simplex_projection(
-                    np.asarray(y, dtype=float)
-                    - eta * np.asarray(v, dtype=float)))
+            return dataclasses.replace(make_prox_map(g_kind, H_kind),
+                                       solve=reference_solve)
 
         got = run_experiment(spec)
         monkeypatch.setattr(experiments, "make_prox_map", reference_prox_map)

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from bregprox import (check_three_point, least_squares, negative_entropy,
                       probability_simplex, shifted_quadratic,
                       squared_euclidean)
+from bregprox import functions
 from bregprox.bregman import (DISTANCES, half_squared_distance,
                               reference_distance)
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
@@ -369,15 +370,21 @@ class TestReroutedOracles:
         stepper = least_squares(A, b).stepper(x)
         assert stepper.A is A
         same_bits(stepper.rs[0], matvec(A, x) - b)
-        # with no slack, may_stop(0, tol) is r . r / 2 <= tol: true at
-        # np.dot's value and false just below it only where they are equal
-        stepper.slack, stepper.floor = 1.0, 0.0
+        # with no slack (eps and tiny taken as 0), may_stop() for f* = 0 and
+        # tol is r . r / 2 <= tol: true at np.dot's value and false just
+        # below it only where they are equal
+        def may_stop(tol):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(functions, "EPS", 0.0)
+                patch.setattr(functions, "SMALLEST_NORMAL", 0.0)
+                return stepper.stop_test(0.0, tol)()
+
         for _ in range(3):
             res = stepper.rs[stepper.j]
             same_bits(stepper.grad(), matvec(A.T, res))
             half = 0.5 * np.dot(res, res)
-            assert stepper.may_stop(0.0, half)
-            assert not stepper.may_stop(0.0, np.nextafter(half, -np.inf))
+            assert may_stop(half)
+            assert not may_stop(np.nextafter(half, -np.inf))
             cand = x + r.standard_normal(n)
             stepper.propose(cand)
             same_bits(stepper.ads[stepper.j], matvec(A, cand - x))
@@ -461,7 +468,8 @@ WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
            "np.min", "np.all", "np.any", "np.flatnonzero", "np.dot",
            "np.matmul"}
 # the module-level definitions (functions, classes with their methods,
-# assigned names) that hold that code, closures included
+# assigned names) that hold that code, closures included: the steppers'
+# may_stop predicates are closures of their stop_test methods
 PER_STEP = {
     "prox.py": {"soft_threshold", "simplex_projection", "_simplex_threshold",
                 "_threshold_sorted", "project_simplex", "entropic_update",
@@ -508,6 +516,9 @@ def test_per_step_code_calls_no_numpy_wrapper():
     assert defined == {(name, owner) for name, owners in PER_STEP.items()
                        for owner in owners}
     assert {fn.__name__ for fn in _REGISTRY.values()} <= PER_STEP["prox.py"]
+    assert {"OracleStepper", "ResidualStepper"} <= PER_STEP["functions.py"]
+    assert all(callable(getattr(functions, name).stop_test)
+               for name in ("OracleStepper", "ResidualStepper"))
     assert not found, f"call numpy's C entry points: {sorted(found)}"
 
 
@@ -581,11 +592,16 @@ def is_step_check(node):
 
 def is_forward_step(node):
     """A subtraction whose right operand multiplies a step (a name starting
-    with "eta"): y - eta * v."""
-    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
-        and isinstance(node.right, ast.BinOp) \
-        and isinstance(node.right.op, ast.Mult) \
-        and (names_a_step(node.right.left) or names_a_step(node.right.right))
+    with "eta"): y - eta * v, or np.subtract(y, eta * v, ...)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        right = node.right
+    elif isinstance(node, ast.Call) and len(node.args) >= 2 \
+            and ast.unparse(node.func) == "np.subtract":
+        right = node.args[1]
+    else:
+        return False
+    return isinstance(right, ast.BinOp) and isinstance(right.op, ast.Mult) \
+        and (names_a_step(right.left) or names_a_step(right.right))
 
 
 def is_tiny_literal(node):
@@ -652,6 +668,8 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         "        abs(x.sum() - 1.0) <= SIMPLEX_SUM_TOL\n\n"
         "def shrink(v, y, eta_k):\n"
         "    return y - v * eta_k\n\n"
+        "def into(v, y, eta, out):\n"
+        "    return np.subtract(y, eta * v, out=out), np.subtract(y, v)\n\n"
         "def mirror(v, y, eta):\n"
         "    # an exponent, a scaled distance and an unscaled step are not it\n"
         "    return y * np.exp(-eta * v), 0.5 * eta * (y - v) @ (y - v), \\\n"
@@ -673,6 +691,7 @@ def test_the_guard_sees_a_second_coding(tmp_path):
         ("second.py", "check", "step check"),
         ("second.py", "scale", "step check"),
         ("second.py", "shrink", "forward step"),
+        ("second.py", "into", "forward step"),
         ("second.py", "interior", "tiny literal"),
         ("second.py", "normal", "tiny")}
 

@@ -36,7 +36,7 @@ from bregprox import (
     verify_theorem2_equivalence,
     zero_function,
 )
-from bregprox import solvers
+from bregprox import functions, solvers
 from bregprox.experiments import build_simplex_ls, variant_configs
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 ResidualStepper, pass_plan)
@@ -58,15 +58,16 @@ def simplex_ls_problem(m, n, seed):
                             g=simplex_indicator(n))
 
 
-def at_one_blas_thread(code):
+def at_blas_threads(code, threads=1):
     """The Python value that ``code`` prints, run in a new interpreter whose
-    BLAS runs on one thread, with src and this directory on its path."""
+    BLAS runs on ``threads`` threads, with src and this directory on its
+    path."""
     here = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(here.parent / "src"), str(here)])}
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                  "MKL_NUM_THREADS"):
-        env[name] = "1"
+        env[name] = str(threads)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert done.returncode == 0, done.stderr
@@ -475,7 +476,7 @@ class TestRunSolver:
     def test_a_planned_pass_reads_each_row_once(self):
         # A d in blocks still reads m rows a candidate, at one BLAS thread,
         # where the 333x777 pass plan holds 2 blocks
-        runs = at_one_blas_thread(
+        runs = at_blas_threads(
             "from test_solvers import rows_read\n"
             "print([rows_read(333, 777, H) for H in ('quadratic', "
             "'entropy')])")
@@ -584,7 +585,7 @@ class TestRunSolver:
                 # A = 0, x0 = 0 and b = -res carry the residual res exactly
                 stepper = ResidualStepper(np.zeros((m, 1)), -res,
                                           np.zeros(1))
-                assert stepper.may_stop(f_star, tol) \
+                assert stepper.stop_test(f_star, tol)() \
                     or not f - f_star <= tol
 
     @pytest.mark.parametrize("H_kind", ["quadratic", "entropy"])
@@ -806,12 +807,47 @@ class TestPassPlan:
     def test_planned_passes_keep_the_bits_at_one_blas_thread(self):
         # the default thread count threads the one call at 500x1000 with
         # other bits, so the plan is off there; at one thread it is on
-        got = at_one_blas_thread(
+        threads, got = at_blas_threads(
             "from test_solvers import planned_proposals\n"
-            "print([planned_proposals(m, n) for m, n in "
-            "((500, 1000), (1000, 500), (333, 777))])")
+            "from bregprox.functions import blas_threads\n"
+            "print((blas_threads(), [planned_proposals(m, n) for m, n in "
+            "((500, 1000), (1000, 500), (333, 777))]))")
+        assert threads == 1
         assert [same for _, same in got] == [True] * 3
         assert min(blocks for blocks, _ in got) >= 2
+
+    def test_two_blas_threads_keep_one_call_where_gemv_threads(self):
+        # from GEMV_THREADED_ENTRIES on, OpenBLAS runs the one call on both
+        # threads, faster than the blocks on one: 1000x500 and 1000x1000,
+        # where the probe finds the blocks' bits, keep one call, and
+        # 333x777, below the threshold, keeps its blocks
+        threads, plans = at_blas_threads(
+            "import numpy as np\n"
+            "from bregprox.functions import blas_threads, pass_plan\n"
+            "r = np.random.Generator(np.random.Philox(3))\n"
+            "print((blas_threads(), [len(pass_plan(r.standard_normal(s)) "
+            "or ()) for s in ((1000, 500), (1000, 1000), (333, 777))]))",
+            threads=2)
+        assert threads == 2
+        assert plans == [0, 0, 2]
+
+    def test_an_unknown_thread_count_keeps_one_call(self, monkeypatch):
+        # with no count to read, a size that OpenBLAS may thread keeps one
+        # call; below it the plan does not depend on the count
+        monkeypatch.setattr(functions, "blas_threads", lambda: None)
+        r = rng(5)
+        assert pass_plan(r.standard_normal((1000, 500))) is None
+        assert len(pass_plan(r.standard_normal((333, 777)))) == 2
+
+    def test_the_thread_count_is_read_from_the_library_once(self):
+        # a later change of the environment variable changes nothing
+        assert at_blas_threads(
+            "import os\n"
+            "from bregprox.functions import blas_threads\n"
+            "first = blas_threads()\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "print((first, blas_threads(), "
+            "blas_threads.cache_info().misses))") == (1, 1, 1)
 
     @pytest.mark.parametrize("shape, order", [
         ((50, 100), "C"),  # the desk problem: one block
@@ -888,7 +924,7 @@ class TestTheorem2Equivalence:
         pm = make_prox_map("simplex", "entropy")
         calls = [0]
 
-        def off_once(v, y, eta):
+        def off_once(v, y, eta, out=None):
             calls[0] += 1
             x = pm.solve(v, y, eta)
             return 0.99 * x + 1e-3 if calls[0] == 3 else x
@@ -903,7 +939,7 @@ class TestTheorem2Equivalence:
         p = simplex_ls_problem(8, 10, seed=17)
         pm = make_prox_map("simplex", "entropy")
 
-        def zeroed(v, y, eta):
+        def zeroed(v, y, eta, out=None):
             x = pm.solve(v, y, eta)
             x[0] = 0.0
             return x / np.sum(x)
@@ -990,8 +1026,8 @@ class TestColumnarTrace:
         k_tol = small.traces["pga-constant"].iters_to_tol
         calls = [0]
 
-        def off_once(v, y, eta):
-            x = project_simplex(v, y, eta)
+        def off_once(v, y, eta, out=None):
+            x = project_simplex(v, y, eta, out)
             calls[0] += 1
             if calls[0] == k_tol:
                 x[np.argmax(x)] += 1e-8
@@ -1290,3 +1326,118 @@ class TestIterateMemory:
         matrix, block = (steps + 1) * n * 8, (FLUSH_ENTRIES // n + 1) * n * 8
         assert matrix <= peaks[True] <= matrix + peaks[False] + 3 * block
         assert peaks[False] < matrix / 10
+
+
+# each variant's generator and whether it searches its step
+RING_VARIANTS = {"pga-constant": ("quadratic", False),
+                 "pga-linesearch": ("quadratic", True),
+                 "mirror-constant": ("entropy", False),
+                 "mirror-linesearch": ("entropy", True)}
+
+
+class TestRingWrites:
+    """The prox map writes each candidate into the iterate ring's row for
+    its step, and a completed block's last row moves to row 0 with the
+    anchor: no block size, and no block completed early, changes a bit."""
+
+    # blocks of 1, 2 and 81 steps at 50x100
+    SIZES = (100, 200, FLUSH_ENTRIES)
+
+    def runs(self, monkeypatch, variant, fail_at=None, **fields):
+        """The desk run of ``variant`` (50x100, seed 42, F* taken as 0) at
+        each block size: its trace, a failure's partial trace, and the
+        steps its stepper flushed per block.  From step ``fail_at`` on,
+        D_f reads 1e300, so that step exhausts the line search."""
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=42))
+        p = dataclasses.replace(base, optimum_oracle=(base.f.b, 0.0))
+        H_kind, line_search = RING_VARIANTS[variant]
+        H = squared_euclidean(100) if H_kind == "quadratic" \
+            else negative_entropy(100)
+        cfg = SolverConfig(
+            eta0=100.0 if line_search else 1 / base.f.lipschitz_grad,
+            line_search_enabled=line_search, keep_iterates=True, **fields)
+        stepper = ResidualStepper
+        accept, distance, flush = \
+            stepper.accept, stepper.distance, stepper.flush
+        accepted, flushed = [], []
+
+        def counted_accept(self):
+            accepted.append(1)
+            accept(self)
+
+        def failing_distance(self):
+            late = fail_at is not None and len(accepted) + 1 >= fail_at
+            return 1e300 if late else distance(self)
+
+        def counted_flush(self, xs):
+            flushed.append(self.j)
+            return flush(self, xs)
+
+        monkeypatch.setattr(stepper, "accept", counted_accept)
+        monkeypatch.setattr(stepper, "distance", failing_distance)
+        monkeypatch.setattr(stepper, "flush", counted_flush)
+        runs = []
+        for size in self.SIZES:
+            monkeypatch.setattr(functions, "FLUSH_ENTRIES", size)
+            accepted.clear()
+            flushed.clear()
+            try:
+                trace = run_solver(p, H, make_prox_map("simplex", H_kind),
+                                   np.full(100, 0.01), cfg)
+            except SolverFailure as exc:
+                trace = exc.partial_trace
+            runs.append((trace, list(flushed)))
+        assert [max(f) for _, f in runs][:2] == [1, 2]
+        return runs
+
+    @staticmethod
+    def assert_same_bytes(traces):
+        first = traces[0]
+        for trace in traces[1:]:
+            for name in ("objective", "eta", "backtracks", "d_hk", "x",
+                         "xs"):
+                a, b = getattr(first, name), getattr(trace, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                    name
+            assert trace.stop_reason == first.stop_reason
+            assert trace.hypothesis_held is first.hypothesis_held
+
+    @pytest.mark.parametrize("variant", RING_VARIANTS)
+    def test_block_size_changes_no_bit(self, monkeypatch, variant):
+        runs = self.runs(monkeypatch, variant, max_iters=170)
+        self.assert_same_bytes([trace for trace, _ in runs])
+        assert [len(f) for _, f in runs] == [170, 85, 3]
+
+    @pytest.mark.parametrize("variant", RING_VARIANTS)
+    def test_a_block_completed_early_changes_no_bit(self, monkeypatch,
+                                                   variant):
+        # a tolerance one ulp below F(x_5) - F*: the stepper's slack cannot
+        # rule a stop out at step 5, so its block completes there, the run
+        # goes on, and it stops at step 6, whose F is lower
+        full = self.runs(monkeypatch, variant, max_iters=10)[0][0]
+        tol = np.nextafter(full.objective[5], -np.inf)
+        runs = self.runs(monkeypatch, variant, max_iters=170, tolerance=tol)
+        self.assert_same_bytes([trace for trace, _ in runs])
+        assert runs[0][0].iters_to_tol == 6
+        assert [f for _, f in runs] == [[1] * 6, [2, 2, 1, 1], [5, 1]]
+        assert runs[0][0].xs.tobytes() == full.xs[:7].tobytes()
+
+    @pytest.mark.parametrize("variant", ["pga-linesearch",
+                                         "mirror-linesearch"])
+    def test_a_failure_mid_block_keeps_only_accepted_iterates(
+            self, monkeypatch, variant):
+        # every candidate of step 6 is rejected: the partial trace ends at
+        # step 5, and the rejected candidates written into the ring after
+        # its iterates are not among them
+        full = self.runs(monkeypatch, variant, max_iters=10)[0][0]
+        runs = self.runs(monkeypatch, variant, fail_at=6, max_iters=170)
+        traces = [trace for trace, _ in runs]
+        self.assert_same_bytes(traces)
+        partial = traces[0]
+        assert partial.stop_reason == \
+            "backtracking budget exhausted at iteration 6"
+        assert len(partial.objective) == 6
+        assert partial.xs.tobytes() == full.xs[:6].tobytes()
+        assert partial.x.tobytes() == full.xs[5].tobytes()
+        assert [f for _, f in runs] == [[1] * 5, [2, 2, 1], [5]]
