@@ -142,7 +142,6 @@ def cmd_run_lasso(args) -> int:
         raise ContractViolation("dimension must be positive")
     rng = np.random.Generator(np.random.Philox(args.seed))
     b, x0 = rng.standard_normal(args.dim), rng.standard_normal(args.dim)
-    pm = make_prox_map("l1", "quadratic")
     H = squared_euclidean(args.dim)
     # a tiny gamma or step overflows f(x0) = ||x0 - b||^2 / (2 gamma), F*,
     # D_f or D_H / eta: every printed value is computed first, so such a
@@ -154,7 +153,7 @@ def cmd_run_lasso(args) -> int:
             eta = args.gamma * args.eta_ratio
             check_step(args.eta_ratio, "--eta-ratio")
             check_step(eta, "the step gamma * eta-ratio")
-            trace = run_solver(p, H, pm, x0,
+            trace = run_solver(p, H, make_prox_map(p.g.kind, H.kind), x0,
                                SolverConfig(eta0=eta, max_iters=1))
             gap = trace.objective[-1] - f_star
             cert = certify_trace(p, H, trace)

@@ -248,7 +248,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # fails before any solver work, not after variants have finished
     configs = variant_configs(spec, gamma, tol)
     for variant, (H, cfg) in configs.items():
-        pm = make_prox_map("simplex", H.kind)
+        pm = make_prox_map(problem.g.kind, H.kind)
         try:
             trace = run_solver(problem, H, pm, x0, cfg)
         except BregProxError as exc:

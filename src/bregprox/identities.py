@@ -31,13 +31,8 @@ from .bregman import (
     squared_euclidean,
 )
 from .errors import ContractViolation
-from .functions import (
-    CompositeProblem,
-    Vector,
-    estimate_spectral_norm,
-    least_squares,
-    simplex_indicator,
-)
+from .experiments import ExperimentSpec, build_simplex_ls
+from .functions import Vector
 from .prox import make_prox_map, prox_objective, verify_prox_optimality
 from .solvers import gppa_objective
 
@@ -127,26 +122,19 @@ def nonnegativity_suite(samples: int, seed: int,
     return [_result("bregman_nonnegativity", worst, 1e-12)]
 
 
-def _offset_problem(seed: int) -> CompositeProblem:
-    rng = np.random.Generator(np.random.Philox(seed))
-    A = rng.standard_normal((8, 6))
-    b = rng.standard_normal(8)
-    f = least_squares(A, b, lipschitz=estimate_spectral_norm(A))
-    return CompositeProblem(f=f, g=simplex_indicator(6))
-
-
 def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:
     """Spread of [F(x) + D_h(x, x_k)] minus the proximal gradient objective
-    over a stack of random x; the difference must be constant in x."""
+    over a stack of random x; the difference must be constant in x.  The
+    problem is run-simplex's least squares over the simplex at 8x6."""
     rng = np.random.Generator(np.random.Philox(seed + 1))
-    p = _offset_problem(seed)
+    p = build_simplex_ls(ExperimentSpec("offset", 8, 6, seed))
     n = p.f.dimension
     H = squared_euclidean(n)
     eta = 0.5 / p.f.lipschitz_grad
     h = composite_generator(H, p.f, eta)
     x_k = sample_feasible(p.g.kind, n, rng)
     v = np.asarray(p.f.grad(x_k))
-    pm = make_prox_map("simplex", "quadratic")
+    pm = make_prox_map(p.g.kind, H.kind)
     x = sample_feasible(p.g.kind, n, rng, (min(samples, BLOCK_ROWS),))
     offsets = gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
     spread = float(np.std(offsets))

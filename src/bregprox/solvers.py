@@ -163,9 +163,10 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     the run stops if that F meets the tolerance; the stepper's
     ``stop_test`` fixes that predicate's bound once per run.  A line-search
     step below the smallest normal float is never tried, and a candidate
-    whose eta max |v_i| overflows counts as a rejection without being
-    formed.  Without ``cfg.keep_iterates`` the run holds one block of
-    iterates and no more: the trace keeps x0 and the final point.
+    whose step overflows (eta max |v_i|, or the mirror step's shift
+    eta max v - eta min v) counts as a rejection without being formed.
+    Without ``cfg.keep_iterates`` the run holds one block of iterates and
+    no more: the trace keeps x0 and the final point.
 
     The prox map writes each candidate straight into the iterate ring (its
     ``out``).  Under a constant step the loop records only the clock, and
@@ -224,7 +225,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         under a constant step, D_f, d_hk and its test D_{h_k} >= 0, one
         stacked call each, which give the bits of the calls on each row.
         The line search tested its d_hk in the loop and reads no D_f here."""
-        nonlocal lo, held
+        nonlocal lo, held, x
         block, lo = xs[:len(ms) - lo + 1], len(ms)
         if kept is not None:
             kept.resize((lo, x.size), refcheck=False)
@@ -238,7 +239,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         # f + 0.0 keeps f's bits, and a stacked g equals its row calls
         objective.append(smooth.flush(block) + p.g.value(block[1:]))
         xs[0] = block[-1]
-        smooth.x = xs[0]
+        smooth.x = x = xs[0]
 
     def build(stop_reason: str) -> IterationTrace:
         if lo < len(ms):
@@ -263,18 +264,25 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     # meets the tolerance only where f does
     may_stop = smooth.stop_test(f_star, tol) if early_stop else None
     record, tick, clock = steps.append, ms.append, time.perf_counter
-    eta, reach = cfg.eta0, 0.0
+    eta, up, down, mirror = cfg.eta0, 0.0, 0.0, H.kind == "entropy"
     for k in range(1, cfg.max_iters + 1):
         v, row = grad(), xs[k - lo + 1]
         if line_search:
-            # a candidate with eta max |v_i| past the largest float is not
-            # formed (y - eta v or -eta v would overflow): it is rejected.
-            # For finite v that takes eta > 1, so a step starting at
-            # eta <= 1 skips the reduction
-            reach = float(np.maximum.reduce(np.abs(v))) if eta > 1.0 else 0.0
+            # a candidate whose step would overflow is rejected unformed:
+            # y - eta v and -eta v overflow only where eta max |v_i| does,
+            # which takes eta > 1 for finite v; the mirror step's shift
+            # -eta v - max(-eta v) spans eta max v - eta min v (over all of
+            # v, a bound on its span over supp(y)), which takes eta > 1/2.
+            # A step starting at or below its map's bound skips the reductions
+            up = down = 0.0
+            if mirror and eta > 0.5:
+                up = float(np.maximum.reduce(v))
+                down = -float(np.minimum.reduce(v))
+            elif eta > 1.0:
+                up = float(np.maximum.reduce(np.abs(v)))
         backtracks = 0
         while True:
-            if eta * reach < np.inf:
+            if eta * up + eta * down < np.inf:
                 cand = solve(v, x, eta, row)
                 if cand is not row:  # a map that ignored ``out``
                     row[...] = cand
@@ -300,7 +308,6 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         tick((clock() - start) * 1e3)
         if k - lo + 1 == rows or (early_stop and may_stop()):
             complete()
-            x = xs[0]
             if early_stop and objective[-1][-1] - f_star <= tol:
                 return build("tolerance")
     return build("max_iters")

@@ -158,6 +158,24 @@ class TestRunSimplex:
             CSV_HEADER + "\n" + first + "1,2,0,8.9533825425871633e+307,11,"
             "0,0.5,2.7922407962673753e-309,0\n")
 
+    @pytest.mark.parametrize("argv", [
+        "--cols 7 --seed 0 --alpha 1e-300 --max-iters 1 --ref-iters 0",
+        "--cols 50 --seed 42 --alpha 1e-307 --max-iters 20 --ref-iters 3",
+        "--cols 7 --seed 1 --alpha 1e-300 --max-iters 1 --ref-iters 3"])
+    def test_overflowing_mirror_shift_is_never_formed(self, tmp_path, capsys,
+                                                      argv):
+        # the mirror step shifts -eta v by its maximum, a span of
+        # eta max v - eta min v: up to twice the eta max |v_i| that the
+        # gate bounded, so these runs printed "overflow encountered in
+        # subtract".  The gate now bounds the span
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["run-simplex", "--rows", "1", "--eta0", "1e308",
+                        *argv.split(), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "mirror-linesearch.csv").is_file()
+
     @pytest.mark.parametrize("flag, message", [
         ("--eta0", "eta0 = 1e-310 is below the smallest normal float, the "
                    "smallest step a line search tries"),

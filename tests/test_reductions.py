@@ -874,6 +874,61 @@ def test_the_guard_sees_a_random_draw(tmp_path):
         ("draws.py", "sample", "random.random")}
 
 
+# One seeded least-squares builder, and prox maps named by the kinds they
+# serve: experiments.build_simplex_ls is the one caller of least_squares,
+# the offset suite included, and every make_prox_map call passes the kinds
+# of its problem's g and generator H (p.g.kind, H.kind), the pair that
+# run_solver checks the map against.  The prox-optimality suite alone
+# names its pairs, since it draws inputs for each registered one.
+def builder_and_prox_map_sites(src=SRC):
+    """(file, enclosing function or "<module>", what) of every call in
+    ``src`` of least_squares, and of every make_prox_map call whose two
+    arguments are not both attributes named ``kind``."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = ast.unparse(node.func).rsplit(".", 1)[-1]
+        if callee == "least_squares":
+            found.add((name, owner, "least_squares"))
+        elif callee == "make_prox_map":
+            kinds = [*node.args, *(kw.value for kw in node.keywords)]
+            if len(kinds) != 2 or not all(
+                    isinstance(k, ast.Attribute) and k.attr == "kind"
+                    for k in kinds):
+                found.add((name, owner, "prox map not by kinds"))
+    return found
+
+
+def test_one_builder_and_prox_maps_by_kind():
+    assert builder_and_prox_map_sites() == {
+        ("experiments.py", "build_simplex_ls", "least_squares"),
+        ("identities.py", "prox_optimality_suite", "prox map not by kinds")}
+
+
+def test_the_guard_sees_a_second_builder_and_a_named_pair(tmp_path):
+    (tmp_path / "second.py").write_text(
+        "import numpy as np\n"
+        "from . import functions\n"
+        "from .functions import least_squares\n"
+        "from .prox import make_prox_map\n\n"
+        "def offset_problem(rng):\n"
+        "    A = rng.standard_normal((8, 6))\n"
+        "    return functions.least_squares(A, np.ones(8))\n\n"
+        "def solve(p, H, g_kind):\n"
+        "    by_kind = make_prox_map(p.g.kind, H.kind)\n"
+        "    by_keyword = make_prox_map(g_kind=p.g.kind, H_kind=H.kind)\n"
+        "    return by_kind, by_keyword, make_prox_map('simplex', H.kind)\n\n"
+        "def lasso(b):\n"
+        "    return make_prox_map(g_kind='l1', H_kind='quadratic'), \\\n"
+        "        make_prox_map(kind_of(b), H.kind), least_squares(b, b)\n")
+    assert builder_and_prox_map_sites(tmp_path) == {
+        ("second.py", "offset_problem", "least_squares"),
+        ("second.py", "solve", "prox map not by kinds"),
+        ("second.py", "lasso", "prox map not by kinds"),
+        ("second.py", "lasso", "least_squares")}
+
+
 # Code that nothing calls is deleted.  A module-level def or class that no
 # module of the package (past its own definition and __init__'s export)
 # and no perfbench file names is public library API, kept for users:

@@ -769,6 +769,30 @@ class TestRunSolver:
         assert trace.d_hk[1] == -np.inf
         assert not trace.hypothesis_held
 
+    def test_overflowing_mirror_shift_is_rejected_unformed(self):
+        # at eta = 0.95 no eta |v_i| overflows (|v_i| = 9.6e307), but the
+        # mirror step's shift spans eta max v - eta min v = 1.83e308: the
+        # map printed "overflow encountered in subtract" on that candidate.
+        # Steps from eta = 1/2 down cannot overflow the span, so the first
+        # candidate formed is eta = 0.475's
+        a = 7.4e153
+        p = CompositeProblem(least_squares(np.array([[a, -a]]),
+                                           np.array([1.3e154])),
+                             simplex_indicator(2))
+        H = negative_entropy(2)
+        pm = make_prox_map(p.g.kind, H.kind)
+        etas = []
+
+        def solve(v, y, eta, out=None):
+            etas.append(eta)
+            return pm.solve(v, y, eta, out)
+
+        with pytest.raises(SolverFailure, match="budget exhausted"):
+            run_solver(p, H, dataclasses.replace(pm, solve=solve),
+                       np.full(2, 0.5), SolverConfig(
+                           eta0=0.95, line_search_enabled=True, max_iters=1))
+        assert etas[0] == 0.475 and max(etas) == 0.475
+
     def test_tolerance_needs_an_optimum_oracle(self):
         # with no optimum to stop on, the tolerance was ignored without a
         # word and all 50 steps ran
