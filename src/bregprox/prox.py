@@ -65,7 +65,7 @@ def simplex_projection(z: Vector, out: Optional[Vector] = None) -> Vector:
         # max(z) = 0.  An entry the shift takes below -FLOAT_MAX is -inf and
         # projects to 0, and prefix sums that overflow are dropped
         with np.errstate(over="ignore"):
-            x = _simplex_threshold(z - np.maximum.reduce(z), np.inf, out)
+            x = _simplex_threshold(z - z.item(z.argmax()), np.inf, out)
         if x is None:
             raise NumericalFailure(
                 "cannot project a non-finite point onto the simplex")
@@ -158,19 +158,20 @@ def entropic_update(v: Vector, y: Vector, eta: float,
     """
     check_step(eta)
     y = np.asarray(y, dtype=float)
-    y_min = np.minimum.reduce(y)
+    y_min = y.item(y.argmin())
     if y_min < 0.0:
         raise DomainError("mirror step undefined for negative components")
     x = np.multiply(-eta, np.asarray(v, dtype=float), out=out)
     if not y_min > 0.0:
         np.copyto(x, -np.inf, where=np.logical_not(y > 0.0))
-    x -= np.maximum.reduce(x)
+    x -= x.item(x.argmax())
     np.multiply(np.exp(x, out=x), y, out=x)  # y exp(x - max x), in place
     x /= np.add.reduce(x)
     # subnormal entries weigh nothing in any sum, but as operands they make
     # every later matvec several times slower; they become exact zeros,
-    # which stay zero
-    x[x < SMALLEST_NORMAL] = 0.0
+    # which stay zero.  A step with none, and no NaN, skips the store
+    if not x.item(x.argmin()) >= SMALLEST_NORMAL:
+        x[x < SMALLEST_NORMAL] = 0.0
     return x
 
 

@@ -179,7 +179,9 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     x = np.asarray(x0, dtype=float)
     if not H.domain.interior(x):
         raise ContractViolation("x0 must be interior to the generator domain")
-    obj0 = evaluate_composite(p, x)
+    # an overflowed f(x0) is refused below, unwarned; over="raise" holds
+    with np.errstate(over="ignore" if np.geterr()["over"] == "warn" else None):
+        obj0 = evaluate_composite(p, x)
     if not np.isfinite(obj0):
         raise ContractViolation("x0 must have finite objective")
 
@@ -273,13 +275,12 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
             # which takes eta > 1 for finite v; the mirror step's shift
             # -eta v - max(-eta v) spans eta max v - eta min v (over all of
             # v, a bound on its span over supp(y)), which takes eta > 1/2.
-            # A step starting at or below its map's bound skips the reductions
+            # A step starting at or below its map's bound reads no extremum
             up = down = 0.0
             if mirror and eta > 0.5:
-                up = float(np.maximum.reduce(v))
-                down = -float(np.minimum.reduce(v))
-            elif eta > 1.0:
-                up = float(np.maximum.reduce(np.abs(v)))
+                up, down = v.item(v.argmax()), -v.item(v.argmin())
+            elif eta > 1.0:  # max |v_i|
+                up = max(v.item(v.argmax()), -v.item(v.argmin()))
         backtracks = 0
         while True:
             if eta * up + eta * down < np.inf:

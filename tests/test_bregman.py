@@ -146,6 +146,27 @@ class TestKlBits:
         assert got.tobytes() == np.array(
             [kl_divergence(a, b) for a, b in zip(x, y)]).tobytes()
 
+    @pytest.mark.parametrize("x, y", [
+        # min t exactly -0.5, and just above it
+        ([0.5, 1.0, 2.0], [1.0, 1.0, 1.0]),
+        ([0.5000000000000001, 1.0, 2.0], [1.0, 1.0, 1.0]),
+        # a NaN in t, through y and through x; x's signed zeros
+        ([0.5, 0.25, 0.25], [np.nan, 0.5, 0.5]),
+        ([np.nan, 0.5, 0.5], [0.5, 0.25, 0.25]),
+        ([-0.0, 0.0, 1.0], [0.25, 0.25, 0.5]),
+        # empty: a vector and a stack of no rows
+        (np.empty(0), np.empty(0)),
+        (np.empty((0, 3)), np.empty((0, 3))),
+    ], ids=["t-at-half", "t-above-half", "nan-in-y", "nan-in-x",
+            "signed-zeros", "empty", "empty-stack"])
+    def test_argmin_tests_keep_their_bits(self, x, y):
+        # the minima of x and of t decide the fast paths by argmin, where
+        # the reference takes none of them
+        x, y = np.array(x), np.array(y)
+        got, want = kl_divergence(x, y), reference_kl_divergence(x, y)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_zeros_of_y_under_zeros_of_x_keep_their_bits(self):
         # mirror iterates hold exact zeros that stay zero, so a distance
         # between two of them meets x = y = 0 entries

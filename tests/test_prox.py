@@ -379,6 +379,30 @@ class TestKernelBits:
         want = reference_entropic_update(v, y, 10.0 ** log_eta)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("v, y", [
+        # -eta v ties 0.0 and -0.0 at its maximum, in either order
+        ([0.0, -0.0, 1.0, 3.0], [0.25, 0.25, 0.25, 0.25]),
+        ([-0.0, 0.0, 2.0], [0.5, 0.25, 0.25]),
+        # zeros of y, of both signs, tie at its minimum
+        ([0.3, -1.2, 0.7, 2.0], [0.5, 0.0, 0.5, -0.0]),
+        ([1.0, 2.0], [-0.0, 1.0]),
+        # a tail of subnormal and underflowed entries, all flushed
+        ([0.0, 1.0, 720.0, 740.0, 760.0, 1e4], [1 / 6] * 6),
+        # an inf in y: inf / inf is NaN, and the -0.0 beside it is flushed
+        ([0.0, 1.0, 2.0], [np.inf, 0.5, 0.5]),
+        ([0.0, 1.0, 2.0], [np.inf, -0.0, 0.5]),
+    ], ids=["shift-tie", "shift-tie-reversed", "zeros", "signed-zero",
+            "flushed-tail", "inf", "inf-beside-minus-zero"])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_extrema_by_argmax_keep_their_bits(self, v, y, eta):
+        # entropic_update reads min y, max(-eta v) and, for its flush, the
+        # minimum of its output by argmin/argmax; the reference reduces
+        v, y = np.array(v), np.array(y)
+        with np.errstate(invalid="ignore"):
+            got = entropic_update(v, y, eta)
+            want = reference_entropic_update(v, y, eta)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestProjectionOverflow:
     """Finite input whose prefix sums overflow projects to a finite point:

@@ -459,14 +459,20 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
 
 
 # The code run per line-search candidate or per block of steps calls
-# numpy's C entry points: np.add.accumulate, ndarray.sort or argmax,
-# np.maximum.reduce, np.logical_and.reduce, ndarray.nonzero, ndarray.dot.
+# numpy's C entry points: np.add.accumulate, ndarray.sort,
+# np.logical_and.reduce, ndarray.nonzero, ndarray.dot, and for a whole
+# vector's maximum or minimum ndarray.argmax or argmin with ndarray.item.
 # The Python wrappers below cost 1-2 us a call at n = 100, as much as the
 # work; np.matmul and the @ operator (flagged as "@") cost 0.7-1.3 us more
 # than ndarray.dot per pass over A at 50x100, for the same BLAS call.
+# x.item(x.argmax()) takes 0.3 us at n = 100 and 0.4 us at n = 1,000,
+# against 0.9 and 1.0 us for np.maximum.reduce(x) or np.minimum.reduce(x),
+# so those two are flagged where they reduce a whole vector (no axis);
+# along an axis they are row_min's kernel (x86_64, numpy 2.4).
 WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
            "np.min", "np.all", "np.any", "np.flatnonzero", "np.dot",
            "np.matmul"}
+EXTREMA = {"np.maximum.reduce", "np.minimum.reduce"}
 # the module-level definitions (functions, classes with their methods,
 # assigned names) that hold that code, closures included: the steppers'
 # may_stop predicates are closures of their stop_test methods
@@ -490,10 +496,17 @@ def defined_name(node):
     return None
 
 
+def whole_vector_extremum(call):
+    """An EXTREMA call given no axis, by keyword or as its second
+    argument."""
+    return ast.unparse(call.func) in EXTREMA and len(call.args) < 2 \
+        and not any(kw.arg == "axis" for kw in call.keywords)
+
+
 def wrapper_calls(src=SRC, scope=PER_STEP):
-    """(file, definition, callee) of every WRAPPED call and every @ or @=
-    (callee "@") inside the definitions that ``scope`` names, and the names
-    it finds defined."""
+    """(file, definition, callee) of every WRAPPED call, every EXTREMA call
+    without an axis and every @ or @= (callee "@") inside the definitions
+    that ``scope`` names, and the names it finds defined."""
     found, defined = set(), set()
     for name, owners in scope.items():
         for node in ast.parse((src / name).read_text()).body:
@@ -503,7 +516,8 @@ def wrapper_calls(src=SRC, scope=PER_STEP):
             defined.add((name, owner))
             for call in ast.walk(node):
                 if isinstance(call, ast.Call) \
-                        and ast.unparse(call.func) in WRAPPED:
+                        and (ast.unparse(call.func) in WRAPPED
+                             or whole_vector_extremum(call)):
                     found.add((name, owner, ast.unparse(call.func)))
                 elif isinstance(call, (ast.BinOp, ast.AugAssign)) \
                         and isinstance(call.op, ast.MatMult):
@@ -549,11 +563,33 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
                      ("step.py", "run", "np.all"),
                      ("step.py", "run", "np.sort"),
                      ("step.py", "Stepper", "np.argmax"),
+                     ("step.py", "Stepper", "np.maximum.reduce"),
                      ("step.py", "Stepper", "np.matmul"),
                      ("step.py", "Stepper", "np.dot"),
                      ("step.py", "passes", "@")}
     assert defined == {("step.py", "VALUES"), ("step.py", "run"),
                        ("step.py", "Stepper"), ("step.py", "passes")}
+
+
+def test_the_guard_sees_a_whole_vector_extremum(tmp_path):
+    # a reduction over no axis or with an initial value is flagged; one
+    # along an axis, argmax with item and a call outside the scope are not
+    (tmp_path / "step.py").write_text(
+        "import numpy as np\n\n"
+        "def shift(x):\n"
+        "    return x - np.maximum.reduce(x)\n\n"
+        "def probe(m):\n"
+        "    return np.isnan(np.minimum.reduce(m, initial=0.0))\n\n"
+        "def rows(x):\n"
+        "    return np.minimum.reduce(x, axis=-1), np.maximum.reduce(x, 0)\n\n"
+        "def fast(x):\n"
+        "    return x.item(x.argmax()), x.item(x.argmin())\n\n"
+        "def setup(x):\n"
+        "    return np.maximum.reduce(x)\n")
+    found, _ = wrapper_calls(tmp_path, {
+        "step.py": {"shift", "probe", "rows", "fast"}})
+    assert found == {("step.py", "shift", "np.maximum.reduce"),
+                     ("step.py", "probe", "np.minimum.reduce")}
 
 
 # More rules and values with one coding each: the acceptance test

@@ -17,6 +17,7 @@ from bregprox import (
     ContractViolation,
     DomainError,
     ExperimentSpec,
+    SmoothFunction,
     SolverConfig,
     SolverFailure,
     build_lasso_onestep,
@@ -792,6 +793,68 @@ class TestRunSolver:
                        np.full(2, 0.5), SolverConfig(
                            eta0=0.95, line_search_enabled=True, max_iters=1))
         assert etas[0] == 0.475 and max(etas) == 0.475
+
+    @pytest.mark.parametrize("v", [
+        [0.0, -0.0, 1.0], [-0.0, 0.0], [-0.0, 1.7e308], [1e308, -1e308],
+        [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0],
+        [1.0, np.nan, -np.nan]], ids=[
+            "zero-tie-beside-one", "zero-tie", "huge", "huge-span", "inf",
+            "minus-inf", "both-infs", "nan", "nans"])
+    @pytest.mark.parametrize("H_kind, eta0", [
+        ("quadratic", 3.0), ("quadratic", 1e300), ("entropy", 0.75),
+        ("entropy", 3.0), ("entropy", 1e300)])
+    def test_overflow_gate_forms_what_the_reductions_allow(self, v, H_kind,
+                                                           eta0):
+        # the gate reads max v and min v (mirror) or max |v_i| by argmax and
+        # argmin, once per step; over a line search whose every candidate
+        # is rejected (D_f is inf), the map is called at just the steps the
+        # ufunc reductions' gate lets through.  Every eta0 starts above its
+        # map's bound, so no non-finite v reaches a map
+        v = np.array(v)
+        n = v.size
+        f = SmoothFunction(value=NONSMOOTH_VALUES["zero"], grad=lambda x: v,
+                           dimension=n, lipschitz_grad=None,
+                           distance=lambda x, y: np.inf)
+        p = CompositeProblem(f, simplex_indicator(n))
+        H = negative_entropy(n) if H_kind == "entropy" \
+            else squared_euclidean(n)
+        pm = make_prox_map(p.g.kind, H.kind)
+        formed = []
+
+        def solve(v, y, eta, out=None):
+            formed.append(eta)
+            return pm.solve(v, y, eta, out)
+
+        with pytest.raises(SolverFailure, match="budget exhausted"):
+            run_solver(p, H, dataclasses.replace(pm, solve=solve),
+                       np.full(n, 1.0 / n), SolverConfig(
+                           eta0=eta0, alpha=0.5, line_search_enabled=True,
+                           max_iters=1))
+        if H_kind == "entropy":
+            up = float(np.maximum.reduce(v))
+            down = -float(np.minimum.reduce(v))
+        else:
+            up, down = float(np.maximum.reduce(np.abs(v))), 0.0
+        steps = eta0 * 0.5 ** np.arange(solvers.MAX_BACKTRACKS + 1)
+        want = [eta for eta in steps.tolist()
+                if eta * up + eta * down < np.inf]
+        assert np.array(formed).tobytes() == np.array(want).tobytes()
+
+    def test_overflowing_start_is_refused_without_a_warning(self):
+        # f(x0) = (1.8e154)^2 / 2 overflows: the value oracle printed
+        # "overflow encountered in square" before this refusal (an error
+        # here, where warnings are errors); a caller's over="raise" holds
+        p = CompositeProblem(least_squares(np.array([[6e153, -6e153]]),
+                                           np.array([1.8e154])),
+                             simplex_indicator(2))
+        H = negative_entropy(2)
+        args = (p, H, make_prox_map(p.g.kind, H.kind), np.full(2, 0.5),
+                SolverConfig(eta0=0.5, max_iters=1))
+        with pytest.raises(ContractViolation,
+                           match="^x0 must have finite objective$"):
+            run_solver(*args)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            run_solver(*args)
 
     def test_tolerance_needs_an_optimum_oracle(self):
         # with no optimum to stop on, the tolerance was ignored without a
