@@ -63,21 +63,20 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     negative entropy: the log runs over supp(x) only, so the value is finite
     whenever y > 0 on supp(x), exact zeros of x included.
 
-    A stack is worked on as one flat vector.  The minimum of x finds full
-    support, and that of t = x / y - 1 finds every t above -0.5 (one argmin
-    each, see functions.row_min); the mask of supp(x) is formed only where
-    x has zeros, and the near ties that take the series are reached
-    through flat indices, so an input without zeros, t <= -0.5 or near
-    ties pays for none of their work."""
+    A stack is worked on as one flat vector.  One argmin finds that every
+    t = x / y - 1 exceeds -0.5 (README, "The extrema rule"), and the near
+    ties that take the series are reached through flat indices, so an
+    input without them pays for neither.  Support is found by a mask and a
+    count: that mask is needed wherever x has zeros."""
     shape = None
     if x.ndim > 1 or y.ndim > 1:
         if x.shape != y.shape:  # a vector against a stack is tiled
             x, y = np.broadcast_arrays(x, y)
         shape, x, y = x.shape, x.reshape(-1), y.reshape(-1)
-    if x.size and x.item(x.argmin()) > 0.0:
+    s = x > 0.0
+    if np.count_nonzero(s) == s.size:
         s, xs, ys = None, x, y
     else:
-        s = x > 0.0
         # off supp(x) the term is y_i; x = 2, y = 1 stand in there, so
         # nothing divides by 0 and t = 1 takes neither the series nor ln(x/y)
         xs, ys = np.where(s, x, 2.0), np.where(s, y, 1.0)

@@ -169,8 +169,10 @@ def entropic_update(v: Vector, y: Vector, eta: float,
     x /= np.add.reduce(x)
     # subnormal entries weigh nothing in any sum, but as operands they make
     # every later matvec several times slower; they become exact zeros,
-    # which stay zero.  A step with none, and no NaN, skips the store
-    if not x.item(x.argmin()) >= SMALLEST_NORMAL:
+    # which stay zero.  A step from a y without zeros whose output has no
+    # entry below the floor, nor a NaN, skips the store.  Extrema by
+    # argmin/argmax keep every bit: README "The extrema rule"
+    if not (y_min > 0.0 and x.item(x.argmin()) >= SMALLEST_NORMAL):
         x[x < SMALLEST_NORMAL] = 0.0
     return x
 

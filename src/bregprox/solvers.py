@@ -179,7 +179,8 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     x = np.asarray(x0, dtype=float)
     if not H.domain.interior(x):
         raise ContractViolation("x0 must be interior to the generator domain")
-    # an overflowed f(x0) is refused below, unwarned; over="raise" holds
+    # f(x0) warns of no overflow, and an overflowed value is refused below;
+    # a caller's over="raise" holds (README, Notes)
     with np.errstate(over="ignore" if np.geterr()["over"] == "warn" else None):
         obj0 = evaluate_composite(p, x)
     if not np.isfinite(obj0):

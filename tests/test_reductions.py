@@ -467,8 +467,9 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
 # than ndarray.dot per pass over A at 50x100, for the same BLAS call.
 # x.item(x.argmax()) takes 0.3 us at n = 100 and 0.4 us at n = 1,000,
 # against 0.9 and 1.0 us for np.maximum.reduce(x) or np.minimum.reduce(x),
-# so those two are flagged where they reduce a whole vector (no axis);
-# along an axis they are row_min's kernel (x86_64, numpy 2.4).
+# so those two are flagged where they reduce a whole vector (no axis, or
+# axis None); along an axis they are row_min's kernel (x86_64, numpy 2.4).
+# README "The extrema rule" says why the bits stay the same.
 WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
            "np.min", "np.all", "np.any", "np.flatnonzero", "np.dot",
            "np.matmul"}
@@ -497,10 +498,14 @@ def defined_name(node):
 
 
 def whole_vector_extremum(call):
-    """An EXTREMA call given no axis, by keyword or as its second
-    argument."""
-    return ast.unparse(call.func) in EXTREMA and len(call.args) < 2 \
-        and not any(kw.arg == "axis" for kw in call.keywords)
+    """An EXTREMA call whose axis, by keyword or as its second argument, is
+    missing or the literal None."""
+    if ast.unparse(call.func) not in EXTREMA:
+        return False
+    axis = [kw.value for kw in call.keywords if kw.arg == "axis"] \
+        + call.args[1:2]
+    return not axis or isinstance(axis[0], ast.Constant) \
+        and axis[0].value is None
 
 
 def wrapper_calls(src=SRC, scope=PER_STEP):
@@ -572,14 +577,19 @@ def test_the_guard_sees_a_numpy_wrapper(tmp_path):
 
 
 def test_the_guard_sees_a_whole_vector_extremum(tmp_path):
-    # a reduction over no axis or with an initial value is flagged; one
-    # along an axis, argmax with item and a call outside the scope are not
+    # a reduction over no axis, over axis None (by keyword or position) or
+    # with an initial value is flagged; one along an axis, argmax with item
+    # and a call outside the scope are not
     (tmp_path / "step.py").write_text(
         "import numpy as np\n\n"
         "def shift(x):\n"
         "    return x - np.maximum.reduce(x)\n\n"
         "def probe(m):\n"
         "    return np.isnan(np.minimum.reduce(m, initial=0.0))\n\n"
+        "def top(x):\n"
+        "    return np.maximum.reduce(x, axis=None)\n\n"
+        "def bottom(x):\n"
+        "    return np.minimum.reduce(x, None)\n\n"
         "def rows(x):\n"
         "    return np.minimum.reduce(x, axis=-1), np.maximum.reduce(x, 0)\n\n"
         "def fast(x):\n"
@@ -587,9 +597,11 @@ def test_the_guard_sees_a_whole_vector_extremum(tmp_path):
         "def setup(x):\n"
         "    return np.maximum.reduce(x)\n")
     found, _ = wrapper_calls(tmp_path, {
-        "step.py": {"shift", "probe", "rows", "fast"}})
+        "step.py": {"shift", "probe", "top", "bottom", "rows", "fast"}})
     assert found == {("step.py", "shift", "np.maximum.reduce"),
-                     ("step.py", "probe", "np.minimum.reduce")}
+                     ("step.py", "probe", "np.minimum.reduce"),
+                     ("step.py", "top", "np.maximum.reduce"),
+                     ("step.py", "bottom", "np.minimum.reduce")}
 
 
 # More rules and values with one coding each: the acceptance test
