@@ -89,11 +89,12 @@ def kl_divergence(x: Vector, y: Vector) -> float:
     # where a vector has such entries a third of the time, flat indices
     # cost more than the logs they save
     if not t.size or t.item(t.argmin()) > -0.5:
-        log_ratio = np.log1p(t)
+        term = np.log1p(t)
     else:
-        log_ratio = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
-                             np.log(xs / ys))
-    term = xs * log_ratio - d
+        term = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)),
+                        np.log(xs / ys))
+    term *= xs  # in place: xs is never NaN, so the product keeps its bits
+    term -= d
     # so where |t| < 1e-3 the term y ((1+t) ln(1+t) - t) comes from its
     # series instead, whose first omitted term is below 1e-16 relative
     i = (np.abs(t) < 1e-3).nonzero()[0]
@@ -128,8 +129,9 @@ def squared_euclidean(n: int) -> BregmanGenerator:
 def negative_entropy(n: int) -> BregmanGenerator:
     """H(x) = sum x_i ln x_i on the simplex, with 0 ln 0 = 0.
 
-    The value oracle is finite on the whole closed simplex; the gradient
-    (1 + ln x_i) exists only at strictly positive points.
+    The value oracle is finite on the whole closed simplex and masks zeros
+    only where the whole stack's minimum is not positive (README "The
+    extrema rule"); the gradient (1 + ln x_i) exists only where x > 0.
     """
     dom = probability_simplex(n)
 
@@ -137,8 +139,11 @@ def negative_entropy(n: int) -> BregmanGenerator:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (n,):
             return np.inf
-        s = x > 0.0
-        xlogx = np.where(s, x * np.log(np.where(s, x, 1.0)), 0.0)
+        if x.size and x.item(x.argmin()) > 0.0:
+            xlogx = x * np.log(x)
+        else:
+            s = x > 0.0
+            xlogx = np.where(s, x * np.log(np.where(s, x, 1.0)), 0.0)
         return per_row(np.where(on_simplex(x), row_sum(xlogx), np.inf))
 
     def grad(x):
@@ -161,11 +166,16 @@ def bregman_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
     and y in its interior; a stack is rejected if any row is not."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_arguments(h, x, y)
+    return per_row(h.distance(x, y))
+
+
+def _check_arguments(h: BregmanGenerator, x: Vector, *ys: Vector) -> None:
+    """DomainError unless x is in h's closed domain and each y interior."""
     if not h.domain.member(x):
         raise DomainError("first argument lies outside the closed domain")
-    if not h.domain.interior(y):
+    if not all(map(h.domain.interior, ys)):
         raise DomainError("second argument must be interior (gradient point)")
-    return per_row(h.distance(x, y))
 
 
 def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
@@ -222,15 +232,13 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction,
 
 def check_three_point(h: BregmanGenerator, a: Vector, b: Vector,
                       c: Vector) -> float:
-    """Residual of D_h(c,a) + D_h(a,b) - D_h(c,b) = <grad h(b) - grad h(a), c - a>."""
+    """Residual of D_h(c,a) + D_h(a,b) - D_h(c,b) = <grad h(b) - grad h(a), c - a>,
+    c in the closed domain and a, b interior, as bregman_distance tests."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    lhs = (
-        bregman_distance(h, c, a)
-        + bregman_distance(h, a, b)
-        - bregman_distance(h, c, b)
-    )
+    _check_arguments(h, c, a, b)
+    lhs = h.distance(c, a) + h.distance(a, b) - h.distance(c, b)
     rhs = row_sum((np.asarray(h.grad(b)) - np.asarray(h.grad(a))) * (c - a))
     return float(np.max(np.abs(lhs - rhs)))
 

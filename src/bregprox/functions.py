@@ -96,8 +96,13 @@ def row_min(x):
 
 def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     """Per row of x (the last axis is the vector): every entry >= floor and
-    the sum within SIMPLEX_SUM_TOL of 1."""
-    return (row_min(x) >= floor) & (abs(row_sum(x) - 1.0) <= SIMPLEX_SUM_TOL)
+    the sum within SIMPLEX_SUM_TOL of 1; each row's minimum is taken only
+    where the whole stack's misses the floor (README "The extrema rule")."""
+    x = np.asarray(x)
+    sums = abs(row_sum(x) - 1.0) <= SIMPLEX_SUM_TOL
+    if x.size and x.item(x.argmin()) >= floor:
+        return sums
+    return (row_min(x) >= floor) & sums
 
 
 def check_step(eta: float, name: str = "eta") -> None:

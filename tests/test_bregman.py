@@ -441,6 +441,32 @@ class TestThreePoint:
             a, b, c = (r.dirichlet(np.ones(5)) for _ in range(3))
             assert check_three_point(h, a, b, c) <= 1e-10
 
+    @pytest.mark.parametrize("rows", [None, 1, 4])
+    @pytest.mark.parametrize("faults", [
+        {"c"}, {"a"}, {"b"}, {"c", "a"}, {"c", "b"}, {"a", "b"},
+        {"c", "a", "b"}])
+    def test_domain_errors_are_the_distances(self, rows, faults):
+        # c off the simplex, a or b on its boundary: the error is the one
+        # the three bregman_distance calls of the identity raise, in their
+        # order, for a vector (rows None) and for one bad row of a stack
+        h = negative_entropy(3)
+        r = rng(19)
+        shape = (3,) if rows is None else (rows, 3)
+        a, b, c = (r.dirichlet(np.ones(3), size=shape[:-1]) for _ in range(3))
+        at = () if rows is None else (rows - 1,)
+        if "c" in faults:
+            c[at + (0,)] += 0.1
+        for name, p in (("a", a), ("b", b)):
+            if name in faults:
+                p[at] = [0.0, 0.5, 0.5]
+        with pytest.raises(DomainError) as want:
+            (bregman_distance(h, c, a), bregman_distance(h, a, b),
+             bregman_distance(h, c, b))
+        first = "first argument" if "c" in faults else "second argument"
+        with pytest.raises(DomainError, match=f"^{first}") as got:
+            check_three_point(h, a, b, c)
+        assert str(got.value) == str(want.value)
+
 
 class TestLinearity:
     def test_doubled_quadratic(self):

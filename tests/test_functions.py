@@ -27,13 +27,20 @@ from bregprox import (
     zero_function,
 )
 from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_MEMBER_MIN,
-                                SMALLEST_NORMAL, NonsmoothTerm,
-                                first_order_gap, on_simplex)
+                                SIMPLEX_SUM_TOL, SMALLEST_NORMAL,
+                                NonsmoothTerm, first_order_gap)
 from bregprox.prox import entropic_update, simplex_projection, soft_threshold
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def per_row_on_simplex(x, floor):
+    """The simplex test of each row from numpy's reductions of that row,
+    with no whole-stack minimum."""
+    return (np.minimum.reduce(x, axis=-1) >= floor) & \
+        (abs(np.add.reduce(x, axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
 
 
 def half_sq_norm(n):
@@ -98,8 +105,9 @@ class TestDomainMembership:
                ["boundary", "negative", "off_sum", "nan", "tiny"])))
     def test_whole_stack_min_gives_the_row_verdict(self, seed, rows, n,
                                                    faults):
-        # the stack is inside when every row is: one min over the whole
-        # stack must decide as the per-row test does, NaN rows included
+        # the stack is inside when every row is: on_simplex's min over the
+        # whole stack must decide as the per-row reductions do, NaN rows
+        # included
         r = rng(seed)
         x = r.dirichlet(np.ones(n), size=rows)
         picks = [r.integers(rows, size=r.integers(1, 3)) if rows else []
@@ -118,11 +126,14 @@ class TestDomainMembership:
                 x[at, j] = 1e-310
         domain = probability_simplex(n)
         assert domain.member(x) == bool(
-            on_simplex(x, SIMPLEX_MEMBER_MIN).all())
+            per_row_on_simplex(x, SIMPLEX_MEMBER_MIN).all())
         assert domain.interior(x) == bool(
-            on_simplex(x, SMALLEST_NORMAL).all())
+            per_row_on_simplex(x, SMALLEST_NORMAL).all())
         for row in x:
-            assert domain.member(row) == bool(on_simplex(row))
+            assert domain.member(row) == bool(
+                per_row_on_simplex(row, SIMPLEX_MEMBER_MIN))
+            assert domain.interior(row) == bool(
+                per_row_on_simplex(row, SMALLEST_NORMAL))
 
 
 class TestInteriorFloor:

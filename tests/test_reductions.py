@@ -228,14 +228,20 @@ class TestReroutedOracles:
         x = laid_out(simplex_points(r, rows, n), layout)
         if rows:
             x[r.integers(rows), r.integers(n)] = r.choice(SPECIALS)
-        for floor in (SIMPLEX_MEMBER_MIN, SMALLEST_NORMAL):
-            same_bits(on_simplex(x, floor), reference_on_simplex(x, floor))
+        # a copy with every entry at or above both floors, its off-sum rows
+        # kept, takes on_simplex's whole-stack path
+        lifted = laid_out(np.fmax(x, SMALLEST_NORMAL), layout)
         domain = probability_simplex(n)
-        assert domain.member(x) == reference_contains(x, SIMPLEX_MEMBER_MIN)
-        assert domain.interior(x) == \
-            reference_contains(x, SMALLEST_NORMAL)
-        rows_match(on_simplex, x)
-        rows_match(NONSMOOTH_VALUES["simplex"], x)
+        for s in (x, lifted):
+            for floor in (SIMPLEX_MEMBER_MIN, SMALLEST_NORMAL):
+                same_bits(on_simplex(s, floor),
+                          reference_on_simplex(s, floor))
+            assert domain.member(s) == \
+                reference_contains(s, SIMPLEX_MEMBER_MIN)
+            assert domain.interior(s) == \
+                reference_contains(s, SMALLEST_NORMAL)
+            rows_match(on_simplex, s)
+            rows_match(NONSMOOTH_VALUES["simplex"], s)
 
     @settings(**ORACLE_SETTINGS)
     @given(**ORACLE_ARGS, share=st.sampled_from([0.0, 0.1]),
@@ -283,8 +289,9 @@ class TestReroutedOracles:
         a, b, c = (r.dirichlet(np.ones(n), size=rows) for _ in range(3))
         he = negative_entropy(n)
         off = simplex_points(r, rows, n)
-        same_bits(he.value(off), reference_negative_entropy_value(off))
-        rows_match(he.value, off)
+        for x in (off, a):  # a holds no zero: the value masks nothing
+            same_bits(he.value(x), reference_negative_entropy_value(x))
+            rows_match(he.value, x)
         for h, p, q in ((squared_euclidean(n), r.standard_normal((rows, n)),
                          r.standard_normal((rows, n))), (he, a, b)):
             same_bits(reference_distance(h, p, q),
