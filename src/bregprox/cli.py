@@ -222,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--rows", type=int, default=50)
     ps.add_argument("--cols", type=int, default=100)
     ps.add_argument("--seed", type=_seed, default=42)
-    ps.add_argument("--eta0", type=float, default=100.0)
-    ps.add_argument("--alpha", type=float, default=0.5)
-    ps.add_argument("--max-iters", type=int, default=5000)
-    ps.add_argument("--ref-iters", type=int, default=100_000,
+    ps.add_argument("--eta0", type=float, default=ExperimentSpec.eta0)
+    ps.add_argument("--alpha", type=float, default=ExperimentSpec.alpha)
+    ps.add_argument("--max-iters", type=int, default=ExperimentSpec.max_iters)
+    ps.add_argument("--ref-iters", type=int, default=ExperimentSpec.ref_iters,
                     help=REF_ITERS_HELP)
     ps.add_argument("--variants", default=",".join(VARIANTS),
                     help="comma-separated subset of: " + ", ".join(VARIANTS))
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=_seed, default=0)
     pc.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int,
                     default=500)
-    pc.add_argument("--ref-iters", type=int, default=100_000,
+    pc.add_argument("--ref-iters", type=int, default=ExperimentSpec.ref_iters,
                     help=REF_ITERS_HELP)
     pc.set_defaults(func=cmd_certify)
 

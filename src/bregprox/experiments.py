@@ -119,8 +119,8 @@ def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
 REFERENCE_GAP_RTOL = 1e-13
 
 
-def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *,
-                         iters: int = 100_000) -> Tuple[Vector, float]:
+def reference_simplex_ls(A: np.ndarray, b: np.ndarray, *, iters: int =
+                         ExperimentSpec.ref_iters) -> Tuple[Vector, float]:
     """Reference optimum of 1/2 ||A x - b||^2 over the simplex, certified by
     its Frank-Wolfe gap.
 

@@ -180,7 +180,7 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     if not H.domain.interior(x):
         raise ContractViolation("x0 must be interior to the generator domain")
     # f(x0) warns of no overflow, and an overflowed value is refused below;
-    # a caller's over="raise" holds (README, Notes)
+    # a caller's over="raise" holds (README "The solver loop")
     with np.errstate(over="ignore" if np.geterr()["over"] == "warn" else None):
         obj0 = evaluate_composite(p, x)
     if not np.isfinite(obj0):
