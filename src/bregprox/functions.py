@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Tuple
@@ -57,41 +56,23 @@ GEMV_THREADED_ENTRIES = 460_800
 
 
 # numpy sums a row shorter than its 8-wide pairwise block one entry at a
-# time from 0.0, but it runs its inner loop once per row: the minimum of a
-# (1000, 6) stack takes 77 us that way, 16 us column by column (x86_64)
+# time from 0.0, but it runs its inner loop once per row: the sum of a
+# (1000, 6) stack takes 27.6 us that way, 19.7 us column by column
+# (BENCH_14.json kernel_us, x86_64)
 SHORT_ROW = 8
-
-
-def _short_rows(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 2 \
-        and 0 < x.shape[1] < SHORT_ROW and x.dtype == np.float64
 
 
 def row_sum(x):
     """np.add.reduce(x, axis=-1) with its bits: a 2-D float stack of short
     rows as 0.0 + x[:, 0] + x[:, 1] + ... in order, anything else by the
     ufunc.  Every value, distance and domain check sums its rows here."""
-    if not _short_rows(x):
+    if not (isinstance(x, np.ndarray) and x.ndim == 2
+            and 0 < x.shape[1] < SHORT_ROW and x.dtype == np.float64):
         return np.add.reduce(x, axis=-1)
     s = 0.0 + x[:, 0]  # 0.0 + -0.0 is 0.0, as numpy gives a lone -0.0
     for j in range(1, x.shape[1]):
         s = s + x[:, j]  # s += passes on another NaN of two
     return s
-
-
-def row_min(x):
-    """np.minimum.reduce(x, axis=-1) with its bits: a 2-D float stack of
-    short rows by a chain of np.minimum, anything else by the ufunc."""
-    if _short_rows(x):
-        m = x[:, 0].copy()
-        for j in range(1, x.shape[1]):
-            np.minimum(m, x[:, j], out=m)
-        # numpy's row loop passes on another NaN than the chain; minimum
-        # keeps any NaN, so the minimum of m finds such a stack (by argmin,
-        # README "The extrema rule")
-        if not m.size or not math.isnan(m.item(m.argmin())):
-            return m
-    return np.minimum.reduce(x, axis=-1)
 
 
 def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
@@ -102,7 +83,7 @@ def on_simplex(x: Vector, floor: float = SIMPLEX_MEMBER_MIN):
     sums = abs(row_sum(x) - 1.0) <= SIMPLEX_SUM_TOL
     if x.size and x.item(x.argmin()) >= floor:
         return sums
-    return (row_min(x) >= floor) & sums
+    return (np.minimum.reduce(x, axis=-1) >= floor) & sums
 
 
 def check_step(eta: float, name: str = "eta") -> None:

@@ -1,7 +1,7 @@
 """Per-iteration convergence-rate certificates.
 
 One certificate covers every variant: the generalized proximal point bound
-D_h(x*, x0) / sigma_k with the step sizes as weights.  If every accepted
+D_h(x*, x0) / S_k with the step sizes as weights.  If every accepted
 step of a run has D_{h_i}(x_i, x_{i-1}) >= 0 for h_i = (1/eta_i) H - f, then
 
     F(x_k) - F* <= c / S_k,   c = D_H(x*, x0) / eta_1 - D_f(x*, x0),

@@ -293,6 +293,20 @@ class TestBregmanDistance:
         with pytest.raises(DomainError):
             bregman_distance(h, np.array([1.0, 1.0, -1.0]), np.full(3, 1 / 3))
 
+    @pytest.mark.parametrize("H", [squared_euclidean(3),
+                                   negative_entropy(3)])
+    def test_point_of_another_length_rejected(self, H):
+        x = np.full(3, 1 / 3)
+        with pytest.raises(DomainError, match="^first argument"):
+            bregman_distance(H, np.full(2, 0.5), x)
+        with pytest.raises(DomainError, match="^second argument"):
+            bregman_distance(H, x, np.full((4, 2), 0.5))
+
+    def test_entropy_value_is_infinite_off_its_dimension(self):
+        he = negative_entropy(3)
+        assert he.value(np.full(2, 0.5)) == np.inf
+        assert he.value(np.full((4, 2), 0.5)) == np.inf
+
     def test_entropy_gradient_matches_finite_differences(self):
         r = rng(6)
         he = negative_entropy(5)

@@ -260,6 +260,19 @@ class TestRunSimplex:
             "error: variant 'pga-constant' is repeated\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants, name", [
+        ("foo", "foo"), ("pga-constant,", "")])
+    def test_unknown_variant_is_an_error(self, tmp_path, capsys, variants,
+                                         name):
+        # a trailing comma names an empty variant
+        out = tmp_path / "out"
+        assert run(SMALL_SIMPLEX + ["--variants", variants,
+                                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown variant {name!r}\n"
+        assert not out.exists()
+
     def test_mirror_linesearch_reaches_boundary_optimum(self, tmp_path):
         # seed 12: mirror-linesearch drives components below 1e-300 before
         # it reaches the tolerance; zeros must not stop it

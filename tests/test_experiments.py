@@ -65,6 +65,11 @@ class TestBuildSimplexLs:
         with pytest.raises(ContractViolation):
             ExperimentSpec(name="bad", m=0, n=5, seed=0)
 
+    def test_no_variant_rejected(self):
+        with pytest.raises(ContractViolation,
+                           match="^at least one variant is required$"):
+            desk_spec(variants=())
+
     def test_repeated_variant_rejected(self):
         # used to write two identical summary rows
         with pytest.raises(ContractViolation, match="repeated"):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from bregprox import (
 )
 from bregprox.functions import (NONSMOOTH_VALUES, SIMPLEX_MEMBER_MIN,
                                 SIMPLEX_SUM_TOL, SMALLEST_NORMAL,
-                                NonsmoothTerm, first_order_gap)
+                                DomainDescriptor, NonsmoothTerm,
+                                first_order_gap)
 from bregprox.prox import entropic_update, simplex_projection, soft_threshold
 
 
@@ -337,6 +339,31 @@ class TestConvexity:
             x, y = r.standard_normal((2, 10))
             lhs = np.linalg.norm(f.grad(x) - f.grad(y))
             assert lhs <= f.lipschitz_grad * np.linalg.norm(x - y) + 1e-10
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DomainDescriptor("ball", 3), "unknown domain kind 'ball'"),
+        (lambda: DomainDescriptor("rn", 0),
+         "ambient_dimension must be positive"),
+        (lambda: dataclasses.replace(half_sq_norm(1), dimension=0),
+         "dimension must be positive"),
+        (lambda: dataclasses.replace(half_sq_norm(1), lipschitz_grad=-1.0),
+         "lipschitz_grad must be nonnegative"),
+        (lambda: NonsmoothTerm("l2"), "unknown nonsmooth kind 'l2'"),
+        (lambda: NonsmoothTerm("l1", 0), "dimension must be positive"),
+        (lambda: dataclasses.replace(squared_euclidean(2), kind="burg"),
+         "unknown generator kind 'burg'"),
+        (lambda: least_squares(np.ones((3, 2)), np.ones(2)),
+         "A must be 2-D with b matching its row count"),
+        (lambda: least_squares(np.ones(3), np.ones(3)),
+         "A must be 2-D with b matching its row count"),
+    ], ids=["domain-kind", "domain-dimension", "smooth-dimension",
+            "smooth-lipschitz", "nonsmooth-kind", "nonsmooth-dimension",
+            "generator-kind", "b-length", "A-vector"])
+    def test_bad_argument_rejected(self, build, message):
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestSpectralNorm:

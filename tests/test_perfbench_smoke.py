@@ -3,8 +3,10 @@
 perfbench imports bregprox from its checkout's src/ and checks each output
 that it times.  A change to a signature or to an output that the benchmark
 relies on therefore fails here, where test_perfbench_contract.py sees only
-whether the traced names exist.  The runs work in a copy of perfbench/,
-src/ and BENCHMARK.json, so that nothing is written under the repository.
+whether the traced names exist.  Each workload runs untraced and traced,
+since the per-layer figures of the benchmark records come from traced
+runs.  The runs work in a copy of perfbench/, src/ and BENCHMARK.json, so
+that nothing is written under the repository.
 """
 
 import json
@@ -30,7 +32,7 @@ def checkout(tmp_path_factory):
 
 @pytest.mark.parametrize("workload, trace", [
     ("desk-compare", 0), ("paper-solve", 0), ("identities", 0),
-    ("identities", 1)])
+    ("desk-compare", 1), ("paper-solve", 1), ("identities", 1)])
 def test_workload_runs_and_checks_correct(checkout, workload, trace):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -74,6 +74,14 @@ class TestGppaBound:
         np.testing.assert_array_equal(cert.weight_sums, np.arange(1, 11))
         assert cert.bound_at(5) == pytest.approx(0.5 / (2.0 * 5))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_bound_before_the_first_step_rejected(self, k):
+        cert = constant_step_run(zero_function(2), 2.0, np.ones(2),
+                                 np.zeros(2), 3)
+        with pytest.raises(ContractViolation,
+                           match="^bounds are defined for k >= 1$"):
+            cert.bound_at(k)
+
     def test_zero_at_optimal_start(self):
         x = np.ones(3)
         cert = constant_step_run(zero_function(3), 1.0, x, x, 10)

@@ -1,10 +1,11 @@
-"""The one row-reduction kernel, ``functions.row_sum`` and ``row_min``.
+"""The one row-reduction kernel, ``functions.row_sum``.
 
-Every value, distance and domain check reduces the last axis through the
+Every value, distance and domain check sums the last axis through the
 kernel, which must give the bits of numpy's ufunc reduction on every shape
-and layout.  The rerouted oracles are compared with their bodies as they
-were before the kernel (kept below as ``reference_*``), and each stacked
-call with its row-by-row calls.  A parse of the sources guards that no
+and layout; the one other reduction of the last axis is the per-row
+minimum of ``functions.on_simplex``.  The rerouted oracles are compared
+with their bodies as they were before the kernel (kept below as
+``reference_*``), and each stacked call with its row-by-row calls.  A parse of the sources guards that no
 other reduction of the last axis appears, that the code run per candidate
 or per block calls no numpy function whose Python wrapper costs more than
 its C entry point, that six more rules and values keep one coding each
@@ -31,7 +32,7 @@ from bregprox.bregman import (DISTANCES, half_squared_distance,
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 SIMPLEX_MEMBER_MIN, SIMPLEX_SUM_TOL,
                                 SMALLEST_NORMAL, on_simplex, per_row,
-                                row_min, row_sum)
+                                row_sum)
 from bregprox.prox import _REGISTRY, make_prox_map, prox_objective
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bregprox"
@@ -92,14 +93,12 @@ class TestKernelBits:
         if rows is not None:
             x = laid_out(x, layout)
         same_bits(row_sum(x), np.add.reduce(x, axis=-1))
-        same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_a_lone_negative_zero_sums_to_zero(self, n):
         x = np.full((3, n), -0.0)
         same_bits(row_sum(x), np.add.reduce(x, axis=-1))
         assert not np.signbit(row_sum(x)).any()
-        same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("row", [[np.nan, -np.nan], [-np.nan, np.nan],
@@ -111,14 +110,12 @@ class TestKernelBits:
         # of a row holds its sign bit
         for x in (np.array([row] * rows), np.asfortranarray([row] * rows)):
             same_bits(row_sum(x), np.add.reduce(x, axis=-1))
-            same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
 
     def test_results_are_new_arrays(self):
         x = np.ones((4, 1))
-        for reduce in (row_sum, row_min):
-            out = reduce(x)
-            out[:] = 7.0
-            assert (x == 1.0).all()
+        out = row_sum(x)
+        out[:] = 7.0
+        assert (x == 1.0).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_other_shapes_and_types_go_to_the_ufunc(self):
@@ -126,8 +123,6 @@ class TestKernelBits:
                   np.ones((2, 3, 4)), np.ones((5, 0)),
                   np.ones((3, 5), dtype=np.float32)):
             same_bits(row_sum(x), np.add.reduce(x, axis=-1))
-            if np.size(x):
-                same_bits(row_min(x), np.minimum.reduce(x, axis=-1))
 
 
 # The rerouted oracles as they were before the kernel: the bits they keep.
@@ -399,7 +394,9 @@ class TestReroutedOracles:
             x = cand
 
 
-KERNEL = {("functions.py", "row_sum"), ("functions.py", "row_min")}
+# the sum kernel, and the simplex test's per-row minimum
+KERNEL = {("functions.py", "row_sum", "np.add.reduce"),
+          ("functions.py", "on_simplex", "np.minimum.reduce")}
 
 
 REDUCTIONS = {"reduce", "sum", "min", "max", "prod", "mean", "all", "any"}
@@ -445,9 +442,9 @@ def last_axis_calls(src=SRC):
 
 def test_last_axis_reductions_go_through_the_kernel():
     calls = last_axis_calls()
-    assert {c[:2] for c in calls} >= KERNEL
-    stray = {c for c in calls if c[:2] not in KERNEL}
-    assert not stray, f"reduce the last axis with row_sum/row_min: {stray}"
+    assert calls >= KERNEL
+    stray = calls - KERNEL
+    assert not stray, f"sum the last axis with row_sum: {stray}"
 
 
 def test_the_guard_sees_a_stray_reduction(tmp_path):
@@ -475,7 +472,8 @@ def test_the_guard_sees_a_stray_reduction(tmp_path):
 # x.item(x.argmax()) takes 0.3 us at n = 100 and 0.4 us at n = 1,000,
 # against 0.9 and 1.0 us for np.maximum.reduce(x) or np.minimum.reduce(x),
 # so those two are flagged where they reduce a whole vector (no axis, or
-# axis None); along an axis they are row_min's kernel (x86_64, numpy 2.4).
+# axis None); along an axis they are on_simplex's per-row minimum (x86_64,
+# numpy 2.4).
 # README "The extrema rule" says why the bits stay the same.
 WRAPPED = {"np.sort", "np.cumsum", "np.argmax", "np.argmin", "np.max",
            "np.min", "np.all", "np.any", "np.flatnonzero", "np.dot",
@@ -489,7 +487,7 @@ PER_STEP = {
                 "_threshold_sorted", "project_simplex", "entropic_update",
                 "gradient_step"},
     "bregman.py": {"half_squared_distance", "kl_divergence", "_kl_series"},
-    "functions.py": {"row_sum", "row_min", "on_simplex", "NONSMOOTH_VALUES",
+    "functions.py": {"row_sum", "on_simplex", "NONSMOOTH_VALUES",
                      "OracleStepper", "ResidualStepper"},
     "solvers.py": {"accepts", "run_solver"},
 }
@@ -756,7 +754,7 @@ def test_the_guard_sees_a_second_coding(tmp_path):
 # No check searches sampled points for a better one: the sampler takes no
 # point to draw around, and it is called by the identity suites alone, the
 # prox-optimality suite drawing with it only its single inputs.
-MINIMA = {"min", "np.min", "np.amin", "np.minimum.reduce", "row_min"}
+MINIMA = {"min", "np.min", "np.amin", "np.minimum.reduce"}
 SAMPLER_CALLS = {
     ("identities.py", "three_point_suite", "stack"),
     ("identities.py", "linearity_suite", "stack"),

@@ -878,6 +878,15 @@ class TestRunSolver:
         with pytest.raises(ContractViolation):
             SolverConfig(eta0=1.0, **setting)
 
+    def test_smooth_term_without_distance_rejected(self):
+        p = simplex_ls_problem(4, 6, seed=15)
+        p = dataclasses.replace(p, f=dataclasses.replace(p.f, distance=None))
+        with pytest.raises(ContractViolation,
+                           match="no closed-form distance"):
+            run_solver(p, squared_euclidean(6),
+                       make_prox_map("simplex", "quadratic"),
+                       np.full(6, 1 / 6), SolverConfig(eta0=0.1, max_iters=5))
+
     def test_infeasible_start_rejected(self):
         p = simplex_ls_problem(4, 6, seed=15)
         pm = make_prox_map("simplex", "quadratic")
@@ -925,6 +934,19 @@ class TestPassPlan:
         r = rng(5)
         assert pass_plan(r.standard_normal((1000, 500))) is None
         assert len(pass_plan(r.standard_normal((333, 777)))) == 2
+
+    def test_no_bundled_library_gives_an_unknown_thread_count(
+            self, tmp_path, monkeypatch):
+        # numpy.libs missing, then holding a file of the library's name
+        # that no loader can open: both read as no count
+        package = tmp_path / "numpy"
+        package.mkdir()
+        monkeypatch.setattr(np, "__file__", str(package / "__init__.py"))
+        assert functions.blas_threads.__wrapped__() is None
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_x.so").write_text(
+            "not a shared library\n")
+        assert functions.blas_threads.__wrapped__() is None
 
     def test_the_thread_count_is_read_from_the_library_once(self):
         # a later change of the environment variable changes nothing
