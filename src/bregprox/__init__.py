@@ -54,7 +54,7 @@ from .prox import (
     soft_threshold,
     verify_prox_optimality,
 )
-from .rates import RateCertificate, certify_trace, classical_pga_bound
+from .rates import RateCertificate, certify_trace
 from .solvers import (
     IterationTrace,
     SolverConfig,

@@ -111,10 +111,6 @@ def _kl_series(t: Vector) -> Vector:
     return 0.5 + t * (-1 / 6 + t * (1 / 12 + t * (-1 / 20 + t / 30)))
 
 
-# closed-form distance of each non-composite generator kind
-DISTANCES = {"quadratic": half_squared_distance, "entropy": kl_divergence}
-
-
 def squared_euclidean(n: int) -> BregmanGenerator:
     """H(x) = 1/2 ||x||^2; induces D_H(x, y) = 1/2 ||x - y||^2."""
     return BregmanGenerator(

@@ -33,7 +33,7 @@ from .experiments import (
 from .functions import EPS, check_step
 from .identities import run_identity_suites
 from .prox import make_prox_map
-from .rates import certify_trace, classical_pga_bound
+from .rates import certify_trace
 from .bregman import squared_euclidean
 from .solvers import SolverConfig, run_solver
 
@@ -51,16 +51,15 @@ REF_ITERS_HELP = ("cap on the major cycles of Wolfe's method for the "
                   "certifies it")
 
 
-def _write_variant_csv(path: Path, trace, f_star: float, cert, gamma: float,
-                       x_star, x0, timing: bool) -> None:
+def _write_variant_csv(path: Path, trace, f_star: float, cert,
+                       timing: bool) -> None:
     k = np.arange(len(trace.objective))
     etas, at = np.unique(trace.eta, return_inverse=True)
     columns = (
         k, trace.objective, trace.objective - f_star,
         np.array(["%.17g" % eta for eta in etas.tolist()], dtype=object)[at],
         trace.backtracks, trace.d_hk,
-        np.concatenate(([np.inf],
-                        classical_pga_bound(gamma, x_star, x0, k[1:]))),
+        np.concatenate(([np.inf], cert.classical / cert.weight_sums)),
         np.concatenate(([np.inf], cert.constant / cert.weight_sums)),
         trace.elapsed_ms if timing else np.zeros(k.size))
     with path.open("w", newline="\n") as fh:
@@ -109,15 +108,13 @@ def cmd_run_simplex(args) -> int:
     variants = tuple(args.variants.split(","))
     result = run_experiment(_spec(args, "simplex_ls", eta0=args.eta0,
                                   alpha=args.alpha, variants=variants))
-    x_star, f_star = result.reference_optimum
+    f_star = result.reference_optimum[1]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for variant, trace in result.traces.items():
-        _write_variant_csv(
-            out / f"{variant}.csv", trace, f_star,
-            result.certificates[variant], result.gamma, x_star,
-            result.x0, args.timing)
+        _write_variant_csv(out / f"{variant}.csv", trace, f_star,
+                           result.certificates[variant], args.timing)
     summary = SUMMARY_HEADER
     for variant in variants:
         fields = ("", "false", "", "", "", "", "")  # failed, no trace
@@ -158,7 +155,6 @@ def cmd_run_lasso(args) -> int:
             gap = trace.objective[-1] - f_star
             cert = certify_trace(p, H, trace)
             bound = cert.bound_at(1) if cert.hypothesis_satisfied else None
-            classical = classical_pga_bound(eta, x_star, x0, 1)
     except FloatingPointError:
         raise ContractViolation(
             f"--gamma {args.gamma!r} with --eta-ratio {args.eta_ratio!r} "
@@ -168,7 +164,7 @@ def cmd_run_lasso(args) -> int:
         print(f"GPPA-PGA bound at k=1: {bound:.17g}")
     else:
         print("GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails")
-    print(f"classical PGA bound at k=1: {classical:.17g}")
+    print(f"classical PGA bound at k=1: {cert.classical:.17g}")
     if args.eta_ratio >= 1.0:
         # the claim is x_1 = x*, up to one step's rounding: at most
         # 4.5 eps max(|b|, |x0|) per entry, which the gap scales by 1/gamma

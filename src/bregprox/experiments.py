@@ -77,8 +77,6 @@ class ExperimentResult:
     problem: CompositeProblem
     reference_optimum: Tuple[Vector, float]
     reference_gap: float  # Frank-Wolfe gap at x*, an upper bound on F(x*) - F*
-    gamma: float
-    x0: Vector
     tolerance: float
     traces: Dict[str, IterationTrace]
     certificates: Dict[str, RateCertificate]
@@ -265,8 +263,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         problem=problem,
         reference_optimum=(x_star, f_star),
         reference_gap=reference_gap,
-        gamma=gamma,
-        x0=x0,
         tolerance=tol,
         traces=traces,
         certificates=certs,

@@ -99,7 +99,7 @@ def per_row(r):
 
 
 # the value of each nonsmooth kind at x, or at each row of a stack: the one
-# coding that NonsmoothTerm values and prox objectives share
+# coding behind NonsmoothTerm.value and zero_function
 NONSMOOTH_VALUES = {
     "l1": lambda x: per_row(row_sum(np.abs(x))),
     "simplex": lambda x: per_row(np.where(on_simplex(x), 0.0, np.inf)),

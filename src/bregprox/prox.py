@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bregman import DISTANCES
+from .bregman import BregmanGenerator
 from .errors import ContractViolation, DomainError, NumericalFailure
-from .functions import (EPS, NONSMOOTH_VALUES, SIMPLEX_SUM_TOL,
-                        SMALLEST_NORMAL, Vector, check_step, first_order_gap,
+from .functions import (EPS, SIMPLEX_SUM_TOL, SMALLEST_NORMAL,
+                        NonsmoothTerm, Vector, check_step, first_order_gap,
                         on_simplex, per_row, row_sum)
 
 GeneratorKind = str  # "quadratic" | "entropy"
@@ -205,15 +205,15 @@ def make_prox_map(g_kind: str, H_kind: GeneratorKind) -> ProxMap:
     return ProxMap(g_kind=g_kind, H_kind=H_kind, solve=solve)
 
 
-def prox_objective(pm: ProxMap, x: Vector, v: Vector, y: Vector,
-                   eta: float) -> float:
-    """g(x) + <x, v> + (1/eta) D_H(x, y) for the map's (g, H) pair, at x or
-    at each row of a stack x."""
+def prox_objective(g: NonsmoothTerm, H: BregmanGenerator, x: Vector,
+                   v: Vector, y: Vector, eta: float) -> float:
+    """g(x) + <x, v> + (1/eta) D_H(x, y), the objective a prox map of (g, H)
+    minimizes, at x or at each row of a stack x."""
     x = np.asarray(x, dtype=float)
     return per_row(
-        NONSMOOTH_VALUES[pm.g_kind](x)
+        g.value(x)
         + row_sum(x * np.asarray(v, dtype=float))
-        + DISTANCES[pm.H_kind](x, np.asarray(y, dtype=float)) / eta
+        + H.distance(x, np.asarray(y, dtype=float)) / eta
     )
 
 

@@ -18,7 +18,6 @@ from bregprox import (
     bregman_distance,
     build_lasso_onestep,
     build_simplex_ls,
-    classical_pga_bound,
     composite_generator,
     certify_trace,
     gppa_objective,
@@ -107,7 +106,7 @@ def test_criterion_2_tightness_ordering():
             p, H, pm, x0, SolverConfig(eta0=eta, max_iters=50)))
         for k in range(1, 51):
             tight = cert.bound_at(k)
-            loose = classical_pga_bound(eta, x_star, x0, k)
+            loose = cert.classical / cert.weight_sums[k - 1]
             assert tight <= loose + 1e-12
             if d_f > 1e-8:
                 assert tight < loose
@@ -145,7 +144,7 @@ def _offset_spread(p, H, pm, x0, eta, sampler, steps=10, points=100, seed=0):
     for x in trace.xs[:-1]:
         z = sampler(r, points)
         offsets = (gppa_objective(p, h, z, x)
-                   - prox_objective(pm, z, p.f.grad(x), x, eta))
+                   - prox_objective(p.g, H, z, p.f.grad(x), x, eta))
         worst = max(worst, float(np.std(offsets)))
     return worst
 
@@ -190,8 +189,8 @@ def test_criterion_5_line_search(desk_experiment):
     res = desk_experiment
     p = res.problem
     f_star = res.reference_optimum[1]
-    gamma = res.gamma
-    x0 = res.x0
+    gamma = 1 / p.f.lipschitz_grad
+    x0 = res.traces["pga-constant"].x0
     alpha, eta0 = 0.5, 100.0
     for H_kind in ("quadratic", "entropy"):
         H = squared_euclidean(100) if H_kind == "quadratic" \

@@ -13,9 +13,11 @@ import pytest
 from bregprox import (
     DomainError,
     SolverConfig,
+    bregman_distance,
     certify_trace,
     experiments,
     make_prox_map,
+    negative_entropy,
     prox,
     run_solver,
     squared_euclidean,
@@ -153,10 +155,10 @@ class TestRunSimplex:
         first = "0,2,0,1e+308,0,0,inf,inf,0\n"
         assert (out / "mirror-linesearch.csv").read_text() == (
             CSV_HEADER + "\n" + first + "1,2,0,8.9533825425871633e+307,11,"
-            "0,0.5,7.7417353415087505e-309,0\n")
+            "0,7.7417353415087505e-309,7.7417353415087505e-309,0\n")
         assert (out / "pga-linesearch.csv").read_text() == (
             CSV_HEADER + "\n" + first + "1,2,0,8.9533825425871633e+307,11,"
-            "0,0.5,2.7922407962673753e-309,0\n")
+            "0,2.7922407962673753e-309,2.7922407962673753e-309,0\n")
 
     @pytest.mark.parametrize("argv", [
         "--cols 7 --seed 0 --alpha 1e-300 --max-iters 1 --ref-iters 0",
@@ -333,18 +335,21 @@ class TestRunSimplex:
             "mirror-linesearch: solver failure: no mirror step here\n")
 
 
-def row_by_row_csv(trace, f_star, cert, gamma, x_star, x0, timing):
+def row_by_row_csv(trace, f_star, cert, H, x_star, timing):
     """The CSV bytes of the writer that formatted one record at a time with
-    f-strings, kept as the reference for the column writer."""
-    diff = np.asarray(x_star, dtype=float) - np.asarray(x0, dtype=float)
-    dd, two_gamma = float(np.dot(diff, diff)), 2.0 * gamma
+    f-strings, kept as the reference for the column writer.  The classical
+    bound D_H(x*, x0) / (eta_1 S_k) is formed here, not read from cert."""
+    eta_1 = trace.eta[1] if len(trace.eta) > 1 else trace.eta[0]
+    d_H = bregman_distance(H, x_star, trace.x0) / eta_1
+    weight_sum = 0.0
     lines = [CSV_HEADER]
     rows = zip(*(c.tolist() for c in (trace.objective, trace.eta,
                                        trace.backtracks, trace.d_hk,
                                        trace.elapsed_ms)))
     for k, (objective, eta, backtracks, d_hk, elapsed_ms) in enumerate(rows):
         if k >= 1:
-            b_classical = dd / (two_gamma * k)
+            weight_sum += eta / eta_1
+            b_classical = d_H / weight_sum
             b_gppa = cert.bound_at(k)
         else:
             b_classical = b_gppa = np.inf
@@ -359,9 +364,9 @@ def row_by_row_csv(trace, f_star, cert, gamma, x_star, x0, timing):
 class TestVariantCsv:
     @pytest.fixture(scope="class")
     def cases(self):
-        """(trace, certificate, result) for every desk variant, for the
-        partial traces that eta0 = 1e30 leaves, and for a constant step
-        above 1/L, whose d_hk are negative."""
+        """(trace, certificate, result, generator) for every desk variant,
+        for the partial traces that eta0 = 1e30 leaves, and for a constant
+        step above 1/L, whose d_hk are negative."""
         spec = experiments.ExperimentSpec(name="desk", m=50, n=100, seed=42)
         full = experiments.run_experiment(spec)
         failing = experiments.run_experiment(
@@ -369,32 +374,59 @@ class TestVariantCsv:
         # both line searches exhaust their budget and leave partial traces
         assert sorted(failing.failures) == sorted(
             v for v in failing.traces if v.endswith("linesearch"))
-        cases = [(trace, result.certificates[v], result)
+        cases = [(trace, result.certificates[v], result,
+                  squared_euclidean(100) if v.startswith("pga")
+                  else negative_entropy(100))
                  for result in (full, failing)
                  for v, trace in result.traces.items()]
         H = squared_euclidean(100)
         trace = run_solver(full.problem, H,
-                           make_prox_map("simplex", "quadratic"), full.x0,
-                           SolverConfig(eta0=4 * full.gamma, max_iters=50))
-        return cases + [(trace, certify_trace(full.problem, H, trace), full)]
+                           make_prox_map("simplex", "quadratic"),
+                           full.traces["pga-constant"].x0,
+                           SolverConfig(eta0=4 / full.problem.f.lipschitz_grad,
+                                        max_iters=50))
+        return cases + [(trace, certify_trace(full.problem, H, trace), full,
+                         H)]
 
     @pytest.mark.parametrize("timing", [False, True])
     def test_column_writer_matches_row_writer(self, cases, tmp_path,
                                               timing):
-        for i, (trace, cert, result) in enumerate(cases):
+        for i, (trace, cert, result, H) in enumerate(cases):
             x_star, f_star = result.reference_optimum
-            args = (trace, f_star, cert, result.gamma, x_star, result.x0,
-                    timing)
             path = tmp_path / f"{i}.csv"
-            _write_variant_csv(path, *args)
-            assert path.read_bytes() == row_by_row_csv(*args)
-        traces = [trace for trace, _, _ in cases]
+            _write_variant_csv(path, trace, f_star, cert, timing)
+            assert path.read_bytes() == row_by_row_csv(
+                trace, f_star, cert, H, x_star, timing)
+        traces = [trace for trace, _, _, _ in cases]
         # the cases cover more than one chunk, negative d_hk and the inf
         # bounds of row 0
         assert max(len(t.objective) for t in traces) > 2 * CSV_CHUNK_ROWS
         assert min(t.d_hk.min() for t in traces) < 0.0
         row0 = (tmp_path / "0.csv").read_text().split("\n")[1].split(",")
         assert row0[6:8] == ["inf", "inf"]
+
+
+class TestBoundColumns:
+    @pytest.mark.parametrize("seed", ["42", "0", "12"])
+    def test_classical_bounds_the_gap_and_the_certificate(self, tmp_path,
+                                                         seed):
+        # every variant's bound_classical is its own D_H(x*, x0) / (eta_1
+        # S_k).  It used to hold PGA's bound at gamma = 1/L for every
+        # variant, which fell below mirror-constant's gap on 385 to 550
+        # rows of these seeds and below its bound_gppa on every row
+        out = tmp_path / "out"
+        run(["run-simplex", "--seed", seed, "--out", str(out)])
+        columns = CSV_HEADER.split(",")
+        gap, classical, gppa = (columns.index(c) for c in (
+            "gap", "bound_classical", "bound_gppa"))
+        for variant in VARIANTS:
+            rows = np.loadtxt(out / f"{variant}.csv", delimiter=",",
+                              skiprows=2, ndmin=2)
+            assert rows.shape[0] >= 1
+            # the CLI's certificate slack
+            assert np.all(rows[:, gap] <= rows[:, classical] + 1e-9), variant
+            # the difference is D_f(x*, x0) / S_k >= 0
+            assert np.all(rows[:, gppa] <= rows[:, classical]), variant
 
 
 class TestRunLasso:
@@ -522,7 +554,7 @@ class TestRunLasso:
         assert captured.out == (
             "F(x_1) - F* = 1.1960399202365482e+307\n"
             "GPPA-PGA bound at k=1: 4.784159680946193e+307\n"
-            "classical PGA bound at k=1: 9.5683193618923879e+307\n")
+            "classical PGA bound at k=1: 9.5683193618923859e+307\n")
         assert captured.err == ""
 
     def test_small_gamma_keeps_its_output(self, capsys):
@@ -533,7 +565,7 @@ class TestRunLasso:
         assert captured.out == (
             "F(x_1) - F* = 2.2976344236539723e+274\n"
             "GPPA-PGA bound at k=1: 0\n"
-            "classical PGA bound at k=1: 4.7841596809461938e+306\n")
+            "classical PGA bound at k=1: 4.7841596809461932e+306\n")
         assert captured.err == ""
 
     @pytest.mark.parametrize("dim", ["0", "-1", "-50"])

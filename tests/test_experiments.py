@@ -128,7 +128,7 @@ class TestReferenceRun:
         assert abs(np.sum(x_ref) - 1.0) <= 1e-9
         assert np.min(x_ref) >= 0.0
         f = res.problem.f
-        _, f_long = blind_reference(f.A, f.b, res.gamma)
+        _, f_long = blind_reference(f.A, f.b, 1 / f.lipschitz_grad)
         # both values bound F* from above, so the gap bounds how far the
         # certified one can lie above the long run's; either side allows
         # the rounding of evaluating F (seed 3 sits one ulp below)
@@ -279,12 +279,14 @@ class TestRunExperiment:
     def test_mirror_iterates_stay_interior(self, result):
         # run_experiment keeps no iterates: each mirror variant runs again
         # on its configuration, keeping them
-        configs = experiments.variant_configs(result.spec, result.gamma,
-                                              result.tolerance)
+        configs = experiments.variant_configs(
+            result.spec, 1 / result.problem.f.lipschitz_grad,
+            result.tolerance)
         for v in ("mirror-constant", "mirror-linesearch"):
             H, cfg = configs[v]
             trace = run_solver(result.problem, H,
-                               make_prox_map("simplex", H.kind), result.x0,
+                               make_prox_map("simplex", H.kind),
+                               result.traces[v].x0,
                                dataclasses.replace(cfg, keep_iterates=True))
             np.testing.assert_array_equal(trace.objective,
                                           result.traces[v].objective)

@@ -29,7 +29,8 @@ from bregprox import (
     zero_term,
 )
 from bregprox import experiments
-from bregprox.functions import SIMPLEX_SUM_TOL, first_order_gap, on_simplex
+from bregprox.functions import (SIMPLEX_SUM_TOL, NonsmoothTerm,
+                                first_order_gap, on_simplex)
 from bregprox.identities import sample_feasible
 from bregprox.prox import (_REGISTRY, SMALLEST_NORMAL, SUM_DRIFT_MAX, ProxMap,
                            _simplex_threshold, prox_objective)
@@ -37,6 +38,13 @@ from bregprox.prox import (_REGISTRY, SMALLEST_NORMAL, SUM_DRIFT_MAX, ProxMap,
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def prox_terms(g_kind, H_kind, n):
+    """The term g and the generator H of a prox map's (g, H) pair."""
+    H = squared_euclidean(n) if H_kind == "quadratic" \
+        else negative_entropy(n)
+    return NonsmoothTerm(g_kind), H
 
 
 def kkt_simplex_projection(z):
@@ -546,6 +554,7 @@ class TestProxMapRegistry:
     ])
     def test_prox_never_increases_objective(self, g_kind, H_kind, n):
         pm = make_prox_map(g_kind, H_kind)
+        g, H = prox_terms(g_kind, H_kind, n)
         r = rng(5)
         for _ in range(50):
             v = r.standard_normal(n)
@@ -553,8 +562,8 @@ class TestProxMapRegistry:
                 else r.standard_normal(n)
             eta = r.uniform(0.1, 2.0)
             x_plus = pm.solve(v, y, eta)
-            assert (prox_objective(pm, x_plus, v, y, eta)
-                    <= prox_objective(pm, y, v, y, eta) + 1e-12)
+            assert (prox_objective(g, H, x_plus, v, y, eta)
+                    <= prox_objective(g, H, y, v, y, eta) + 1e-12)
 
     def test_first_order_optimality_soft_threshold(self):
         # residual of s + v + (x+ - y)/eta = 0 with s in the l1 subdifferential
@@ -577,7 +586,7 @@ class TestStacks:
     def test_stacked_objective_equals_rows(self, seed, rows, n):
         r = rng(seed)
         for g_kind, H_kind in _REGISTRY:
-            pm = make_prox_map(g_kind, H_kind)
+            g, H = prox_terms(g_kind, H_kind, n)
             v = r.standard_normal(n)
             y = r.dirichlet(np.ones(n)) if g_kind == "simplex" \
                 else r.standard_normal(n)
@@ -594,8 +603,8 @@ class TestStacks:
                 z /= np.sum(z, axis=-1, keepdims=True)
                 z[r.integers(rows)] *= 1.5
             eta = r.uniform(0.1, 2.0)
-            whole = prox_objective(pm, z, v, y, eta)
-            each = [prox_objective(pm, row, v, y, eta) for row in z]
+            whole = prox_objective(g, H, z, v, y, eta)
+            each = [prox_objective(g, H, row, v, y, eta) for row in z]
             assert all(type(e) is float for e in each)
             assert whole.tobytes() == np.array(each).tobytes()
 

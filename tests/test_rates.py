@@ -12,7 +12,6 @@ from bregprox import (
     build_lasso_onestep,
     build_simplex_ls,
     certify_trace,
-    classical_pga_bound,
     composite_generator,
     least_squares,
     make_prox_map,
@@ -176,48 +175,48 @@ class TestBpgaBound:
 
 
 class TestClassicalBound:
+    """The classical bound c_cl / S_k, c_cl = D_H(x*, x0) / eta_1, read off
+    the certificate."""
+
     def test_zero_at_optimum(self):
         x = np.ones(4)
-        assert classical_pga_bound(1.0, x, x, 1) == 0.0
+        assert constant_step_run(zero_function(4), 1.0, x, x,
+                                 3).classical == 0.0
 
     def test_direct_formula(self):
-        assert classical_pga_bound(1.0, np.array([1.0, 0.0]), np.zeros(2),
-                                   1) == pytest.approx(0.5)
+        cert = constant_step_run(zero_function(2), 2.0, np.array([1.0, 0.0]),
+                                 np.zeros(2), 1)
+        assert cert.classical == 0.25
 
-    def test_array_of_k_matches_each_k(self):
+    def test_constant_quadratic_step_is_the_pga_bound(self):
+        # ||x* - x0||^2 / (2 eta k) to 2 ulp: the closed form and the dot
+        # product round differently
         r = rng(5)
+        A = r.standard_normal((8, 7))
+        L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+        f = least_squares(A, r.standard_normal(8), lipschitz=L)
+        eta = 0.3 / L
         x_star, x0 = r.standard_normal((2, 7))
+        cert = constant_step_run(f, eta, x_star, x0, 299)
         k = np.arange(1, 300)
-        each = [classical_pga_bound(0.3, x_star, x0, int(i)) for i in k]
-        assert all(type(b) is float for b in each)
-        got = classical_pga_bound(0.3, x_star, x0, k)
-        assert got.tobytes() == np.array(each).tobytes()
-        assert classical_pga_bound(0.3, x_star, x0, k[:0]).shape == (0,)
-
-    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_step_rejected(self, eta):
-        # a NaN step used to give a NaN bound
-        with pytest.raises(ContractViolation,
-                           match="^eta must be positive and finite$"):
-            classical_pga_bound(eta, np.ones(2), np.zeros(2), 1)
-
-    @pytest.mark.parametrize("k", [0, -1, np.array([1, 2, 0])])
-    def test_k_below_one_rejected(self, k):
-        with pytest.raises(ContractViolation, match="^k must be >= 1$"):
-            classical_pga_bound(1.0, np.ones(2), np.zeros(2), k)
+        assert cert.weight_sums.tobytes() == k.astype(float).tobytes()
+        diff = x_star - x0
+        want = float(np.dot(diff, diff)) / (2.0 * eta * k)
+        got = cert.classical / cert.weight_sums
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
     def test_strictly_looser_on_lasso(self):
         p = build_lasso_onestep(1.0, np.array([3.0, -2.0]))
-        x_star = p.optimum_oracle[0]
         x0 = np.zeros(2)
         H = squared_euclidean(2)
         trace = run_solver(p, H, make_prox_map("l1", "quadratic"), x0,
                            SolverConfig(eta0=1.0, max_iters=5))
         cert = certify_trace(p, H, trace)
         for k in (1, 2, 5):
-            assert cert.bound_at(k) < classical_pga_bound(1.0, x_star, x0, k)
+            assert cert.bound_at(k) < cert.classical / cert.weight_sums[k - 1]
 
     def test_tightness_ordering_random(self):
+        # c = c_cl - D_f(x*, x0) with D_f >= 0, so no slack is needed
         r = rng(3)
         for _ in range(50):
             A = r.standard_normal((8, 6))
@@ -227,8 +226,19 @@ class TestClassicalBound:
             x_star, x0 = r.standard_normal((2, 6))
             cert = constant_step_run(f, eta, x_star, x0, 50)
             for k in (1, 10, 50):
-                assert (cert.bound_at(k)
-                        <= classical_pga_bound(eta, x_star, x0, k) + 1e-12)
+                assert cert.bound_at(k) <= cert.classical / k
+
+    @pytest.mark.parametrize("kind", ["quadratic", "entropy"])
+    def test_classical_is_distance_over_first_step(self, simplex_instance,
+                                                   kind):
+        # each generator's own D_H(x*, x0) / eta_1, under line search too
+        p, _ = simplex_instance
+        H = squared_euclidean(40) if kind == "quadratic" \
+            else negative_entropy(40)
+        trace, cert = line_search_run(simplex_instance, H, eta0=100.0)
+        assert cert.classical == bregman_distance(
+            H, p.optimum_oracle[0], trace.x0) / trace.eta[1]
+        assert cert.constant <= cert.classical
 
 
 def eta_min_bound(H, alpha, gamma, eta0, x_star, x0, k):
@@ -300,7 +310,7 @@ class TestCertifyTrace:
 
     def test_bound_shape_is_constant_over_k(self):
         ks = np.arange(1, 200)
-        cert = RateCertificate(3.7, ks.astype(float), np.inf, True)
+        cert = RateCertificate(3.7, 3.7, ks.astype(float), np.inf, True)
         vals = np.array([cert.bound_at(k) * k for k in ks])
         np.testing.assert_allclose(vals, 3.7, rtol=1e-14)
         bounds = np.array([cert.bound_at(k) for k in ks])

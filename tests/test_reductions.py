@@ -23,17 +23,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bregprox import (check_three_point, least_squares, negative_entropy,
-                      probability_simplex, shifted_quadratic,
-                      squared_euclidean)
+from bregprox import (NonsmoothTerm, check_three_point, least_squares,
+                      negative_entropy, probability_simplex,
+                      shifted_quadratic, squared_euclidean)
 from bregprox import functions
-from bregprox.bregman import (DISTANCES, half_squared_distance,
+from bregprox.bregman import (half_squared_distance, kl_divergence,
                               reference_distance)
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 SIMPLEX_MEMBER_MIN, SIMPLEX_SUM_TOL,
                                 SMALLEST_NORMAL, on_simplex, per_row,
                                 row_sum)
-from bregprox.prox import _REGISTRY, make_prox_map, prox_objective
+from bregprox.prox import _REGISTRY, prox_objective
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bregprox"
 
@@ -180,12 +180,13 @@ def reference_three_point_rhs(h, a, b, c):
                   axis=-1)
 
 
-def reference_prox_objective(pm, x, v, y, eta):
+def reference_prox_objective(g_kind, H_kind, x, v, y, eta):
     g = {"l1": reference_l1, "zero": lambda x: per_row(
         np.zeros(np.shape(x)[:-1])), "simplex": lambda x: per_row(
-        np.where(reference_on_simplex(x), 0.0, np.inf))}[pm.g_kind]
-    return per_row(g(x) + np.sum(x * v, axis=-1)
-                   + DISTANCES[pm.H_kind](x, y) / eta)
+        np.where(reference_on_simplex(x), 0.0, np.inf))}[g_kind]
+    distance = {"quadratic": half_squared_distance,
+                "entropy": kl_divergence}[H_kind]
+    return per_row(g(x) + np.sum(x * v, axis=-1) + distance(x, y) / eta)
 
 
 def rows_match(fn, *stacks):
@@ -304,7 +305,9 @@ class TestReroutedOracles:
          ("simplex", "entropy"), ("zero", "quadratic")]))
     def test_prox_objective(self, seed, n, rows, pair):
         r = rng(seed)
-        pm = make_prox_map(*pair)
+        g = NonsmoothTerm(pair[0])
+        H = squared_euclidean(n) if pair[1] == "quadratic" \
+            else negative_entropy(n)
         if pair[0] == "simplex":
             y = r.dirichlet(np.ones(n))
             x = simplex_points(r, rows, n)
@@ -314,9 +317,9 @@ class TestReroutedOracles:
             y = r.standard_normal(n)
             x = r.standard_normal((rows, n))
         v, eta = r.standard_normal(n), r.uniform(0.1, 2.0)
-        same_bits(prox_objective(pm, x, v, y, eta),
-                  reference_prox_objective(pm, x, v, y, eta))
-        rows_match(lambda x: prox_objective(pm, x, v, y, eta), x)
+        same_bits(prox_objective(g, H, x, v, y, eta),
+                  reference_prox_objective(*pair, x, v, y, eta))
+        rows_match(lambda x: prox_objective(g, H, x, v, y, eta), x)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 12, 50])
     def test_residual_stepper_blocks(self, m):

@@ -272,12 +272,12 @@ class TestGppaObjective:
         H = squared_euclidean(8)
         eta = 0.5 / p.f.lipschitz_grad
         h = composite_generator(H, p.f, eta)
-        pm = make_prox_map("simplex", "quadratic")
         r = rng(8)
         x_k = r.dirichlet(np.ones(8))
         v = p.f.grad(x_k)
         diffs = [
-            gppa_objective(p, h, x, x_k) - prox_objective(pm, x, v, x_k, eta)
+            gppa_objective(p, h, x, x_k) - prox_objective(p.g, H, x, v, x_k,
+                                                          eta)
             for x in (r.dirichlet(np.ones(8)) for _ in range(100))
         ]
         assert np.std(diffs) <= 1e-10
@@ -1071,11 +1071,13 @@ class TestColumnarTrace:
         # read; a trace change that breaks it must fail here first.
         # run_experiment's traces (desk-compare) keep no iterates but give a
         # row per step; paper-solve's default configuration keeps them
-        configs = variant_configs(small.spec, small.gamma, small.tolerance)
+        configs = variant_configs(small.spec,
+                                  1 / small.problem.f.lipschitz_grad,
+                                  small.tolerance)
         for variant, unkept in small.traces.items():
             H, cfg = configs[variant]
             kept = run_solver(small.problem, H,
-                              make_prox_map("simplex", H.kind), small.x0,
+                              make_prox_map("simplex", H.kind), unkept.x0,
                               dataclasses.replace(cfg, keep_iterates=True))
             assert unkept.xs is None
             assert [r.x for r in unkept.records] \
@@ -1144,9 +1146,10 @@ class TestColumnarTrace:
 
         pm = dataclasses.replace(make_prox_map("simplex", "quadratic"),
                                  solve=off_once)
-        cfg = SolverConfig(eta0=small.gamma, max_iters=300, tolerance=tol,
-                           keep_iterates=True)
-        trace = run_solver(p, squared_euclidean(30), pm, small.x0, cfg)
+        cfg = SolverConfig(eta0=1 / p.f.lipschitz_grad, max_iters=300,
+                           tolerance=tol, keep_iterates=True)
+        trace = run_solver(p, squared_euclidean(30), pm,
+                           small.traces["pga-constant"].x0, cfg)
         assert p.f.value(trace.xs[k_tol]) - f_star <= tol
         assert trace.objective[k_tol] == np.inf
         assert len(trace.objective) - 1 > k_tol
