@@ -46,9 +46,6 @@ CSV_CHUNK_ROWS = 1024
 SUMMARY_HEADER = ("variant,iters_to_tol,reached,tolerance,final_gap,"
                   "cert_kind,cert_margin,hypothesis_satisfied\n")
 SUMMARY_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
-REF_ITERS_HELP = ("cap on the major cycles of Wolfe's method for the "
-                  "reference optimum, which stops once its Frank-Wolfe gap "
-                  "certifies it")
 
 
 def _write_variant_csv(path: Path, trace, f_star: float, cert,
@@ -97,11 +94,10 @@ def _report(result, line: str) -> int:
 
 
 def _spec(args, name: str, **fields) -> ExperimentSpec:
-    """The experiment of --rows, --cols, --seed, --max-iters (certify's
-    --iters) and --ref-iters, with a subcommand's own ``fields``."""
+    """The experiment of --rows, --cols, --seed and --max-iters (certify's
+    --iters), with a subcommand's own ``fields``."""
     return ExperimentSpec(name=name, m=args.rows, n=args.cols, seed=args.seed,
-                          max_iters=args.max_iters, ref_iters=args.ref_iters,
-                          **fields)
+                          max_iters=args.max_iters, **fields)
 
 
 def cmd_run_simplex(args) -> int:
@@ -221,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eta0", type=float, default=ExperimentSpec.eta0)
     ps.add_argument("--alpha", type=float, default=ExperimentSpec.alpha)
     ps.add_argument("--max-iters", type=int, default=ExperimentSpec.max_iters)
-    ps.add_argument("--ref-iters", type=int, default=ExperimentSpec.ref_iters,
-                    help=REF_ITERS_HELP)
     ps.add_argument("--variants", default=",".join(VARIANTS),
                     help="comma-separated subset of: " + ", ".join(VARIANTS))
     ps.add_argument("--out", default="simplex_out",
@@ -247,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=_seed, default=0)
     pc.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int,
                     default=500)
-    pc.add_argument("--ref-iters", type=int, default=ExperimentSpec.ref_iters,
-                    help=REF_ITERS_HELP)
     pc.set_defaults(func=cmd_certify)
 
     pv = sub.add_parser("verify-identities",

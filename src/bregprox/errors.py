@@ -32,6 +32,6 @@ class ConfigurationError(BregProxError):
 class SolverFailure(BregProxError):
     """Solver could not complete; carries the partial trace accumulated so far."""
 
-    def __init__(self, message, partial_trace=None):
+    def __init__(self, message, partial_trace):
         super().__init__(message)
         self.partial_trace = partial_trace

@@ -179,140 +179,141 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     x = np.asarray(x0, dtype=float)
     if not H.domain.interior(x):
         raise ContractViolation("x0 must be interior to the generator domain")
-    # f(x0) warns of no overflow, and an overflowed value is refused below;
-    # a caller's over="raise" holds (README "The solver loop")
+    # the run warns of no overflow: an f(x0) that overflowed is refused
+    # below, and a D_f that did fails ``accepts``; a caller's over="raise"
+    # holds (README "The solver loop")
     with np.errstate(over="ignore" if np.geterr()["over"] == "warn" else None):
         obj0 = evaluate_composite(p, x)
-    if not np.isfinite(obj0):
-        raise ContractViolation("x0 must have finite objective")
+        if not np.isfinite(obj0):
+            raise ContractViolation("x0 must have finite objective")
 
-    L = p.f.lipschitz_grad
-    if not (cfg.line_search_enabled or L is None
-            or step_within_hypothesis(cfg.eta0, L)):
-        logger.warning(
-            "constant step eta = %g exceeds gamma = %g; rate "
-            "certificates may not hold", cfg.eta0, 1.0 / L,
-        )
-    if cfg.line_search_enabled and cfg.eta0 < SMALLEST_NORMAL:
-        raise ContractViolation(
-            f"eta0 = {cfg.eta0!r} is below the smallest normal float, the "
-            "smallest step a line search tries")
-    early_stop = cfg.tolerance > 0
-    if early_stop:
-        if p.optimum_oracle is None:
-            raise ConfigurationError(
-                "a tolerance needs the problem's optimum oracle to stop on")
-        f_star, tol = p.optimum_oracle[1], cfg.tolerance
+        L = p.f.lipschitz_grad
+        if not (cfg.line_search_enabled or L is None
+                or step_within_hypothesis(cfg.eta0, L)):
+            logger.warning(
+                "constant step eta = %g exceeds gamma = %g; rate "
+                "certificates may not hold", cfg.eta0, 1.0 / L,
+            )
+        if cfg.line_search_enabled and cfg.eta0 < SMALLEST_NORMAL:
+            raise ContractViolation(
+                f"eta0 = {cfg.eta0!r} is below the smallest normal float, the "
+                "smallest step a line search tries")
+        early_stop = cfg.tolerance > 0
+        if early_stop:
+            if p.optimum_oracle is None:
+                raise ConfigurationError("a tolerance needs the problem's "
+                                         "optimum oracle to stop on")
+            f_star, tol = p.optimum_oracle[1], cfg.tolerance
 
-    start = time.perf_counter()
-    smooth = p.f.stepper(x)
-    # xs holds one block of the stepper's rows after the point before it:
-    # x_k sits in row k - lo + 1, where the prox map writes each candidate
-    # for step k.  complete() reads the block in place and then moves its
-    # last row to row 0, where the anchor and the stepper's point follow
-    # it, so that no candidate is written over its own anchor.  Kept
-    # iterates grow by each finished block by realloc, which copies no page
-    # once they are mapped apart
-    xs = np.empty((smooth.rows + 1, x.size))
-    xs[0], x0 = x, x.copy()
-    kept = x0[None].copy() if cfg.keep_iterates else None
-    # ms of each step, and under line search eta, backtracks and d_hk;
-    # a constant step's eta and backtracks are columns of one value
-    ms, steps = [0.0], [(cfg.eta0, 0, 0.0)]
-    # F(x_k) and the constant-step d_hk of each completed block; steps lo
-    # on are not completed yet
-    objective, d_hks, lo, held = [np.array([obj0])], [], 1, True
+        start = time.perf_counter()
+        smooth = p.f.stepper(x)
+        # xs holds one block of the stepper's rows after the point before it:
+        # x_k sits in row k - lo + 1, where the prox map writes each candidate
+        # for step k.  complete() reads the block in place and then moves its
+        # last row to row 0, where the anchor and the stepper's point follow
+        # it, so that no candidate is written over its own anchor.  Kept
+        # iterates grow by each finished block by realloc, which copies no page
+        # once they are mapped apart
+        xs = np.empty((smooth.rows + 1, x.size))
+        xs[0], x0 = x, x.copy()
+        kept = x0[None].copy() if cfg.keep_iterates else None
+        # ms of each step, and under line search eta, backtracks and d_hk;
+        # a constant step's eta and backtracks are columns of one value
+        ms, steps = [0.0], [(cfg.eta0, 0, 0.0)]
+        # F(x_k) and the constant-step d_hk of each completed block; steps lo
+        # on are not completed yet
+        objective, d_hks, lo, held = [np.array([obj0])], [], 1, True
 
-    def complete() -> None:
-        """Finish steps lo, ..., len(ms) - 1: f from the stepper, g and,
-        under a constant step, D_f, d_hk and its test D_{h_k} >= 0, one
-        stacked call each, which give the bits of the calls on each row.
-        The line search tested its d_hk in the loop and reads no D_f here."""
-        nonlocal lo, held, x
-        block, lo = xs[:len(ms) - lo + 1], len(ms)
-        if kept is not None:
-            kept.resize((lo, x.size), refcheck=False)
-            kept[1 - len(block):] = block[1:]
-        if not cfg.line_search_enabled:
-            # before the flush, which starts the stepper's next block
-            d_f = smooth.distances(block)
-            d_H = H.distance(block[1:], block[:-1]) / cfg.eta0
-            d_hks.append(d_H - d_f)
-            held &= bool(np.logical_and.reduce(accepts(d_H, d_f)))
-        # f + 0.0 keeps f's bits, and a stacked g equals its row calls
-        objective.append(smooth.flush(block) + p.g.value(block[1:]))
-        xs[0] = block[-1]
-        smooth.x = x = xs[0]
+        def complete() -> None:
+            """Finish steps lo, ..., len(ms) - 1: f from the stepper, g
+            and, under a constant step, D_f, d_hk and its test D_{h_k} >= 0,
+            one stacked call each, with the bits of the calls on each row.
+            The line search tested its d_hk in the loop, and reads no D_f."""
+            nonlocal lo, held, x
+            block, lo = xs[:len(ms) - lo + 1], len(ms)
+            if kept is not None:
+                kept.resize((lo, x.size), refcheck=False)
+                kept[1 - len(block):] = block[1:]
+            if not cfg.line_search_enabled:
+                # before the flush, which starts the stepper's next block
+                d_f = smooth.distances(block)
+                d_H = H.distance(block[1:], block[:-1]) / cfg.eta0
+                d_hks.append(d_H - d_f)
+                held &= bool(np.logical_and.reduce(accepts(d_H, d_f)))
+            # f + 0.0 keeps f's bits, and a stacked g equals its row calls
+            objective.append(smooth.flush(block) + p.g.value(block[1:]))
+            xs[0] = block[-1]
+            smooth.x = x = xs[0]
 
-    def build(stop_reason: str) -> IterationTrace:
-        if lo < len(ms):
-            complete()
-        if cfg.line_search_enabled:
-            etas, bts, d_hk = map(np.array, zip(*steps))
-        else:
-            etas, bts = np.full(len(ms), cfg.eta0), np.zeros(len(ms), int)
-            d_hk = np.concatenate(([0.0], *d_hks))
-        return IterationTrace(x0, x.copy(), np.concatenate(objective), etas,
-                              bts, d_hk, np.array(ms), held, stop_reason,
-                              kept)
+        def build(stop_reason: str) -> IterationTrace:
+            if lo < len(ms):
+                complete()
+            if cfg.line_search_enabled:
+                etas, bts, d_hk = map(np.array, zip(*steps))
+            else:
+                etas, bts = np.full(len(ms), cfg.eta0), np.zeros(len(ms), int)
+                d_hk = np.concatenate(([0.0], *d_hks))
+            return IterationTrace(x0, x.copy(), np.concatenate(objective),
+                                  etas, bts, d_hk, np.array(ms), held,
+                                  stop_reason, kept)
 
-    def fail(message: str) -> NoReturn:
-        raise SolverFailure(message, partial_trace=build(message))
+        def fail(message: str) -> NoReturn:
+            raise SolverFailure(message, partial_trace=build(message))
 
-    # the loop's callees and flags, looked up once per run
-    grad, propose, distance = smooth.grad, smooth.propose, smooth.distance
-    accept, rows, solve = smooth.accept, smooth.rows, pm.solve
-    line_search = cfg.line_search_enabled
-    # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
-    # meets the tolerance only where f does
-    may_stop = smooth.stop_test(f_star, tol) if early_stop else None
-    record, tick, clock = steps.append, ms.append, time.perf_counter
-    eta, up, down, mirror = cfg.eta0, 0.0, 0.0, H.kind == "entropy"
-    for k in range(1, cfg.max_iters + 1):
-        v, row = grad(), xs[k - lo + 1]
-        if line_search:
-            # a candidate whose step would overflow is rejected unformed:
-            # y - eta v and -eta v overflow only where eta max |v_i| does,
-            # which takes eta > 1 for finite v; the mirror step's shift
-            # -eta v - max(-eta v) spans eta max v - eta min v (over all of
-            # v, a bound on its span over supp(y)), which takes eta > 1/2.
-            # A step starting at or below its map's bound reads no extremum
-            up = down = 0.0
-            if mirror and eta > 0.5:
-                up, down = v.item(v.argmax()), -v.item(v.argmin())
-            elif eta > 1.0:  # max |v_i|
-                up = max(v.item(v.argmax()), -v.item(v.argmin()))
-        backtracks = 0
-        while True:
-            if eta * up + eta * down < np.inf:
-                cand = solve(v, x, eta, row)
-                if cand is not row:  # a map that ignored ``out``
-                    row[...] = cand
-                propose(row)
-                if not line_search:
-                    break
-                d_H = H.distance(row, x) / eta
-                d_f = distance()
-                d = d_H - d_f
-                if accepts(d_H, d_f):
-                    break
-            backtracks += 1
-            if backtracks > MAX_BACKTRACKS:
-                fail(f"backtracking budget exhausted at iteration {k}")
-            eta *= cfg.alpha
-            if eta < SMALLEST_NORMAL:
-                fail(f"line-search step {eta:.3g} fell below the smallest "
-                     f"normal float at iteration {k}")
-        x = row
-        accept()
-        if line_search:
-            record((eta, backtracks, d))
-        tick((clock() - start) * 1e3)
-        if k - lo + 1 == rows or (early_stop and may_stop()):
-            complete()
-            if early_stop and objective[-1][-1] - f_star <= tol:
-                return build("tolerance")
-    return build("max_iters")
+        # the loop's callees and flags, looked up once per run
+        grad, propose, distance = smooth.grad, smooth.propose, smooth.distance
+        accept, rows, solve = smooth.accept, smooth.rows, pm.solve
+        line_search = cfg.line_search_enabled
+        # may_stop tests f alone: every nonsmooth kind is >= 0, so F = f + g
+        # meets the tolerance only where f does
+        may_stop = smooth.stop_test(f_star, tol) if early_stop else None
+        record, tick, clock = steps.append, ms.append, time.perf_counter
+        eta, up, down, mirror = cfg.eta0, 0.0, 0.0, H.kind == "entropy"
+        for k in range(1, cfg.max_iters + 1):
+            v, row = grad(), xs[k - lo + 1]
+            if line_search:
+                # a candidate whose step would overflow is rejected unformed:
+                # y - eta v and -eta v overflow only where eta max |v_i| does,
+                # which takes eta > 1 for finite v; the mirror step's shift
+                # -eta v - max(-eta v) spans eta max v - eta min v (over all of
+                # v, a bound on its span over supp(y)), which takes eta > 1/2.
+                # A step starting at or below its map's bound reads no extremum
+                up = down = 0.0
+                if mirror and eta > 0.5:
+                    up, down = v.item(v.argmax()), -v.item(v.argmin())
+                elif eta > 1.0:  # max |v_i|
+                    up = max(v.item(v.argmax()), -v.item(v.argmin()))
+            backtracks = 0
+            while True:
+                if eta * up + eta * down < np.inf:
+                    cand = solve(v, x, eta, row)
+                    if cand is not row:  # a map that ignored ``out``
+                        row[...] = cand
+                    propose(row)
+                    if not line_search:
+                        break
+                    d_H = H.distance(row, x) / eta
+                    d_f = distance()
+                    d = d_H - d_f
+                    if accepts(d_H, d_f):
+                        break
+                backtracks += 1
+                if backtracks > MAX_BACKTRACKS:
+                    fail(f"backtracking budget exhausted at iteration {k}")
+                eta *= cfg.alpha
+                if eta < SMALLEST_NORMAL:
+                    fail(f"line-search step {eta:.3g} fell below the smallest "
+                         f"normal float at iteration {k}")
+            x = row
+            accept()
+            if line_search:
+                record((eta, backtracks, d))
+            tick((clock() - start) * 1e3)
+            if k - lo + 1 == rows or (early_stop and may_stop()):
+                complete()
+                if early_stop and objective[-1][-1] - f_star <= tol:
+                    return build("tolerance")
+        return build("max_iters")
 
 
 def verify_theorem2_equivalence(p: CompositeProblem, H: BregmanGenerator,

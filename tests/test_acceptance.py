@@ -62,7 +62,7 @@ def report(name, elapsed):
 def desk_experiment():
     """Shared 50x100 instance at the published line-search parameters."""
     spec = ExperimentSpec(name="desk", m=50, n=100, seed=42, eta0=100.0,
-                          alpha=0.5, max_iters=20_000, ref_iters=100_000)
+                          alpha=0.5, max_iters=20_000)
     return run_experiment(spec)
 
 
@@ -124,7 +124,7 @@ def test_criterion_3_certificate_validity():
         spec = ExperimentSpec(name="cert", m=20, n=40, seed=seed)
         p = build_simplex_ls(spec)
         gamma = 1.0 / p.f.lipschitz_grad
-        x_star, f_star = reference_simplex_ls(p.f.A, p.f.b, iters=100_000)
+        x_star, f_star = reference_simplex_ls(p.f.A, p.f.b)
         p = CompositeProblem(p.f, p.g, optimum_oracle=(x_star, f_star))
         trace = run_solver(p, H, pm, x0,
                            SolverConfig(eta0=gamma, max_iters=500))
@@ -271,7 +271,7 @@ def test_criterion_7_identity_suites():
 def test_criterion_8_determinism(tmp_path):
     watch = Stopwatch(120.0)
     args = ["run-simplex", "--rows", "30", "--cols", "60", "--seed", "42",
-            "--max-iters", "500", "--ref-iters", "20000"]
+            "--max-iters", "500"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out", str(out1)]) == 0
     assert cli_main(args + ["--out", str(out2)]) == 0

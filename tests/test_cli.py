@@ -35,8 +35,7 @@ def file_hash(path):
 
 
 SMALL_SIMPLEX = ["run-simplex", "--rows", "15", "--cols", "30",
-                 "--seed", "42", "--max-iters", "300",
-                 "--ref-iters", "5000"]
+                 "--seed", "42", "--max-iters", "300"]
 
 
 class TestRunSimplex:
@@ -149,8 +148,7 @@ class TestRunSimplex:
             warnings.simplefilter("error")
             assert run(["run-simplex", "--rows", "1", "--cols", "2",
                         "--seed", "13", "--eta0", "1e308", "--alpha",
-                        "0.99", "--max-iters", "1", "--ref-iters", "3",
-                        "--out", str(out)]) == 0
+                        "0.99", "--max-iters", "1", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         first = "0,2,0,1e+308,0,0,inf,inf,0\n"
         assert (out / "mirror-linesearch.csv").read_text() == (
@@ -161,9 +159,9 @@ class TestRunSimplex:
             "0,2.7922407962673753e-309,2.7922407962673753e-309,0\n")
 
     @pytest.mark.parametrize("argv", [
-        "--cols 7 --seed 0 --alpha 1e-300 --max-iters 1 --ref-iters 0",
-        "--cols 50 --seed 42 --alpha 1e-307 --max-iters 20 --ref-iters 3",
-        "--cols 7 --seed 1 --alpha 1e-300 --max-iters 1 --ref-iters 3"])
+        "--cols 7 --seed 0 --alpha 1e-300 --max-iters 1",
+        "--cols 50 --seed 42 --alpha 1e-307 --max-iters 20",
+        "--cols 7 --seed 1 --alpha 1e-300 --max-iters 1"])
     def test_overflowing_mirror_shift_is_never_formed(self, tmp_path, capsys,
                                                       argv):
         # the mirror step shifts -eta v by its maximum, a span of
@@ -218,18 +216,19 @@ class TestRunSimplex:
         assert captured.err == "error: eta0 must be positive and finite\n"
         assert not out.exists()
 
-    def test_uncertified_reference_is_an_error(self, tmp_path, capsys):
-        # --ref-iters 0 used to take the barycentre as x*, print [ok] for
-        # every variant and write negative final gaps
+    def test_uncertified_reference_is_an_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a cap of 0 cycles used to take the barycentre as x*, print [ok]
+        # for every variant and write negative final gaps
+        monkeypatch.setattr(experiments, "REFERENCE_MAX_CYCLES", 0)
         out = tmp_path / "out"
-        assert run(SMALL_SIMPLEX[:-2] + ["--ref-iters", "0",
-                                         "--out", str(out)]) == 1
+        assert run(SMALL_SIMPLEX + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
             "error: reference optimum uncertified after 0 major cycles: "
             "Frank-Wolfe gap ")
-        assert captured.err.endswith("raise the cycle cap (--ref-iters)\n")
+        assert "corral" not in captured.err
         assert not out.exists()
 
     def test_wide_instance_certifies_its_reference(self, tmp_path, capsys):
@@ -581,7 +580,7 @@ class TestRunLasso:
 class TestCertify:
     def test_small_instance(self):
         assert run(["certify", "--rows", "10", "--cols", "20",
-                    "--iters", "100", "--ref-iters", "5000"]) == 0
+                    "--iters", "100"]) == 0
 
     def test_wide_instance_certifies_its_reference(self, capsys):
         # exited 1 with "reference optimum uncertified after 100000 steps"
@@ -600,7 +599,7 @@ class TestCertify:
             experiments, "certify_trace", lambda *a: dataclasses.replace(
                 certify(*a), margin=-1.0, hypothesis_satisfied=hypothesis))
         status = run(["certify", "--rows", "10", "--cols", "20",
-                      "--iters", "100", "--ref-iters", "5000"])
+                      "--iters", "100"])
         out = capsys.readouterr().out
         assert out.count("[FAIL]") == (2 if hypothesis else 0)
         assert status == (1 if hypothesis else 0)
@@ -620,19 +619,6 @@ class TestCertify:
         assert captured.err == \
             "mirror-constant: solver failure: no mirror step here\n"
         assert status == 1
-
-
-@pytest.mark.parametrize("command", ["run-simplex", "certify"])
-def test_negative_ref_iters_names_the_flag(tmp_path, capsys, command):
-    # this named reference_simplex_ls's parameter: "iters must be
-    # non-negative, got -1"
-    assert run([command, "--rows", "10", "--cols", "20", "--ref-iters", "-1"]
-               + (["--out", str(tmp_path / "out")]
-                  if command == "run-simplex" else [])) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: the cycle cap (--ref-iters) must be "
-                            "non-negative, got -1\n")
 
 
 class TestVerifyIdentities:

@@ -75,11 +75,10 @@ def switch(name):
 ARGVS = st.one_of(
     command("run-simplex", VARIANT_LISTS, switch("--timing"), rows=SIZES,
             cols=SIZES, seed=SEEDS, eta0=FLOATS, alpha=FLOATS,
-            max_iters=ITERS, ref_iters=ITERS),
+            max_iters=ITERS),
     command("run-lasso", gamma=FLOATS, dim=SIZES, seed=SEEDS,
             eta_ratio=FLOATS),
-    command("certify", rows=SIZES, cols=SIZES, seed=SEEDS, iters=ITERS,
-            ref_iters=ITERS),
+    command("certify", rows=SIZES, cols=SIZES, seed=SEEDS, iters=ITERS),
     command("verify-identities", switch("--inject-fault"), seed=SEEDS,
             samples=mostly(st.integers(1, 40), st.integers(-1, 0))))
 
@@ -113,7 +112,7 @@ def call(argv):
 @given(argv=ARGVS)
 # both line searches fail at iteration 1: two certificates over no step
 @example(argv="run-simplex --rows=3 --cols=4 --seed=1 --eta0=1e300 "
-              "--alpha=0.99 --max-iters=5 --ref-iters=10".split())
+              "--alpha=0.99 --max-iters=5".split())
 def test_every_drawn_input_ends_as_documented(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("sweep") / "out"
     if argv[0] == "run-simplex":

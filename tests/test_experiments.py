@@ -24,7 +24,7 @@ from bregprox import (
 
 def desk_spec(**overrides):
     base = dict(name="desk", m=20, n=40, seed=42, eta0=100.0, alpha=0.5,
-                max_iters=2000, ref_iters=30_000)
+                max_iters=2000)
     base.update(overrides)
     return ExperimentSpec(**base)
 
@@ -121,7 +121,7 @@ class TestReferenceRun:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_certified_reference_matches_long_run(self, seed):
         res = run_experiment(desk_spec(seed=seed, variants=("pga-constant",),
-                                       max_iters=10, ref_iters=100_000))
+                                       max_iters=10))
         x_ref, f_ref = res.reference_optimum
         scale = 1.0 + abs(f_ref)
         assert 0.0 <= res.reference_gap <= 1e-13 * scale
@@ -135,14 +135,15 @@ class TestReferenceRun:
         rounding = 1e-15 * scale
         assert -rounding <= f_ref - f_long <= res.reference_gap + rounding
 
-    def test_cap_reached_uncertified_is_an_error(self):
+    def test_cap_reached_uncertified_is_an_error(self, monkeypatch):
         # the error names the gap of the one major cycle the cap allows: from
         # the column of P = A - b 1^T nearest 0 to the nearest point of its
         # segment to the Frank-Wolfe vertex
         p = build_simplex_ls(desk_spec())
         A, b = p.f.A, p.f.b
+        monkeypatch.setattr(experiments, "REFERENCE_MAX_CYCLES", 1)
         with pytest.raises(ConfigurationError) as exc_info:
-            reference_simplex_ls(A, b, iters=1)
+            reference_simplex_ls(A, b)
         P = A - b[:, None]
         start = np.argmin(np.sum(P * P, axis=0))
         x = np.zeros(A.shape[1])
@@ -156,22 +157,18 @@ class TestReferenceRun:
         message = str(exc_info.value)
         assert "uncertified after 1 major cycles" in message
         assert f"{gap:.3e}" in message
-        assert "--ref-iters" in message
 
     def test_uncertified_reference_fails_before_any_solve(self, monkeypatch):
-        # --ref-iters 0 used to take the barycentre as x* (gap 0.33) and
+        # a cap of 0 cycles used to take the barycentre as x* (gap 0.33) and
         # report negative final gaps as reached
         def no_solve(*args):
             raise AssertionError("solved against an uncertified reference")
 
         monkeypatch.setattr(experiments, "run_solver", no_solve)
-        with pytest.raises(ConfigurationError, match="--ref-iters"):
-            run_experiment(desk_spec(ref_iters=0))
-
-    def test_negative_cap_rejected(self):
-        p = build_simplex_ls(desk_spec())
-        with pytest.raises(ContractViolation):
-            reference_simplex_ls(p.f.A, p.f.b, iters=-1)
+        monkeypatch.setattr(experiments, "REFERENCE_MAX_CYCLES", 0)
+        with pytest.raises(ConfigurationError,
+                           match="uncertified after 0 major cycles"):
+            run_experiment(desk_spec())
 
     def test_optimal_start_returns_at_once(self, monkeypatch):
         # b equal to a column makes that column's vertex optimal (F = 0) and
@@ -183,7 +180,7 @@ class TestReferenceRun:
             raise AssertionError("ran a minor cycle from an optimal start")
 
         monkeypatch.setattr(np.linalg, "lstsq", no_cycle)
-        x, f_x = reference_simplex_ls(A, A[:, 7].copy(), iters=0)
+        x, f_x = reference_simplex_ls(A, A[:, 7].copy())
         np.testing.assert_array_equal(x, np.eye(A.shape[1])[7])
         assert f_x == 0.0
 
@@ -296,12 +293,12 @@ class TestRunExperiment:
 
     def test_single_variant_spec(self):
         res = run_experiment(desk_spec(variants=("pga-constant",),
-                                       max_iters=50, ref_iters=5000))
+                                       max_iters=50))
         assert list(res.traces) == ["pga-constant"]
         assert len(res.certificates) == 1
 
     def test_determinism(self):
-        spec = desk_spec(max_iters=100, ref_iters=5000)
+        spec = desk_spec(max_iters=100)
         a = run_experiment(spec)
         b = run_experiment(spec)
         for v in spec.variants:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -856,6 +857,47 @@ class TestRunSolver:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             run_solver(*args)
 
+    def test_overflowing_candidate_distance_warns_of_nothing(self):
+        # D_f = (1.8e154)^2 / 2 of the first candidate overflows: the line
+        # search printed "overflow encountered in square" before rejecting
+        # it (accepts fails an inf D_f), and where warnings are errors the
+        # run raised that warning instead of its SolverFailure
+        a = 1.8e154
+        p = CompositeProblem(least_squares(np.array([[a, -a]]), np.zeros(1)),
+                             simplex_indicator(2))
+        H = negative_entropy(2)
+        args = (p, H, make_prox_map(p.g.kind, H.kind), np.array([0.75, 0.25]),
+                SolverConfig(eta0=0.75, line_search_enabled=True,
+                             max_iters=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="^backtracking budget "
+                               "exhausted at iteration 1$") as exc_info:
+                run_solver(*args)
+        partial = exc_info.value.partial_trace
+        assert partial.objective.tolist() == [0.5 * (a / 2) ** 2]
+        assert partial.stop_reason == str(exc_info.value)
+        # a caller's own setting holds inside the loop: over="raise" (as
+        # run-lasso sets it) raises, and over="call" calls its handler
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                      match="square"):
+            run_solver(*args)
+        calls = []
+        with np.errstate(over="call", call=lambda *e: calls.append(e)), \
+                pytest.raises(SolverFailure):
+            run_solver(*args)
+        assert calls
+        # run-lasso --gamma 1e-306 --eta-ratio 2 under run-lasso's setting:
+        # the constant step's D_f overflows inside the run
+        r = np.random.Generator(np.random.Philox(7))
+        b, x0 = r.standard_normal(50), r.standard_normal(50)
+        lasso = build_lasso_onestep(1e-306, b)
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(FloatingPointError):
+            run_solver(lasso, squared_euclidean(50),
+                       make_prox_map("l1", "quadratic"), x0,
+                       SolverConfig(eta0=2e-306, max_iters=1))
+
     def test_tolerance_needs_an_optimum_oracle(self):
         # with no optimum to stop on, the tolerance was ignored without a
         # word and all 50 steps ran
@@ -1063,7 +1105,7 @@ class TestColumnarTrace:
     @pytest.fixture(scope="class")
     def small(self):
         spec = ExperimentSpec(name="small", m=15, n=30, seed=42,
-                              max_iters=300, ref_iters=5000)
+                              max_iters=300)
         return run_experiment(spec)
 
     def test_perfbench_reads_rows_that_match_the_columns(self, small):
