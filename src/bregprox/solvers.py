@@ -179,9 +179,9 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
     x = np.asarray(x0, dtype=float)
     if not H.domain.interior(x):
         raise ContractViolation("x0 must be interior to the generator domain")
-    # the run warns of no overflow: an f(x0) that overflowed is refused
-    # below, and a D_f that did fails ``accepts``; a caller's over="raise"
-    # holds (README "The solver loop")
+    # under numpy's "warn" the run ignores overflow: an f(x0) that
+    # overflowed is refused below, and a D_f that did fails ``accepts``; any
+    # other setting of the caller's holds (README "The solver loop")
     with np.errstate(over="ignore" if np.geterr()["over"] == "warn" else None):
         obj0 = evaluate_composite(p, x)
         if not np.isfinite(obj0):

@@ -122,9 +122,11 @@ class TestRunSimplex:
         # the first line-search candidate projects finite entries near
         # 1e307, whose prefix sums used to overflow to -inf: the projection
         # came out all inf, with numpy warnings from it and from the next
-        # matmul.  Both line searches still exhaust their budget
+        # matmul.  Both line searches still exhaust their budget.  Here and
+        # in the overflow tests below, over="raise" reaches inside
+        # run_solver, which ignores overflow only under numpy's "warn"
         out = tmp_path / "out"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error")
             assert run(["run-simplex", "--eta0", eta0, "--out",
                         str(out)]) == 1
@@ -144,7 +146,7 @@ class TestRunSimplex:
         # and mirror-linesearch, which rejected them after the warnings,
         # keeps its bytes
         out = tmp_path / "out"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error")
             assert run(["run-simplex", "--rows", "1", "--cols", "2",
                         "--seed", "13", "--eta0", "1e308", "--alpha",
@@ -169,7 +171,7 @@ class TestRunSimplex:
         # gate bounded, so these runs printed "overflow encountered in
         # subtract".  The gate now bounds the span
         out = tmp_path / "out"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error")
             assert run(["run-simplex", "--rows", "1", "--eta0", "1e308",
                         *argv.split(), "--out", str(out)]) == 0
@@ -188,7 +190,7 @@ class TestRunSimplex:
         # warning from the certificate, and exit 0 with cert_margin=inf [ok].
         # The constant-step variants keep their CSVs
         out, alone = tmp_path / "out", tmp_path / "alone"
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error")
             assert run(SMALL_SIMPLEX + [flag, "1e-310", "--out",
                                         str(out)]) == 1

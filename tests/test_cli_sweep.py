@@ -1,5 +1,6 @@
 """A sweep of the CLI's input space: argv drawn for all four subcommands, at
-small sizes and extreme floats, run in process with every warning an error.
+small sizes and extreme floats, run in process with every warning an error
+and numpy's overflow raised, which ``run_solver`` keeps inside its loop.
 
 No input the CLI accepts may end in an uncaught error.  Each call exits
 with 0-3 and writes to stderr only the lines the CLI documents; no
@@ -15,6 +16,7 @@ import re
 import warnings
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bregprox import cli
@@ -98,7 +100,7 @@ def call(argv):
             mock.patch.object(cli, "run_experiment", spy), \
             mock.patch.object(logging.getLogger("bregprox"), "handlers",
                               [logging.StreamHandler(err)]), \
-            warnings.catch_warnings():
+            warnings.catch_warnings(), np.errstate(over="raise"):
         warnings.simplefilter("error")
         try:
             code = cli.main(argv)
@@ -113,6 +115,10 @@ def call(argv):
 # both line searches fail at iteration 1: two certificates over no step
 @example(argv="run-simplex --rows=3 --cols=4 --seed=1 --eta0=1e300 "
               "--alpha=0.99 --max-iters=5".split())
+# the mirror step's shift spans twice eta max |v_i|: only its gate keeps
+# the shift from overflowing
+@example(argv="run-simplex --rows=1 --cols=7 --seed=0 --eta0=1e308 "
+              "--alpha=1e-300 --max-iters=1".split())
 def test_every_drawn_input_ends_as_documented(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("sweep") / "out"
     if argv[0] == "run-simplex":
