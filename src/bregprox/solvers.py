@@ -9,7 +9,6 @@ evaluated on the candidate directly from the two closed-form distances.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -18,14 +17,11 @@ from typing import List, NoReturn, Optional
 
 import numpy as np
 
-from .bregman import (BregmanGenerator, bregman_distance, composite_generator,
-                      step_within_hypothesis)
+from .bregman import BregmanGenerator, bregman_distance, composite_generator
 from .errors import ConfigurationError, ContractViolation, SolverFailure
 from .functions import (SMALLEST_NORMAL, CompositeProblem, Vector,
                         check_step, evaluate_composite, first_order_gap)
 from .prox import ProxMap
-
-logger = logging.getLogger(__name__)
 
 # A slack relative to the distances reads the same in any units of the
 # data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
@@ -187,13 +183,6 @@ def run_solver(p: CompositeProblem, H: BregmanGenerator, pm: ProxMap,
         if not np.isfinite(obj0):
             raise ContractViolation("x0 must have finite objective")
 
-        L = p.f.lipschitz_grad
-        if not (cfg.line_search_enabled or L is None
-                or step_within_hypothesis(cfg.eta0, L)):
-            logger.warning(
-                "constant step eta = %g exceeds gamma = %g; rate "
-                "certificates may not hold", cfg.eta0, 1.0 / L,
-            )
         if cfg.line_search_enabled and cfg.eta0 < SMALLEST_NORMAL:
             raise ContractViolation(
                 f"eta0 = {cfg.eta0!r} is below the smallest normal float, the "

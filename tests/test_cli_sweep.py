@@ -11,7 +11,6 @@ do that.
 
 import contextlib
 import io
-import logging
 import re
 import warnings
 from unittest import mock
@@ -47,15 +46,11 @@ VARIANT_LISTS = mostly(
         lambda v: ["--variants=" + ",".join(v)])
 
 # stderr lines the CLI may print: an error, a variant's solver failure,
-# argparse's usage (its lines of options too) and its error line, and
-# run_solver's warning on a constant step above 1/L (run-lasso
-# --eta-ratio 2 prints it by design)
+# and argparse's usage (its lines of options too) and its error line
 STDERR = re.compile(
     r"error: .*"
     rf"|({'|'.join(VARIANTS)}): solver failure: .*"
-    r"|usage: bregprox.*|\s+\[.*\]|bregprox [\w-]+: error: .*"
-    r"|constant step eta = .* exceeds gamma = .*; rate certificates may "
-    r"not hold")
+    r"|usage: bregprox.*|\s+\[.*\]|bregprox [\w-]+: error: .*")
 
 
 def command(name, *extra, **flags):
@@ -87,8 +82,7 @@ ARGVS = st.one_of(
 
 def call(argv):
     """Exit code, stdout, stderr and the ExperimentResult (or None) of one
-    in-process call of the CLI.  The package's log records go to stderr,
-    as they do in a process of its own."""
+    in-process call of the CLI."""
     out, err, results = io.StringIO(), io.StringIO(), []
     run_experiment = cli.run_experiment
 
@@ -98,8 +92,6 @@ def call(argv):
 
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(cli, "run_experiment", spy), \
-            mock.patch.object(logging.getLogger("bregprox"), "handlers",
-                              [logging.StreamHandler(err)]), \
             warnings.catch_warnings(), np.errstate(over="raise"):
         warnings.simplefilter("error")
         try:

@@ -12,7 +12,8 @@ its C entry point, that six more rules and values keep one coding each
 (among them the forward step and the positivity floor), that
 optimality is checked by one exact gap, not by a search of sampled points,
 that random draws are made only by the identity suites and the problem
-builders, and that every definition nothing calls is named public API.
+builders, that every definition nothing calls is named public API, and
+that no module but the command line's prints, warns or logs.
 """
 
 import ast
@@ -1057,3 +1058,71 @@ def test_the_guard_sees_an_uncalled_definition(tmp_path):
         "def exported():\n"
         "    return cli.main()\n")
     assert uncalled_definitions(src, bench) == {"unused", "exported"}
+
+
+# The library layers print nothing: a run reports through what it returns
+# (the trace's hypothesis_held, a certificate, an exception), and the
+# command line alone writes to the terminal.  No module but cli.py and
+# __main__.py imports logging, calls print or warnings.warn (or a bare
+# warn), or names sys.stdout or sys.stderr.
+TERMINAL = {"cli.py", "__main__.py"}
+OUTPUT_CALLS = {"print", "warn", "warnings.warn"}
+STREAMS = {"sys.stdout", "sys.stderr"}
+
+
+def output_sites(src=SRC):
+    """(file, enclosing function or "<module>", what) of every import of
+    logging, call of OUTPUT_CALLS and mention of STREAMS in the modules of
+    ``src`` outside TERMINAL."""
+    found = set()
+    for name, owner, node in owned_nodes(src):
+        if name in TERMINAL:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(
+                node, ast.ImportFrom) else [a.name for a in node.names]
+            found.update((name, owner, "import " + m) for m in modules
+                         if m.partition(".")[0] == "logging")
+        elif isinstance(node, ast.Call) and \
+                ast.unparse(node.func) in OUTPUT_CALLS:
+            found.add((name, owner, ast.unparse(node.func)))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) in STREAMS:
+            found.add((name, owner, ast.unparse(node)))
+    return found
+
+
+def test_the_library_layers_print_nothing():
+    assert output_sites() == set()
+
+
+def test_the_guard_sees_a_library_print(tmp_path):
+    (tmp_path / "loud.py").write_text(
+        "import logging.handlers\n"
+        "import sys, warnings\n"
+        "from logging import getLogger\n"
+        "from warnings import warn\n\n"
+        "def step(x, log):\n"
+        "    print(x)\n"
+        "    warnings.warn('slow')\n"
+        "    warn('slow')\n"
+        "    # a method named warn, argv and a string are not output\n"
+        "    log.warn('fine'), sys.argv, 'print(x)'\n"
+        "    return sys.stderr\n\n"
+        "def flush():\n"
+        "    sys.stdout.flush()\n")
+    (tmp_path / "cli.py").write_text(
+        "import logging\n"
+        "import sys\n\n"
+        "def main():\n"
+        "    print('ok', file=sys.stderr)\n")
+    (tmp_path / "__main__.py").write_text(
+        "import sys\n\n"
+        "sys.stdout.write('ok')\n")
+    assert output_sites(tmp_path) == {
+        ("loud.py", "<module>", "import logging.handlers"),
+        ("loud.py", "<module>", "import logging"),
+        ("loud.py", "step", "print"),
+        ("loud.py", "step", "warnings.warn"),
+        ("loud.py", "step", "warn"),
+        ("loud.py", "step", "sys.stderr"),
+        ("loud.py", "flush", "sys.stdout")}

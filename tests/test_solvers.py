@@ -22,6 +22,7 @@ from bregprox import (
     SolverConfig,
     SolverFailure,
     build_lasso_onestep,
+    certify_trace,
     composite_generator,
     evaluate_composite,
     gppa_objective,
@@ -39,7 +40,8 @@ from bregprox import (
     zero_function,
 )
 from bregprox import functions, solvers
-from bregprox.experiments import build_simplex_ls, variant_configs
+from bregprox.experiments import (build_simplex_ls, reference_simplex_ls,
+                                  variant_configs)
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
                                 ResidualStepper, pass_plan)
 from bregprox.prox import prox_objective
@@ -233,29 +235,37 @@ class TestSteps:
             one_step(p, squared_euclidean(2),
                      make_prox_map("zero", "quadratic"), np.zeros(2), 1.0)
 
-    def test_step_above_gamma_still_computes(self, caplog):
-        p = simplex_ls_problem(4, 6, seed=5)
-        pm = make_prox_map("simplex", "quadratic")
-        gamma = 1.0 / p.f.lipschitz_grad
-        cfg = SolverConfig(eta0=10 * gamma, max_iters=3)
-        with caplog.at_level(logging.WARNING, logger="bregprox.solvers"):
-            trace = run_solver(p, squared_euclidean(6), pm,
-                               np.full(6, 1 / 6), cfg)
-        assert len(trace.objective) == 4
-        assert any("exceeds gamma" in m for m in caplog.messages)
-
-    @pytest.mark.parametrize("ratio, warned", [
-        (1.0, False), (1.0 + 1e-13, False), (1.0 + 1e-11, True)])
-    def test_step_warning_has_the_generator_slack(self, caplog, ratio,
-                                                  warned):
-        # the warning and composite_generator share one hypothesis: eta L
-        # may reach 1 + 1e-12
-        p = CompositeProblem(shifted_quadratic(np.zeros(3), 0.25), l1_norm())
-        cfg = SolverConfig(eta0=ratio / p.f.lipschitz_grad, max_iters=1)
-        with caplog.at_level(logging.WARNING, logger="bregprox.solvers"):
-            run_solver(p, squared_euclidean(3),
-                       make_prox_map("l1", "quadratic"), np.ones(3), cfg)
-        assert any("exceeds gamma" in m for m in caplog.messages) == warned
+    @pytest.mark.parametrize("H_kind, held", [("quadratic", False),
+                                              ("entropy", True)])
+    def test_step_above_gamma_still_computes(self, caplog, H_kind, held):
+        # eta L <= 1 is one sufficient condition for D_{h_k} >= 0, and for
+        # entropy not the right one: mirror descent at eta = 1/max_i ||a_i||^2
+        # (eta L = 6.0 here) keeps D_{h_k} >= 0 at each of its 500 steps,
+        # where PGA at 10/L does not.  The run reads the exact test on each
+        # step into its trace and logs nothing
+        base = build_simplex_ls(ExperimentSpec(name="desk", m=50, n=100,
+                                               seed=42))
+        A = base.f.A
+        p = dataclasses.replace(
+            base, optimum_oracle=reference_simplex_ls(A, base.f.b))
+        if H_kind == "quadratic":
+            H, eta = squared_euclidean(100), 10.0 / base.f.lipschitz_grad
+        else:
+            H = negative_entropy(100)
+            eta = 1.0 / np.max(np.einsum("ij,ij->j", A, A))
+        cfg = SolverConfig(eta0=eta, max_iters=500, keep_iterates=False)
+        with caplog.at_level(logging.DEBUG, logger="bregprox"):
+            trace = run_solver(p, H, make_prox_map(p.g.kind, H.kind),
+                               np.full(100, 0.01), cfg)
+        assert not [name for name, _, _ in caplog.record_tuples
+                    if name.partition(".")[0] == "bregprox"]
+        assert len(trace.objective) == 501
+        assert eta * base.f.lipschitz_grad > 5.0
+        assert trace.hypothesis_held is held
+        cert = certify_trace(p, H, trace)
+        assert cert.hypothesis_satisfied is held
+        if held:
+            assert cert.margin > 0.0
 
 
 class TestGppaObjective:
