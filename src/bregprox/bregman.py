@@ -183,10 +183,25 @@ def reference_distance(h: BregmanGenerator, x: Vector, y: Vector) -> float:
                    - row_sum((x - y) * h.grad(y)))
 
 
-def step_within_hypothesis(eta: float, L: float) -> bool:
-    """eta L <= 1, under which (1/eta) H - f is convex (sigma = 1), to a
-    slack of 1e-12 for the rounding of eta = 1/L."""
-    return eta * L <= 1.0 + 1e-12
+# A slack relative to the distances reads the same in any units of the
+# data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
+# squared norms carry a relative rounding error near n eps, under 1e-12 for
+# n up to a few thousand.  A KL term is exact to about 2 eps / |t| relative,
+# t = x_i / y_i - 1, and to series precision for |t| < 1e-3 (see
+# kl_divergence), so under 5e-13 at a near tie as well.
+ACCEPT_TOL = 1e-12
+
+
+def accepts(d_H, d_f):
+    """D_h = d_H - d_f >= 0 (d_H = D_H / eta, h = H / eta - f) to a slack
+    of ACCEPT_TOL (d_H + d_f), elementwise: the one test of the hypothesis.
+
+    Tested as a sum against 0, which has the sign of the difference of
+    the two sides: every finite pair gets the comparison's verdict, and a
+    D_f that overflowed to inf fails (inf - inf is NaN), where the
+    comparison would pass it (-inf >= -inf).
+    """
+    return d_H - d_f + ACCEPT_TOL * (d_H + d_f) >= 0.0
 
 
 def composite_generator(H: BregmanGenerator, f: SmoothFunction,
@@ -199,7 +214,8 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction,
     1/2 ||x||^2 has sigma = 1, and so has negative entropy on the simplex,
     where every x_i <= 1 and its Hessian diag(1/x_i) dominates the identity
     (Pinsker's modulus 1 in l1 gives the same, since ||v||_1 >= ||v||_2).
-    A composite H has none.
+    A composite H has none.  As D_H >= ||x - y||^2 / 2 >= D_f / L, the
+    test is ``accepts`` at its worst pair, scaled: ``accepts(1 / eta, L)``.
     """
     check_step(eta)
     if f.distance is None:
@@ -210,7 +226,7 @@ def composite_generator(H: BregmanGenerator, f: SmoothFunction,
         raise HypothesisViolation(
             "gradient Lipschitz constant of f is required"
         )
-    if not step_within_hypothesis(eta, f.lipschitz_grad):
+    if not accepts(1.0 / eta, f.lipschitz_grad):
         raise HypothesisViolation(
             f"sigma = 1.0 < eta * L = {eta * f.lipschitz_grad}; "
             "composite generator not convex"

@@ -108,11 +108,14 @@ def build_lasso_onestep(gamma: float, b: Vector) -> CompositeProblem:
 
 
 # The reference stops once the Frank-Wolfe gap certifies
-# F(x) - F* <= 1e-13 (1 + |F(x)|).  That is 1e-7 times the experiment's own
-# tolerance 1e-6 (1 + |F*|) (F(x) and F* agree to 1e-13 relative, so either
-# may scale it): an error in F* of that size cannot move an iteration across
-# the tolerance except at a 1e-7 relative tie, and shifts every certificate
-# margin by at most 1e-13, far inside the CLI's -1e-9 slack.
+# F(x) - F* <= 1e-13 s, s = max(|b|^2, max_i |a_i|^2) / 2: A and b scaled
+# by 2^k scale both sides by 4^k, so the reference keeps its bits, and the
+# gap's rounding scales with s.  F at the start vertex would not do: b near
+# a column makes it tiny, and not the rounding (the test
+# ``test_b_near_a_column_is_certified``).  ``build_simplex_ls``'s data give
+# s = 1/2, so the bound is at most 5e-8 times the experiment's tolerance
+# 1e-6 (1 + |F*|): an error in F* of that size moves no iteration across
+# the tolerance except at a 5e-8 relative tie.
 REFERENCE_GAP_RTOL = 1e-13
 REFERENCE_MAX_CYCLES = 100_000
 
@@ -135,7 +138,8 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray) -> Tuple[Vector, float]:
     ``|S| - 1`` columns.
 
     Returns ``(x, F(x))`` at the first major cycle, the start included,
-    whose gap is at most ``REFERENCE_GAP_RTOL * (1 + |F(x)|)``: within 17
+    whose gap is at most ``REFERENCE_GAP_RTOL * max(|b|^2, max_i |a_i|^2)
+    / 2``, the data's magnitude: within 17
     major cycles at 50x100 (seeds 0-23, 42), 13 at 20x40 (seeds 0-24), 58
     at 500x1000 (seeds 0-7) and 70 at 1000x500 (seeds 0-2), as measured.  A
     run that reaches ``REFERENCE_MAX_CYCLES`` uncertified, or whose
@@ -147,6 +151,8 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray) -> Tuple[Vector, float]:
     b = np.asarray(b, dtype=float)
     P = A - b[:, None]
     S = [int(np.argmin(np.einsum("ij,ij->j", P, P)))]
+    threshold = REFERENCE_GAP_RTOL * 0.5 * max(
+        float(b @ b), float(np.max(np.einsum("ij,ij->j", A, A))))
     w = np.ones(1)
     entered = -1
     for cycle in range(REFERENCE_MAX_CYCLES + 1):
@@ -155,10 +161,8 @@ def reference_simplex_ls(A: np.ndarray, b: np.ndarray) -> Tuple[Vector, float]:
         r = A @ x - b
         g = A.T @ r
         gap = first_order_gap("simplex", g, x)
-        f_x = 0.5 * float(np.sum(r ** 2))
-        threshold = REFERENCE_GAP_RTOL * (1.0 + abs(f_x))
         if gap <= threshold:
-            return x, f_x
+            return x, 0.5 * float(np.sum(r ** 2))
         j = int(np.argmin(g))
         # Wolfe's entering point stays in the corral and so never enters
         # twice; if it does, rounding has made the corral affinely dependent
@@ -234,6 +238,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     reference_gap = first_order_gap("simplex", f.grad(x_star), x_star)
     problem = CompositeProblem(f=f, g=base.g, optimum_oracle=(x_star, f_star))
     x0 = np.full(spec.n, 1.0 / spec.n)
+    # an absolute floor, not a scale of the data's own: build_simplex_ls
+    # normalizes A and b, so no run here meets data of another scale
     tol = 1e-6 * (1.0 + abs(f_star))
 
     traces: Dict[str, IterationTrace] = {}

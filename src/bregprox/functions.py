@@ -512,7 +512,7 @@ def estimate_spectral_norm(A: np.ndarray) -> float:
     # The symmetric eigensolver is backward stable, so the result is exact
     # to rounding and is not rounded up: at 500x1000 the two Gram orders
     # agree to 5.6e-15 relative or better (seeds 0-9 and 42), far inside
-    # the 1e-12 slack of bregman.step_within_hypothesis on eta L <= 1.
+    # the 2e-12 that bregman.accepts(1 / eta, L) allows eta L above 1.
     # The Gram matrix has min(m, n)^2 <= m n entries, never more than A.
     G = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
     return float(np.linalg.eigvalsh(G)[-1])

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import BregmanGenerator, bregman_distance
+from .bregman import BregmanGenerator, accepts, bregman_distance
 from .errors import ConfigurationError, ContractViolation
 from .functions import CompositeProblem
-from .solvers import IterationTrace, accepts
+from .solvers import IterationTrace
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,32 +17,12 @@ from typing import List, NoReturn, Optional
 
 import numpy as np
 
-from .bregman import BregmanGenerator, bregman_distance, composite_generator
+from .bregman import (BregmanGenerator, accepts, bregman_distance,
+                      composite_generator)
 from .errors import ConfigurationError, ContractViolation, SolverFailure
 from .functions import (SMALLEST_NORMAL, CompositeProblem, Vector,
                         check_step, evaluate_composite, first_order_gap)
 from .prox import ProxMap
-
-# A slack relative to the distances reads the same in any units of the
-# data: A, b scaled by s and eta by 1/s^2 scale both sides by s^2.  The
-# squared norms carry a relative rounding error near n eps, under 1e-12 for
-# n up to a few thousand.  A KL term is exact to about 2 eps / |t| relative,
-# t = x_i / y_i - 1, and to series precision for |t| < 1e-3 (see
-# kl_divergence), so under 5e-13 at a near tie as well.
-ACCEPT_TOL = 1e-12
-
-
-def accepts(d_H, d_f):
-    """D_{h_k} = d_H - d_f >= 0 (d_H = D_H / eta) to a slack of ACCEPT_TOL
-    (d_H + d_f), elementwise: the line search's and certificates' test.
-
-    Tested as a sum against 0, which has the sign of the difference of
-    the two sides: every finite pair gets the comparison's verdict, and a
-    D_f that overflowed to inf fails (inf - inf is NaN), where the
-    comparison would pass it (-inf >= -inf).
-    """
-    return d_H - d_f + ACCEPT_TOL * (d_H + d_f) >= 0.0
-
 
 # candidates a line-search step may reject before the run fails: at
 # alpha = 0.5, 60 halvings shrink eta by 2^-60 (about 1e-18)

@@ -21,8 +21,8 @@ from bregprox import (
     zero_function,
     zero_term,
 )
-from bregprox.bregman import half_squared_distance, kl_divergence, \
-    reference_distance
+from bregprox.bregman import accepts, half_squared_distance, \
+    kl_divergence, reference_distance
 
 
 def rng(seed=0):
@@ -399,14 +399,25 @@ class TestCompositeGenerator:
 
     @pytest.mark.parametrize("H", [squared_euclidean(3),
                                    negative_entropy(3)])
-    def test_sigma_is_one_up_to_a_slack_of_1e12(self, H):
-        # both kinds have sigma = 1 in l2: eta L may reach 1 + 1e-12
+    def test_sigma_is_one_by_the_per_step_test(self, H):
+        # both kinds have sigma = 1 in l2, so the a-priori test is the
+        # per-step one at 1 / eta against L: it admits eta L up to
+        # (1 + ACCEPT_TOL) / (1 - ACCEPT_TOL), about 1 + 2e-12
         f = shifted_quadratic(np.array([0.2, 0.3, 0.5]), 0.25)  # L = 4
-        for ratio in (1.0, 1.0 + 1e-13):
-            composite_generator(H, f, ratio / f.lipschitz_grad)
+        L, verdicts = f.lipschitz_grad, {}
+        for j in range(-30, 31):
+            eta = (1.0 + j * 1e-13) / L
+            try:
+                composite_generator(H, f, eta)
+                verdicts[j] = True
+            except HypothesisViolation:
+                verdicts[j] = False
+            assert verdicts[j] == accepts(1.0 / eta, L)
+        assert verdicts[1] and verdicts[15] and not verdicts[25]
         with pytest.raises(HypothesisViolation,
-                           match=r"^sigma = 1\.0 < eta \* L = 1\.0000000000"):
-            composite_generator(H, f, (1.0 + 1e-11) / f.lipschitz_grad)
+                           match=r"^sigma = 1\.0 < eta \* L = 1\.0000000000"
+                                 r"\d*; composite generator not convex$"):
+            composite_generator(H, f, (1.0 + 1e-11) / L)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_eta_rejected(self, eta):

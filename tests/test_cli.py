@@ -22,7 +22,9 @@ from bregprox import (
     run_solver,
     squared_euclidean,
 )
-from bregprox.cli import CSV_CHUNK_ROWS, CSV_HEADER, _write_variant_csv, main
+from bregprox.cli import (CSV_CHUNK_ROWS, CSV_HEADER, _certified,
+                          _write_variant_csv, main)
+from bregprox.rates import RateCertificate
 from bregprox.experiments import VARIANTS
 
 
@@ -621,6 +623,25 @@ class TestCertify:
         assert captured.err == \
             "mirror-constant: solver failure: no mirror step here\n"
         assert status == 1
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    @pytest.mark.parametrize("shortfall, ok", [(1e-12, True), (1e-6, False)])
+    def test_verdict_keeps_under_power_of_two_rescaling(self, k, shortfall,
+                                                        ok):
+        # A and b scaled by 2^k and the steps by 4^-k scale F, F*, c and
+        # the margin by 4^k exactly.  The absolute slack -1e-9 passed the
+        # failing margin at k = -20 and failed the rounding one at k = 20
+        q = 4.0 ** k
+        f_0, f_star, c = 1.5, 0.25, 2.0  # the run's scale is 2.0
+        cert = RateCertificate(
+            constant=c * q, classical=3.0 * q,
+            weight_sums=np.arange(1.0, 4.0), margin=-shortfall * 2.0 * q,
+            hypothesis_satisfied=True)
+        assert _certified(cert, f_0 * q, f_star * q) is ok
+        unheld = dataclasses.replace(cert, hypothesis_satisfied=False)
+        assert _certified(unheld, f_0 * q, f_star * q)
 
 
 class TestVerifyIdentities:

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bregprox import experiments
-from bregprox.experiments import VARIANTS
+from bregprox.cli import _certified
+from bregprox.experiments import VARIANTS, variant_configs
 from bregprox import (
+    BregProxError,
+    CompositeProblem,
     ConfigurationError,
     ContractViolation,
     ExperimentSpec,
+    SolverFailure,
     build_lasso_onestep,
     build_simplex_ls,
+    certify_trace,
     estimate_spectral_norm,
     evaluate_composite,
+    least_squares,
     make_prox_map,
     reference_simplex_ls,
     run_experiment,
@@ -117,23 +123,41 @@ def fw_gap(A, b, x):
     return float(g @ x - np.min(g))
 
 
+def data_scale(A, b):
+    """max(|b|^2, max_i |a_i|^2) / 2, the scale of the reference's stopping
+    gap."""
+    return 0.5 * max(float(b @ b), float(np.max(np.sum(A * A, axis=0))))
+
+
 class TestReferenceRun:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_certified_reference_matches_long_run(self, seed):
         res = run_experiment(desk_spec(seed=seed, variants=("pga-constant",),
                                        max_iters=10))
         x_ref, f_ref = res.reference_optimum
-        scale = 1.0 + abs(f_ref)
-        assert 0.0 <= res.reference_gap <= 1e-13 * scale
+        f = res.problem.f
+        assert 0.0 <= res.reference_gap <= 1e-13 * data_scale(f.A, f.b)
         assert abs(np.sum(x_ref) - 1.0) <= 1e-9
         assert np.min(x_ref) >= 0.0
-        f = res.problem.f
         _, f_long = blind_reference(f.A, f.b, 1 / f.lipschitz_grad)
         # both values bound F* from above, so the gap bounds how far the
         # certified one can lie above the long run's; either side allows
         # the rounding of evaluating F (seed 3 sits one ulp below)
-        rounding = 1e-15 * scale
+        rounding = 1e-15 * (1.0 + abs(f_ref))
         assert -rounding <= f_ref - f_long <= res.reference_gap + rounding
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_b_near_a_column_is_certified(self, seed):
+        # F at the start vertex, the column nearest b, is no scale for the
+        # stopping gap: b within 1e-4 to 3e-3 of a column makes it tiny,
+        # and a stop at 1e-13 F(x_start) stalled on half of these twelve
+        # (gaps of 1e-20 to 7e-17 against bounds down to 1e-19)
+        A = build_simplex_ls(desk_spec(seed=seed)).f.A
+        r = np.random.Generator(np.random.Philox(seed))
+        for noise in (1e-2, 3e-3, 1e-3, 1e-4):
+            b = A[:, 3] + noise * r.standard_normal(A.shape[0])
+            x, _ = reference_simplex_ls(A, b)
+            assert fw_gap(A, b, x) <= 1e-13 * data_scale(A, b)
 
     def test_cap_reached_uncertified_is_an_error(self, monkeypatch):
         # the error names the gap of the one major cycle the cap allows: from
@@ -153,7 +177,7 @@ class TestReferenceRun:
         t = np.clip(-(P[:, start] @ d) / (d @ d), 0.0, 1.0)
         x[start], x[vertex] = 1.0 - t, t
         gap = fw_gap(A, b, x)
-        assert gap > 1e-13 * (1.0 + abs(p.f.value(x)))
+        assert gap > 1e-13 * data_scale(A, b)
         message = str(exc_info.value)
         assert "uncertified after 1 major cycles" in message
         assert f"{gap:.3e}" in message
@@ -216,10 +240,82 @@ class TestReferenceRun:
                                             seed=seed))
         x, f_x = reference_simplex_ls(p.f.A, p.f.b)
         assert f_x == p.f.value(x)
-        assert fw_gap(p.f.A, p.f.b, x) <= 1e-13 * (1.0 + abs(f_x))
+        assert fw_gap(p.f.A, p.f.b, x) <= 1e-13 * data_scale(p.f.A, p.f.b)
         assert np.min(x) >= 0.0
         assert abs(np.sum(x) - 1.0) <= 1e-12
         assert np.count_nonzero(x) <= m + 1
+
+
+def rescaled_runs(spec, k):
+    """The reference, and each variant's trace or failure and certificate,
+    of ``spec``'s problem with A and b scaled by 2^k, every step by 4^-k
+    and the tolerance by 4^k, as ``run_experiment`` runs them."""
+    base = build_simplex_ls(spec)
+    A, b = base.f.A * 2.0 ** k, base.f.b * 2.0 ** k
+    x_star, f_star = reference_simplex_ls(A, b)
+    f = least_squares(A, b, lipschitz=estimate_spectral_norm(A))
+    p = CompositeProblem(f=f, g=base.g, optimum_oracle=(x_star, f_star))
+    # exactly 4^k times the unscaled run's tolerance 1e-6 (1 + |F*|)
+    tol = 1e-6 * (4.0 ** k + abs(f_star))
+    configs = variant_configs(
+        dataclasses.replace(spec, eta0=spec.eta0 * 4.0 ** -k),
+        1.0 / f.lipschitz_grad, tol)
+    runs, x0 = {}, np.full(spec.n, 1.0 / spec.n)
+    for variant, (H, cfg) in configs.items():
+        pm = make_prox_map("simplex", H.kind)
+        try:
+            trace, failure = run_solver(p, H, pm, x0, cfg), None
+        except SolverFailure as exc:
+            trace, failure = exc.partial_trace, type(exc)
+        except BregProxError as exc:
+            runs[variant] = None, type(exc), None
+            continue
+        runs[variant] = trace, failure, certify_trace(p, H, trace)
+    return (x_star, f_star), runs
+
+
+class TestRescaling:
+    # k runs over [-30, 30].  The SMALLEST_NORMAL floors that meet scaled
+    # values allow far more: the line search's smallest step holds 4^-k
+    # times accepted steps near 0.2, and the stop test's m SMALLEST_NORMAL
+    # sits below 4^k F*, to |k| of about 500.  The first limit met is
+    # LAPACK's: through its internal scaling the eigensolver gives L other
+    # bits at k = -220 and k = 245, where -200 and 240 kept them (20x40
+    # seed 0, 30x10 seed 3).
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(k=st.integers(-30, 30), m=st.integers(1, 30),
+           n=st.integers(1, 60), seed=st.integers(0, 2**31 - 1))
+    @example(k=-20, m=50, n=100, seed=42)
+    @example(k=30, m=50, n=100, seed=12)
+    def test_power_of_two_rescaling_is_the_same_run(self, k, m, n, seed):
+        # the reference's stop at 1e-13 (1 + |F(x)|) had an absolute floor,
+        # which a small problem met at its start vertex (k <= -20)
+        spec = ExperimentSpec(name="rescale", m=m, n=n, seed=seed,
+                              max_iters=200)
+        (x0_star, f0_star), runs0 = rescaled_runs(spec, 0)
+        (x_star, f_star), runs = rescaled_runs(spec, k)
+        q = 4.0 ** k
+        assert x_star.tobytes() == x0_star.tobytes()
+        assert f_star == f0_star * q
+        for variant, (trace0, failure0, cert0) in runs0.items():
+            trace, failure, cert = runs[variant]
+            assert failure == failure0
+            if trace0 is None:
+                assert trace is None
+                continue
+            assert trace.x.tobytes() == trace0.x.tobytes()
+            for got, want in ((trace.objective, trace0.objective * q),
+                              (trace.eta, trace0.eta / q),
+                              (trace.d_hk, trace0.d_hk * q),
+                              (trace.backtracks, trace0.backtracks),
+                              (cert.weight_sums, cert0.weight_sums)):
+                assert got.tobytes() == want.tobytes()
+            assert (trace.stop_reason, trace.hypothesis_held) == \
+                (trace0.stop_reason, trace0.hypothesis_held)
+            assert (cert.constant, cert.classical, cert.margin) == \
+                (cert0.constant * q, cert0.classical * q, cert0.margin * q)
+            assert _certified(cert, trace.objective[0], f_star) \
+                == _certified(cert0, trace0.objective[0], f0_star)
 
 
 @pytest.fixture(scope="module")

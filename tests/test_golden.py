@@ -1,7 +1,10 @@
 """Golden outputs: the default commands' bytes, as sha256 digests.
 
-Each command runs as ``python -m bregprox`` at one BLAS thread, since the
-bits of a BLAS reduction may depend on its thread count.  The digests hold
+Each command runs as ``python -m bregprox`` at one and at two BLAS threads
+against the same digest.  Every matrix these commands touch is far below
+the 460,800 entries at which OpenBLAS runs a gemv on more than one thread
+(``functions.GEMV_THREADED_ENTRIES``), so no reduction here changes its
+order with the thread count; a larger problem's bits may.  The digests hold
 the ``run-simplex`` output directories of seeds 42, 12 and 0 (the benchmark
 runs seed 12 in every desk comparison) and the standard output of
 ``certify`` at seeds 0 and 3, ``run-lasso``, ``verify-identities --seed 0``
@@ -48,12 +51,12 @@ RUN_SIMPLEX_DIGESTS = {
 }
 
 
-def bregprox(*argv):
-    """Run the CLI in a subprocess at one BLAS thread; its exit code and
-    standard output."""
+def bregprox(threads, *argv):
+    """Run the CLI in a subprocess at ``threads`` BLAS threads; its exit
+    code and standard output."""
     env = {**os.environ, "PYTHONPATH": str(SRC),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads}
     done = subprocess.run([sys.executable, "-m", "bregprox", *argv],
                           capture_output=True, env=env)
     assert done.stderr == b""
@@ -68,16 +71,21 @@ def directory_digest(path):
     return h.hexdigest()
 
 
+THREADS = pytest.mark.parametrize("threads", ["1", "2"])
+
+
+@THREADS
 @pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
-def test_stdout_keeps_its_bytes(command):
-    status, out = bregprox(*command.split())
+def test_stdout_keeps_its_bytes(command, threads):
+    status, out = bregprox(threads, *command.split())
     assert status == EXIT_CODES.get(command, 0)
     assert hashlib.sha256(out).hexdigest() == STDOUT_DIGESTS[command]
 
 
+@THREADS
 @pytest.mark.parametrize("seed", sorted(RUN_SIMPLEX_DIGESTS))
-def test_run_simplex_keeps_its_bytes(tmp_path, seed):
-    status, _ = bregprox("run-simplex", "--seed", seed, "--out",
+def test_run_simplex_keeps_its_bytes(tmp_path, seed, threads):
+    status, _ = bregprox(threads, "run-simplex", "--seed", seed, "--out",
                          str(tmp_path))
     assert status == 0
     assert directory_digest(tmp_path) == RUN_SIMPLEX_DIGESTS[seed]

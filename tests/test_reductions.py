@@ -490,10 +490,11 @@ PER_STEP = {
     "prox.py": {"soft_threshold", "simplex_projection", "_simplex_threshold",
                 "_threshold_sorted", "project_simplex", "entropic_update",
                 "gradient_step"},
-    "bregman.py": {"half_squared_distance", "kl_divergence", "_kl_series"},
+    "bregman.py": {"half_squared_distance", "kl_divergence", "_kl_series",
+                   "accepts"},
     "functions.py": {"row_sum", "on_simplex", "NONSMOOTH_VALUES",
                      "OracleStepper", "ResidualStepper"},
-    "solvers.py": {"accepts", "run_solver"},
+    "solvers.py": {"run_solver"},
 }
 
 
@@ -614,7 +615,8 @@ def test_the_guard_sees_a_whole_vector_extremum(tmp_path):
 
 
 # More rules and values with one coding each: the acceptance test
-# D_{h_k} >= 0 of the line search and the certificates (solvers.accepts),
+# D_h >= 0 of the line search, the certificates and the composite
+# generator (bregman.accepts),
 # the feasible points of the identity suites (identities.sample_feasible),
 # the test of a step size (functions.check_step), the simplex's sum test
 # (functions.on_simplex), the forward step y - eta v (prox.gradient_step,
@@ -692,7 +694,7 @@ def single_coding_sites(src=SRC):
 
 def test_each_rule_has_one_coding():
     assert single_coding_sites() == {
-        ("solvers.py", "accepts", "ACCEPT_TOL"),
+        ("bregman.py", "accepts", "ACCEPT_TOL"),
         ("functions.py", "on_simplex", "SIMPLEX_SUM_TOL"),
         ("prox.py", "<module>", "SIMPLEX_SUM_TOL"),
         ("identities.py", "sample_feasible", "dirichlet"),
@@ -704,7 +706,7 @@ def test_each_rule_has_one_coding():
 def test_the_guard_sees_a_second_coding(tmp_path):
     (tmp_path / "second.py").write_text(
         "import numpy as np\n"
-        "from .solvers import ACCEPT_TOL\n\n"
+        "from .bregman import ACCEPT_TOL\n\n"
         "SLACK = -ACCEPT_TOL\n\n"
         "def draw(rng, n):\n"
         "    ACCEPT_TOL = 0.0\n"

@@ -39,7 +39,7 @@ from bregprox import (
     verify_theorem2_equivalence,
     zero_function,
 )
-from bregprox import functions, solvers
+from bregprox import bregman, functions, solvers
 from bregprox.experiments import (build_simplex_ls, reference_simplex_ls,
                                   variant_configs)
 from bregprox.functions import (FLUSH_ENTRIES, NONSMOOTH_VALUES,
@@ -769,7 +769,7 @@ class TestRunSolver:
             * 10.0 ** s.integers(-300, 300, 10_000)
         d_f = d_H * (1.0 + s.integers(-3000, 3000, 10_000) * 1e-16)
         assert np.array_equal(solvers.accepts(d_H, d_f), d_H - d_f
-                              >= -solvers.ACCEPT_TOL * (d_H + d_f))
+                              >= -bregman.ACCEPT_TOL * (d_H + d_f))
         # run-lasso --gamma 1e-306 --eta-ratio 2: D_f(x_1, x_0) overflows
         r = np.random.Generator(np.random.Philox(7))
         b, x0 = r.standard_normal(50), r.standard_normal(50)
