@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import BregProxError, ContractViolation
 from .experiments import (
+    MAX_ENTRIES,
     VARIANTS,
     ExperimentSpec,
     build_lasso_onestep,
@@ -79,13 +80,13 @@ def _write_variant_csv(path: Path, trace, f_star: float, cert,
 CERTIFIED_RTOL = 1e-9
 
 
-def _certified(cert, f_0: float, f_star: float) -> bool:
-    """The verdict on a certificate of a run from F(x_0) = f_0: it fails
-    only when its hypothesis held and its bound did not, since a bound
-    whose hypothesis fails claims nothing."""
-    scale = max(abs(f_0), abs(f_star), abs(cert.constant))
+def _certified(cert, trace, f_star: float) -> bool:
+    """The verdict on the certificate of a run's trace: it fails only when
+    the trace's hypothesis held and the bound did not, since a bound whose
+    hypothesis fails claims nothing."""
+    scale = max(abs(trace.objective[0]), abs(f_star), abs(cert.constant))
     return cert.margin >= -CERTIFIED_RTOL * scale \
-        or not cert.hypothesis_satisfied
+        or not trace.hypothesis_held
 
 
 def _report(result, line: str) -> int:
@@ -94,7 +95,7 @@ def _report(result, line: str) -> int:
     A certificate over no accepted step says so instead of ok."""
     status, f_star = 0, result.reference_optimum[1]
     for variant, cert in result.certificates.items():
-        ok = _certified(cert, result.traces[variant].objective[0], f_star)
+        ok = _certified(cert, result.traces[variant], f_star)
         verdict = ("ok" if ok else "FAIL") if cert.weight_sums.size \
             else "covers no step"
         print(line.format(variant=variant,
@@ -128,14 +129,14 @@ def cmd_run_simplex(args) -> int:
     summary = SUMMARY_HEADER
     for variant in variants:
         fields = ("", "false", "", "", "", "", "")  # failed, no trace
-        if variant in result.traces:
-            k = result.traces[variant].iters_to_tol
-            cert = result.certificates[variant]
-            gap = result.traces[variant].objective[-1] - f_star
+        trace = result.traces.get(variant)
+        if trace is not None:
+            k = trace.iters_to_tol
+            gap = trace.objective[-1] - f_star
             fields = ("" if k is None else k, str(k is not None).lower(),
                       f"{result.tolerance:.17g}", f"{gap:.17g}", "gppa",
-                      f"{cert.margin:.17g}",
-                      str(cert.hypothesis_satisfied).lower())
+                      f"{result.certificates[variant].margin:.17g}",
+                      str(trace.hypothesis_held).lower())
         summary += SUMMARY_ROW % (variant, *fields)
     (out / "summary.csv").write_text(summary, newline="\n")
     return _report(
@@ -147,6 +148,9 @@ def cmd_run_lasso(args) -> int:
     if args.dim < 1:
         # before any draw: numpy rejects a negative size with a ValueError
         raise ContractViolation("dimension must be positive")
+    if args.dim > MAX_ENTRIES:
+        raise ContractViolation(f"dimension {args.dim} is more entries "
+                                "than numpy can address")
     rng = np.random.Generator(np.random.Philox(args.seed))
     b, x0 = rng.standard_normal(args.dim), rng.standard_normal(args.dim)
     H = squared_euclidean(args.dim)
@@ -164,13 +168,13 @@ def cmd_run_lasso(args) -> int:
                                SolverConfig(eta0=eta, max_iters=1))
             gap = trace.objective[-1] - f_star
             cert = certify_trace(p, H, trace)
-            bound = cert.bound_at(1) if cert.hypothesis_satisfied else None
+            bound = cert.bound_at(1) if trace.hypothesis_held else None
     except FloatingPointError:
         raise ContractViolation(
             f"--gamma {args.gamma!r} with --eta-ratio {args.eta_ratio!r} "
             "overflows the one-step run") from None
     print(f"F(x_1) - F* = {gap:.17g}")
-    if cert.hypothesis_satisfied:
+    if trace.hypothesis_held:
         print(f"GPPA-PGA bound at k=1: {bound:.17g}")
     else:
         print("GPPA-PGA bound at k=1: none, its hypothesis D_h1 >= 0 fails")
@@ -181,7 +185,7 @@ def cmd_run_lasso(args) -> int:
         scale = max(np.max(np.abs(b)), np.max(np.abs(x0)))
         error = np.max(np.abs(trace.x - x_star))
         return 0 if error <= 8 * EPS * scale else 1
-    return 0 if _certified(cert, trace.objective[0], f_star) else 1
+    return 0 if _certified(cert, trace, f_star) else 1
 
 
 def cmd_certify(args) -> int:

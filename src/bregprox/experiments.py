@@ -45,6 +45,9 @@ VARIANTS = (
     "mirror-constant",
     "mirror-linesearch",
 )
+# the most float64 entries an array can have: numpy refuses a larger one
+# with a ValueError ("array is too big") before trying to allocate it
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ContractViolation("m and n must be positive")
+        if self.m * self.n > MAX_ENTRIES:
+            raise ContractViolation(f"m x n = {self.m} x {self.n} is more "
+                                    "entries than numpy can address")
         if not self.variants:
             raise ContractViolation("at least one variant is required")
         for v in self.variants:

@@ -17,6 +17,7 @@ only checks that rest on random points, so the one feasible-point sampler,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -36,17 +37,10 @@ from .functions import Vector
 from .prox import make_prox_map, prox_objective, verify_prox_optimality
 from .solvers import gppa_objective
 
-# rows per stacked call of the identity suites: the sampled suites make one
-# call per block and the offset suite draws one block at most, so memory is
-# bounded at any sample count
+# rows per stacked call of the identity suites: the sampled suites walk their
+# samples one block at a time and the offset suite draws one block at most,
+# so memory is bounded at any sample count
 BLOCK_ROWS = 1_000
-
-
-def blocks(samples: int):
-    """Row counts of the blocks that make up ``samples`` samples; the last
-    block is partial."""
-    return [min(BLOCK_ROWS, samples - start)
-            for start in range(0, samples, BLOCK_ROWS)]
 
 
 def sample_feasible(kind: str, n: int, rng, shape: tuple = ()) -> Vector:
@@ -70,18 +64,26 @@ def _result(name: str, worst: float, threshold: float) -> SuiteResult:
     return SuiteResult(name, worst, threshold, worst <= threshold)
 
 
-def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
+def _worst_residuals(samples: int, seed: int, checks) -> List[float]:
+    """The worst residual of each (h, k, residual) of ``checks`` over
+    ``samples`` draws: block by block, each check in turn draws k stacks on
+    h's domain from one Philox(seed) stream and takes residual(h, *stacks)."""
     rng = np.random.Generator(np.random.Philox(seed))
-    hq = squared_euclidean(3)
-    he = negative_entropy(5)
-    # np.maximum, unlike max(), keeps a NaN residual
-    worst_q = 0.0
-    worst_e = 0.0
-    for rows in blocks(samples):
-        a, b, c = sample_feasible(hq.domain.kind, 3, rng, (3, rows))
-        worst_q = np.maximum(worst_q, check_three_point(hq, a, b, c))
-        a, b, c = sample_feasible(he.domain.kind, 5, rng, (3, rows))
-        worst_e = np.maximum(worst_e, check_three_point(he, a, b, c))
+    worst = [-np.inf] * len(checks)
+    for start in range(0, samples, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, samples - start)
+        for i, (h, k, residual) in enumerate(checks):
+            stacks = sample_feasible(h.domain.kind, h.domain.ambient_dimension,
+                                     rng, (k, rows))
+            # np.max, unlike max(), keeps a NaN residual
+            worst[i] = np.max(residual(h, *stacks), initial=worst[i])
+    return worst
+
+
+def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
+    worst_q, worst_e = _worst_residuals(samples, seed, (
+        (squared_euclidean(3), 3, check_three_point),
+        (negative_entropy(5), 3, check_three_point)))
     return [
         _result("three_point_quadratic", worst_q, 1e-10),
         _result("three_point_entropy", worst_e, 1e-10),
@@ -89,37 +91,31 @@ def three_point_suite(samples: int, seed: int) -> List[SuiteResult]:
 
 
 def linearity_suite(samples: int, seed: int) -> List[SuiteResult]:
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = 5
-    hq = squared_euclidean(n)
-    he = negative_entropy(n)
-    worst = 0.0
-    for rows in blocks(samples):
-        a, b = sample_feasible(he.domain.kind, n, rng, (2, rows))
-        worst = np.maximum(worst, check_linearity(hq, he, a, b))
+    residual = partial(check_linearity, squared_euclidean(5))
+    (worst,) = _worst_residuals(samples, seed,
+                                ((negative_entropy(5), 2, residual),))
     return [_result("linearity_quadratic_entropy", worst, 1e-10)]
+
+
+def _nonnegativity_residual(h, x: Vector, y: Vector) -> Vector:
+    """max(-D_h, |D_h - definition|) of each pair (x, y)."""
+    d = bregman_distance(h, x, y)
+    return np.maximum(-d, np.abs(d - reference_distance(h, x, y)))
 
 
 def nonnegativity_suite(samples: int, seed: int,
                         inject_fault: bool = False) -> List[SuiteResult]:
     """Worst of -D_h and of |D_h - definition| over random pairs: each closed
     form must be nonnegative and equal the distance its oracles define."""
-    rng = np.random.Generator(np.random.Philox(seed))
     hq = squared_euclidean(4)
     if inject_fault:
         # negative control: a gradient oracle inconsistent with the value
         # oracle makes the definition disagree with the closed form
         hq = replace(hq, grad=lambda x: 2.0 * np.asarray(x, dtype=float))
-    he = negative_entropy(6)
-    worst = -np.inf
-    for rows in blocks(samples):
-        x, y = sample_feasible(hq.domain.kind, 4, rng, (2, rows))
-        a, b = sample_feasible(he.domain.kind, 6, rng, (2, rows))
-        for h, p, q in ((hq, x, y), (he, a, b)):
-            d = bregman_distance(h, p, q)
-            worst = np.max(np.maximum(-d, np.abs(
-                d - reference_distance(h, p, q))), initial=worst)
-    return [_result("bregman_nonnegativity", worst, 1e-12)]
+    worst = _worst_residuals(samples, seed, (
+        (hq, 2, _nonnegativity_residual),
+        (negative_entropy(6), 2, _nonnegativity_residual)))
+    return [_result("bregman_nonnegativity", np.max(worst), 1e-12)]
 
 
 def offset_identity_suite(samples: int, seed: int) -> List[SuiteResult]:

@@ -47,9 +47,6 @@ class RateCertificate:
     classical: float  # D_H(x*, x0) / eta_1, the constant without -D_f
     weight_sums: np.ndarray  # S_k for k = 1, 2, ...
     margin: float  # inf for a trace with no accepted step
-    # every step had D_{h_k} >= 0 to within the line search's relative slack
-    # (IterationTrace.hypothesis_held)
-    hypothesis_satisfied: bool
 
     def bound_at(self, k: int) -> float:
         if k < 1:
@@ -82,7 +79,6 @@ def certify_trace(p: CompositeProblem, H: BregmanGenerator,
         classical=d_H,
         weight_sums=weight_sums,
         margin=float(np.min(constant / weight_sums - gaps, initial=np.inf)),
-        hypothesis_satisfied=trace.hypothesis_held,
     )
 
 

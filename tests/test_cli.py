@@ -6,6 +6,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,6 +255,28 @@ class TestRunSimplex:
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-simplex", "--rows", "4611686018427387904", "--cols", "1"],
+         "m x n = 4611686018427387904 x 1"),
+        (["certify", "--rows", "3037000500", "--cols", "3037000500"],
+         "m x n = 3037000500 x 3037000500"),
+        (["run-lasso", "--dim", "2305843009213693952"],
+         "dimension 2305843009213693952")],
+        ids=["run-simplex", "certify", "run-lasso"])
+    def test_size_numpy_cannot_address_is_one_error_line(
+            self, tmp_path, capsys, argv, message):
+        # more than np.iinfo(np.intp).max bytes of float64: numpy refused
+        # these with a ValueError ("array is too big") and a traceback
+        out = tmp_path / "out"
+        if argv[0] == "run-simplex":
+            argv = argv + ["--out", str(out)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {message} is more entries than numpy can address\n"
         assert not out.exists()
 
     def test_repeated_variant_is_an_error(self, tmp_path, capsys):
@@ -598,10 +621,13 @@ class TestCertify:
                                             hypothesis):
         # a negative margin fails only when its hypothesis held; certify
         # used to print [FAIL] without it and still exit 0
-        certify = experiments.certify_trace
+        certify, solve = experiments.certify_trace, experiments.run_solver
         monkeypatch.setattr(
             experiments, "certify_trace", lambda *a: dataclasses.replace(
-                certify(*a), margin=-1.0, hypothesis_satisfied=hypothesis))
+                certify(*a), margin=-1.0))
+        monkeypatch.setattr(
+            experiments, "run_solver", lambda *a: dataclasses.replace(
+                solve(*a), hypothesis_held=hypothesis))
         status = run(["certify", "--rows", "10", "--cols", "20",
                       "--iters", "100"])
         out = capsys.readouterr().out
@@ -637,11 +663,12 @@ class TestVerdict:
         f_0, f_star, c = 1.5, 0.25, 2.0  # the run's scale is 2.0
         cert = RateCertificate(
             constant=c * q, classical=3.0 * q,
-            weight_sums=np.arange(1.0, 4.0), margin=-shortfall * 2.0 * q,
-            hypothesis_satisfied=True)
-        assert _certified(cert, f_0 * q, f_star * q) is ok
-        unheld = dataclasses.replace(cert, hypothesis_satisfied=False)
-        assert _certified(unheld, f_0 * q, f_star * q)
+            weight_sums=np.arange(1.0, 4.0), margin=-shortfall * 2.0 * q)
+        for held in (True, False):
+            # the verdict reads F(x_0) and the hypothesis off the trace
+            trace = SimpleNamespace(objective=np.array([f_0 * q, f_star * q]),
+                                    hypothesis_held=held)
+            assert _certified(cert, trace, f_star * q) is (ok or not held)
 
 
 class TestVerifyIdentities:

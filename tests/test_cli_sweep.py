@@ -111,6 +111,11 @@ def call(argv):
 # the shift from overflowing
 @example(argv="run-simplex --rows=1 --cols=7 --seed=0 --eta0=1e308 "
               "--alpha=1e-300 --max-iters=1".split())
+# sizes of more float64 entries than numpy can address, which it refuses
+# with a ValueError before any allocation
+@example(argv="run-simplex --rows=4611686018427387904 --cols=1".split())
+@example(argv="certify --rows=3037000500 --cols=3037000500".split())
+@example(argv="run-lasso --dim=2305843009213693952".split())
 def test_every_drawn_input_ends_as_documented(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("sweep") / "out"
     if argv[0] == "run-simplex":

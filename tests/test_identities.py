@@ -1,6 +1,8 @@
 """The identity suites check every row of every block: a fault confined to
 one row of one block must still fail its suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,29 @@ def test_one_wrong_prox_output_fails_its_suite(monkeypatch):
     assert results["prox_optimality_simplex_entropy"].worst > 1e-3
     assert results["prox_optimality_l1_quadratic"].passed
     assert results["prox_optimality_simplex_quadratic"].passed
+
+
+class FirstDraw(Exception):
+    pass
+
+
+def test_memory_before_the_first_draw_does_not_grow_with_samples(
+        monkeypatch):
+    """A suite walks its samples block by block: at 10^9 samples nothing
+    of their count is held before the first draw.  A list of the block
+    sizes took about 8 MiB and 2 s here, 8 GB at 10^12 samples."""
+    def first_draw(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(identities, "sample_feasible", first_draw)
+    # a first call makes numpy's lazy imports, which are not the suite's
+    with pytest.raises(FirstDraw):
+        identities.three_point_suite(1, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            identities.three_point_suite(10**9, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

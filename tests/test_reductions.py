@@ -758,13 +758,12 @@ def test_the_guard_sees_a_second_coding(tmp_path):
 # Optimality is checked by one exact gap, functions.first_order_gap, the
 # one place that subtracts a minimum (the Frank-Wolfe gap <s, x> - min s).
 # No check searches sampled points for a better one: the sampler takes no
-# point to draw around, and it is called by the identity suites alone, the
-# prox-optimality suite drawing with it only its single inputs.
+# point to draw around, and it is called by the identity suites alone: the
+# three sampled suites through their one block loop, the offset suite and
+# the prox-optimality suite drawing with it only their own inputs.
 MINIMA = {"min", "np.min", "np.amin", "np.minimum.reduce"}
 SAMPLER_CALLS = {
-    ("identities.py", "three_point_suite", "stack"),
-    ("identities.py", "linearity_suite", "stack"),
-    ("identities.py", "nonnegativity_suite", "stack"),
+    ("identities.py", "_worst_residuals", "stack"),
     ("identities.py", "offset_identity_suite", "point"),
     ("identities.py", "offset_identity_suite", "stack"),
     ("identities.py", "prox_optimality_suite", "point")}

@@ -263,7 +263,6 @@ class TestSteps:
         assert eta * base.f.lipschitz_grad > 5.0
         assert trace.hypothesis_held is held
         cert = certify_trace(p, H, trace)
-        assert cert.hypothesis_satisfied is held
         if held:
             assert cert.margin > 0.0
 
